@@ -123,26 +123,6 @@ class Cache:
         cache_set[tag] = write
         return AccessResult(hit=False, writeback_line=writeback, fill_line=line)
 
-    def fill(self, line: int, *, write: bool = False) -> Optional[int]:
-        """Handle a known miss of ``line`` (its tag verified absent).
-
-        The caller has already probed the set and popped nothing; this is
-        the miss half of :meth:`access` split out so the memory system
-        can inline the hit probe.  Returns the written-back line address
-        on a dirty eviction, else ``None``.
-        """
-        num_sets = self._num_sets
-        cache_set = self._sets[line % num_sets]
-        self.misses += 1
-        writeback = None
-        if len(cache_set) >= self._ways:
-            victim_tag = next(iter(cache_set))
-            if cache_set.pop(victim_tag):
-                self.writebacks += 1
-                writeback = victim_tag * num_sets + line % num_sets
-        cache_set[line // num_sets] = write
-        return writeback
-
     def touch_range(self, addr: int, size: int, *, write: bool = False) -> List[AccessResult]:
         """Access every line overlapped by ``[addr, addr+size)``."""
         if size <= 0:
@@ -162,7 +142,9 @@ class Cache:
     def invalidate_all(self) -> int:
         """Flush without write-back; returns the number of lines dropped."""
         dropped = sum(len(s) for s in self._sets)
-        self._sets = [{} for _ in range(self._num_sets)]
+        # cleared in place: the memory system memoises references to sets
+        for cache_set in self._sets:
+            cache_set.clear()
         return dropped
 
     # ------------------------------------------------------------ statistics

@@ -18,7 +18,7 @@ paper's "contention for open rows" does.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 
 @dataclasses.dataclass(frozen=True)
@@ -57,16 +57,12 @@ class Dram:
         self.page_misses = 0
         self.page_conflicts = 0
 
-    def _locate(self, addr: int) -> Tuple[int, int]:
-        row = addr // self.config.row_bytes
-        bank = row % self.config.num_banks
-        return bank, row
-
     def access(self, addr: int) -> int:
         """Access ``addr``; returns latency in picoseconds."""
-        bank, row = self._locate(addr)
-        open_row = self._open_rows.get(bank)
         cfg = self.config
+        row = addr // cfg.row_bytes
+        bank = row % cfg.num_banks
+        open_row = self._open_rows.get(bank)
         if open_row == row:
             self.page_hits += 1
             return cfg.cas_ps

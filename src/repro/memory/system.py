@@ -17,10 +17,15 @@ load-to-use path in Table III's bands: 30-32 cycles at 500 MHz for the NIC
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.memory.cache import _ABSENT, Cache, CacheConfig
 from repro.memory.dram import Dram, DramConfig
+
+#: one line's place in the hierarchy: (line address, L1 set dict, L1 tag,
+#: L1 set index, DRAM bank, DRAM row).  The set dict is the cache's own
+#: (they live as long as the cache), so a placement never goes stale.
+Placement = Tuple[int, dict, int, int, int, int]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -51,6 +56,10 @@ class MemorySystem:
         self.dram = Dram(config.dram)
         self.total_stall_ps = 0
         self._line_bytes = config.l1.line_bytes
+        #: line address -> :meth:`_place` of it, for lines that list walks
+        #: read (:meth:`read_lines`); bounded by the distinct queue-entry
+        #: lines, which the NIC allocator recycles
+        self._walked: Dict[int, Placement] = {}
 
     # -------------------------------------------------------------- accesses
     def access(self, addr: int, size: int = 8, *, write: bool = False) -> int:
@@ -64,71 +73,134 @@ class MemorySystem:
         if size <= 0:
             raise ValueError(f"access size must be positive: {size}")
         line = self._line_bytes
-        first = addr // line
-        last = (addr + size - 1) // line
-        if first == last:
-            # Single-line access is the overwhelming case; the L1 probe
-            # is inlined (same state updates as Cache.access) so a hit --
-            # which stalls 0 ps -- costs one dict pop, not three calls.
-            l1 = self.l1
-            num_sets = l1._num_sets
-            cache_set = l1._sets[first % num_sets]
-            tag = first // num_sets
+        l1 = self.l1
+        num_sets = l1._num_sets
+        stall = 0
+        for index in range(addr // line, (addr + size - 1) // line + 1):
+            # nearly always an L1 hit (0 ps stall): probe inline, and leave
+            # a miss to _lines (whose own probe then finds the tag absent)
+            cache_set = l1._sets[index % num_sets]
+            tag = index // num_sets
             dirty = cache_set.pop(tag, _ABSENT)
             if dirty is not _ABSENT:
                 cache_set[tag] = dirty or write
                 l1.hits += 1
-                return 0
-            stall = self._miss_line(first, write=write)
-        else:
-            stall = 0
-            for line_index in range(first, last + 1):
-                stall += self._access_line(line_index * line, write=write)
+            else:
+                stall += self._lines((self._place(index * line),), write)
+        return stall
+
+    def read_lines(self, addrs: Iterable[int]) -> int:
+        """Read whole lines in order; returns their summed stall in ps.
+
+        Each address must start a line.  The result -- stall, cache and
+        DRAM state, every counter -- is exactly that of
+        ``access(addr, line_bytes)`` for each address in turn, in one call
+        (a software list walk charges all its visits this way).  A walk
+        revisits the same entries over and over, so placements are
+        memoised: safe, since a placement is a pure function of the
+        address and the frozen configs.
+        """
+        walked = self._walked
+        remember = self._remember
+        return self._lines([walked.get(a) or remember(a) for a in addrs], False)
+
+    def _place(self, line_addr: int) -> Placement:
+        """Where a line lives: L1 set and tag, DRAM bank and row."""
+        l1 = self.l1
+        line = line_addr // self._line_bytes
+        index = line % l1._num_sets
+        row = line_addr // self.dram.config.row_bytes
+        return (
+            line_addr,
+            l1._sets[index],
+            line // l1._num_sets,
+            index,
+            row % self.dram.config.num_banks,
+            row,
+        )
+
+    def _remember(self, line_addr: int) -> Placement:
+        """Place a walked line and memoise it."""
+        if line_addr % self._line_bytes:
+            raise ValueError(f"not a line address: {line_addr:#x}")
+        where = self._walked[line_addr] = self._place(line_addr)
+        return where
+
+    def _lines(self, places: Iterable[Placement], write: bool) -> int:
+        """The one access path: each line through L1, then L2 or DRAM.
+
+        An L1 hit stalls 0.  A miss allocates (write-allocate, LRU victim,
+        dirty victims written back), then costs an L2 hit or the DRAM path:
+        ``miss_base_ps`` plus the open-row latency of :meth:`Dram.access`,
+        inlined here with counters kept in locals until the walk ends.
+        """
+        l1 = self.l1
+        ways = l1._ways
+        num_sets = l1._num_sets
+        line_bytes = self._line_bytes
+        l2 = self.l2
+        dram = self.dram
+        open_rows = dram._open_rows
+        timing = dram.config
+        page_hit_ps = self.config.miss_base_ps + timing.cas_ps
+        page_miss_ps = page_hit_ps + timing.ras_ps
+        page_conflict_ps = page_miss_ps + timing.precharge_ps
+        hits = misses = page_hits = page_misses = page_conflicts = 0
+        stall = 0
+        for addr, cache_set, tag, index, bank, row in places:
+            dirty = cache_set.pop(tag, _ABSENT)
+            if dirty is not _ABSENT:
+                # hit: re-insert at the MRU end
+                cache_set[tag] = dirty or write
+                hits += 1
+                continue
+            misses += 1
+            if len(cache_set) >= ways:
+                victim = next(iter(cache_set))
+                if cache_set.pop(victim):
+                    l1.writebacks += 1
+                    stall += self._writeback((victim * num_sets + index) * line_bytes)
+            cache_set[tag] = write
+            if l2 is not None:
+                result = l2.access(addr)
+                if result.hit:
+                    stall += self.config.l2_hit_ps
+                    continue
+                if result.writeback_line is not None:
+                    stall += self._writeback(result.writeback_line * line_bytes)
+            open_row = open_rows.get(bank)
+            if open_row == row:
+                page_hits += 1
+                stall += page_hit_ps
+                continue
+            if open_row is None:
+                page_misses += 1
+                stall += page_miss_ps
+            else:
+                page_conflicts += 1
+                stall += page_conflict_ps
+            open_rows[bank] = row
+        l1.hits += hits
+        if misses:
+            l1.misses += misses
+            dram.page_hits += page_hits
+            dram.page_misses += page_misses
+            dram.page_conflicts += page_conflicts
         self.total_stall_ps += stall
         return stall
 
-    def _access_line(self, line_addr: int, *, write: bool) -> int:
-        l1_result = self.l1.access(line_addr, write=write)
-        if l1_result.hit:
-            return 0
-        stall = 0
-        if l1_result.writeback_line is not None:
-            stall += self._writeback(l1_result.writeback_line)
-        return stall + self._lower_levels(line_addr)
-
-    def _miss_line(self, line: int, *, write: bool) -> int:
-        """Known L1 miss of line index ``line`` (probe already failed)."""
-        writeback = self.l1.fill(line, write=write)
-        stall = 0
-        if writeback is not None:
-            stall += self._writeback(writeback)
-        return stall + self._lower_levels(line * self._line_bytes)
-
-    def _lower_levels(self, line_addr: int) -> int:
-        """Stall below L1: L2 (if present), then the DRAM path."""
-        stall = 0
-        if self.l2 is not None:
-            l2_result = self.l2.access(line_addr, write=False)
-            if l2_result.hit:
-                return self.config.l2_hit_ps
-            if l2_result.writeback_line is not None:
-                stall += self._writeback(l2_result.writeback_line)
-        return stall + self.config.miss_base_ps + self.dram.access(line_addr)
-
-    def _writeback(self, victim_line: int) -> int:
-        """Write a dirty victim to the next level.
+    def _writeback(self, line_addr: int) -> int:
+        """Write a dirty victim line to the next level.
 
         With an L2 the write-back is absorbed there (cheap, charged as an
         L2 hit); without one it goes to DRAM and disturbs the open row.
         The write-back itself is buffered, so we charge only the DRAM
         row-state perturbation path at half cost (posted write).
         """
-        line_bytes = self.l1.config.line_bytes
-        addr = victim_line * line_bytes
         if self.l2 is not None:
-            self.l2.access(addr, write=True)
+            self.l2.access(line_addr, write=True)
             return 0
-        return self.dram.access(addr) // 2
+        return self.dram.access(line_addr) // 2
 
     # ------------------------------------------------------------ utilities
     def warm(self, addr: int, size: int) -> None:

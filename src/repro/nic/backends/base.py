@@ -44,7 +44,7 @@ import abc
 from typing import Optional
 
 from repro.core.match import MatchRequest
-from repro.nic.queues import ENTRY_TOUCH_BYTES, NicQueue, QueueEntry
+from repro.nic.queues import NicQueue, QueueEntry
 from repro.sim.process import delay
 
 
@@ -159,24 +159,28 @@ class MatchBackend(abc.ABC):
         if tracing:
             tracer.begin("nic", f"{self.nic.name}.search.{queue.name}")
         entries = queue.search_candidates(request, suffix_only=suffix_only)
-        cost = 0
         found: Optional[QueueEntry] = None
-        visited = 0
-        proc = self.proc
-        touch = proc.touch
+        # each visit reads the entry's first line (envelope + next
+        # pointer); the compare is the ternary rule of
+        # repro.core.match.matches with both masks honoured
+        visits = []
+        visit = visits.append
         req_bits = request.bits
         req_mask = request.mask
         for entry in entries:
-            # per-visit charge: one cache line; the compare is the ternary
-            # rule of repro.core.match.matches with both masks honoured
-            cost += touch(entry.addr, ENTRY_TOUCH_BYTES)
-            visited += 1
+            visit(entry.addr)
             if not (entry.bits ^ req_bits) & ~(entry.mask | req_mask):
                 found = entry
                 break
-        # compare cycles are linear in visits (cycles() is exact integer
-        # ps-per-cycle), so one compute() call charges the identical total
-        cost += proc.compute(visited * self.cost.entry_compare_cycles)
+        # Nothing yields or touches memory between visits, so charging the
+        # lines in one read_lines call (same order) is exact, and compare
+        # cycles are linear in visits (cycles() is exact integer
+        # ps-per-cycle), so one compute() call charges the identical total.
+        visited = len(visits)
+        proc = self.proc
+        cost = proc.compute(visited * self.cost.entry_compare_cycles)
+        if visits:  # most searches visit nothing (empty queue, all in the ALPU)
+            cost += proc.read_lines(visits)
         self.fw.record_traversal(visited)
         if cost:
             yield delay(cost)

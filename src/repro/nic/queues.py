@@ -103,8 +103,6 @@ class QueueEntry:
 
 #: per-entry footprint in NIC memory (two cache lines)
 ENTRY_BYTES = 128
-#: bytes read per traversal step (envelope + next pointer: one line)
-ENTRY_TOUCH_BYTES = 64
 
 
 class NicQueue:

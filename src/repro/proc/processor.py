@@ -10,7 +10,7 @@ processes with ``yield delay(...)``.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable, Optional
 
 from repro.memory.system import MemorySystem
 from repro.sim.component import ClockedComponent
@@ -55,8 +55,13 @@ class Processor(ClockedComponent):
         self.stall_ps += stall
         return stall
 
-    def compute_and_touch(
-        self, cycles: int, addr: int, size: int = 8, *, write: bool = False
-    ) -> int:
-        """Common case: some ALU work plus one memory reference."""
-        return self.compute(cycles) + self.touch(addr, size, write=write)
+    def read_lines(self, addrs: Iterable[int]) -> int:
+        """Charge whole-line reads in order (a list walk); returns the stall ps.
+
+        Same charge as one :meth:`touch` of a line per address, in one call.
+        """
+        if self.memory is None:
+            return 0
+        stall = self.memory.read_lines(addrs)
+        self.stall_ps += stall
+        return stall

@@ -245,8 +245,13 @@ class TestCompare:
         assert "DRIFTED" in out
 
     def test_cli_speedup_gate_and_markdown_file(
-        self, tmp_path, grid_records, baseline_path, capsys
+        self, tmp_path, grid_records, baseline_path, capsys, monkeypatch
     ):
+        # the "fresh" run is the recorded one, so the gate sees exactly a
+        # 2.00x speedup on point 0 whatever the host's speed right now
+        monkeypatch.setattr(
+            bench, "run_grid", lambda: json.loads(json.dumps(grid_records))
+        )
         grid = [json.loads(json.dumps(record)) for record in grid_records]
         grid[0]["events_per_sec"] /= 2
         before = tmp_path / "before_clean.json"

@@ -60,6 +60,23 @@ class MemorySystem:
         #: read (:meth:`read_lines`); bounded by the distinct queue-entry
         #: lines, which the NIC allocator recycles
         self._walked: Dict[int, Placement] = {}
+        levels = [self.l1] + ([self.l2] if self.l2 is not None else [])
+        #: walks longer than this many lines (every line the caches hold)
+        #: replay a repeat from :attr:`_replay`; below it, snapshotting
+        #: the state would cost more than simulating the walk saves
+        self._capacity = sum(cache.config.num_lines for cache in levels)
+        #: every set of every level, for snapshots and in-place restores
+        self._all_sets = [cache_set for cache in levels for cache_set in cache._sets]
+        #: (owner, attribute) of every counter a walk can advance
+        self._counted = [
+            (cache, name) for cache in levels for name in ("hits", "misses", "writebacks")
+        ] + [(self.dram, name) for name in ("page_hits", "page_misses", "page_conflicts")]
+        #: the last long walk: ((addrs, state before), state after,
+        #: counter deltas, stall) -- one entry, so memory stays bounded
+        self._replay: Optional[tuple] = None
+        #: long walks answered from :attr:`_replay` rather than simulated
+        #: (host work, not a simulated event: :meth:`reset_stats` keeps it)
+        self.walks_replayed = 0
 
     # -------------------------------------------------------------- accesses
     def access(self, addr: int, size: int = 8, *, write: bool = False) -> int:
@@ -98,11 +115,60 @@ class MemorySystem:
         (a software list walk charges all its visits this way).  A walk
         revisits the same entries over and over, so placements are
         memoised: safe, since a placement is a pure function of the
-        address and the frozen configs.
+        address and the frozen configs.  A walk longer than the caches
+        hold goes through :meth:`_long_walk`, which replays a repeat.
         """
+        addrs = tuple(addrs)
+        if len(addrs) > self._capacity:
+            return self._long_walk(addrs)
+        return self._walk(addrs)
+
+    def _walk(self, addrs: Tuple[int, ...]) -> int:
+        """Simulate a walk through memoised placements."""
         walked = self._walked
         remember = self._remember
         return self._lines([walked.get(a) or remember(a) for a in addrs], False)
+
+    def _long_walk(self, addrs: Tuple[int, ...]) -> int:
+        """Simulate a long walk, or replay it when it repeats the last one.
+
+        A walk's effect is a pure function of its addresses, every set's
+        LRU-ordered ``(tag, dirty)`` items and the DRAM open rows.  When
+        all of these equal the last long walk's, its recorded after-state
+        is restored and its counter deltas are added -- exactly what
+        simulating again would do.  Restores mutate the existing dicts
+        (placements and the caches hold references to them).
+        """
+        key = (addrs, self._state())
+        record = self._replay
+        if record is not None and record[0] == key:
+            _, (sets, rows), deltas, stall = record
+            for cache_set, items in zip(self._all_sets, sets):
+                cache_set.clear()
+                cache_set.update(items)
+            open_rows = self.dram._open_rows
+            open_rows.clear()
+            open_rows.update(rows)
+            for (owner, name), delta in zip(self._counted, deltas):
+                setattr(owner, name, getattr(owner, name) + delta)
+            self.total_stall_ps += stall
+            self.walks_replayed += 1
+            return stall
+        before = [getattr(owner, name) for owner, name in self._counted]
+        stall = self._walk(addrs)
+        deltas = [
+            getattr(owner, name) - count
+            for (owner, name), count in zip(self._counted, before)
+        ]
+        self._replay = (key, self._state(), deltas, stall)
+        return stall
+
+    def _state(self) -> tuple:
+        """Cache contents in LRU order with dirty bits, and DRAM open rows."""
+        return (
+            tuple(map(tuple, map(dict.items, self._all_sets))),
+            tuple(self.dram._open_rows.items()),
+        )
 
     def _place(self, line_addr: int) -> Placement:
         """Where a line lives: L1 set and tag, DRAM bank and row."""

@@ -29,7 +29,7 @@ import enum
 import itertools
 from typing import Dict, Iterable, Iterator, List, Optional
 
-from repro.core.match import MatchEntry, MatchRequest
+from repro.core.match import MatchRequest
 from repro.memory.layout import AddressAllocator
 from repro.obs.metrics import NULL_GAUGE
 
@@ -86,10 +86,6 @@ class QueueEntry:
     in_alpu: bool = False
     #: unique id; doubles as the ALPU tag via the driver's tag table
     uid: int = dataclasses.field(default_factory=lambda: next(_entry_ids))
-
-    def as_match_entry(self) -> MatchEntry:
-        """The ALPU/list view of this entry (tag = uid)."""
-        return MatchEntry(bits=self.bits, mask=self.mask, tag=self.uid)
 
     def matches(self, request: MatchRequest) -> bool:
         """Ternary compare against a request (wildcards honoured).

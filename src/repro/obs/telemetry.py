@@ -133,18 +133,6 @@ class Telemetry:
         self.health_findings()
         return self.health.verdict()
 
-    def write_lifecycles(self, path) -> dict:
-        """Dump the lifecycle record as JSON (the attribution CLI input)."""
-        document = (
-            self.lifecycle.to_obj()
-            if self.lifecycle is not None
-            else {"lifecycles": []}
-        )
-        with open(path, "w") as handle:
-            json.dump(document, handle, indent=1)
-            handle.write("\n")
-        return document
-
     def write_chrome_trace(self, path) -> dict:
         """Write the Chrome trace JSON (incl. lifecycle tracks) to ``path``."""
         document = self.chrome_trace()

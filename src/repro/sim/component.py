@@ -1,10 +1,9 @@
 """Simulation components.
 
 A :class:`Component` is a named object bound to an engine.  A
-:class:`ClockedComponent` additionally has a clock period and helpers to
-schedule work a whole number of its own cycles in the future -- this is how
-the 500 MHz NIC processor, the ALPU and the 2 GHz host CPU coexist in one
-event queue.
+:class:`ClockedComponent` additionally has a clock period that turns its
+own cycle counts into picoseconds -- this is how the 500 MHz NIC
+processor, the ALPU and the 2 GHz host CPU coexist in one event queue.
 """
 
 from __future__ import annotations
@@ -58,17 +57,3 @@ class ClockedComponent(Component):
     def cycles(self, n: int) -> int:
         """Duration of ``n`` cycles of this component's clock, in ps."""
         return n * self.period_ps
-
-    def schedule_cycles(
-        self, n: int, action: Callable[[], Any], *, priority: int = 0
-    ) -> EventHandle:
-        """Schedule ``action`` ``n`` of *this component's* cycles from now."""
-        return self.schedule(self.cycles(n), action, priority=priority)
-
-    def next_edge(self) -> int:
-        """Delay (ps) from now to the next rising edge of this clock.
-
-        Returns 0 when "now" is exactly on an edge.
-        """
-        rem = self.engine.now % self.period_ps
-        return 0 if rem == 0 else self.period_ps - rem

@@ -107,14 +107,14 @@ def run_differential(trace, total_cells, block_size, reach):
         ]
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(trace=traces, geometry=geometries, reach=reaches)
 def test_alpu_equals_reference_list(trace, geometry, reach):
     total_cells, block_size = geometry
     run_differential(trace, total_cells, block_size, reach)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(trace=traces)
 def test_matches_arriving_mid_batch_preserve_order(trace):
     """Matches landing mid-batch: the held-failure protocol under fire.
@@ -164,7 +164,7 @@ def test_matches_arriving_mid_batch_preserve_order(trace):
     assert [e.tag for e in alpu.entries()] == [e.tag for e in reference.snapshot()]
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(
     trace=st.lists(match_ops, min_size=1, max_size=30),
     preload=st.lists(insert_ops, min_size=1, max_size=16),

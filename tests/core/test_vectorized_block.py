@@ -252,7 +252,7 @@ def mux_tree_match(block, request: MatchRequest) -> Tuple[bool, int, int]:
     return priority_select(flags, tags)
 
 
-@settings(max_examples=250, deadline=None)
+@settings(max_examples=250)
 @given(scenario=block_scenarios())
 def test_vectorized_block_equals_per_cell_model(scenario):
     """Lockstep drive: every snapshot, observer and result must agree."""
@@ -400,7 +400,7 @@ def per_cell_alpu(config: AlpuConfig) -> Alpu:
         alpu_module.CellBlock = original
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=120)
 @given(trace=traces, geometry=geometries, reach=reaches)
 def test_alpu_over_vectorized_blocks_equals_per_cell_alpu(trace, geometry, reach):
     """Same trace, both block models, plus the reference-list oracle.

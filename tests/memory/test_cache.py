@@ -127,7 +127,7 @@ def test_working_set_within_capacity_all_hits_on_repeat():
     assert cache.misses == 0
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(st.lists(st.integers(min_value=0, max_value=0x4000), min_size=1, max_size=200))
 def test_occupancy_never_exceeds_capacity(addresses):
     cache = small_cache(ways=2, sets=4)
@@ -139,7 +139,7 @@ def test_occupancy_never_exceeds_capacity(addresses):
         assert len(cache_set) <= cache.config.ways
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(st.lists(st.integers(min_value=0, max_value=0x2000), min_size=1, max_size=100))
 def test_immediate_re_access_always_hits(addresses):
     cache = small_cache()

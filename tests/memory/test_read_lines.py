@@ -64,7 +64,7 @@ def warm_up(memory, ops):
 
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(warmup=WARMUP, walk=WALK)
 def test_read_lines_equals_single_line_reads(preset, warmup, walk):
     batched, single = PRESETS[preset](), PRESETS[preset]()
@@ -117,7 +117,7 @@ class Reference:
 
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(warmup=WARMUP, walk=WALK)
 def test_hierarchy_matches_the_unit_model_composition(preset, warmup, walk):
     memory = PRESETS[preset]()

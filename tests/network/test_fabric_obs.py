@@ -193,7 +193,7 @@ class TestTelescoping:
         )
         assert total == spans
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(
         preset=st.sampled_from(("crossbar", "ring", "mesh2d", "torus3d")),
         sends=st.lists(

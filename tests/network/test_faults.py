@@ -44,7 +44,7 @@ def test_enabled_reflects_any_nonzero_rate():
 
 
 # ---------------------------------------------------------------- determinism
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(
     seed=st.integers(min_value=0, max_value=2**32),
     rates=st.tuples(

@@ -47,7 +47,7 @@ traffic_cases = st.builds(
 
 
 @pytest.mark.parametrize("backend", sorted(registered_backends()))
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15)
 @given(case=traffic_cases)
 def test_backend_matches_oracle(backend, case):
     check_backend_against_oracle(case, nic_for_backend(backend))

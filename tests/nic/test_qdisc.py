@@ -191,7 +191,7 @@ _ops = st.lists(
     ],
     ids=["fifo", "sharded-source", "sharded-flow"],
 )
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(ops=_ops)
 def test_queue_invariants_under_churn(config, ops):
     """alpu_count prefix + depth gauge + candidate order vs a model list."""
@@ -270,7 +270,7 @@ def _sharded_nic(backend: str, shard_key: str) -> NicConfig:
 
 @pytest.mark.parametrize("backend", ["list", "alpu"])
 @pytest.mark.parametrize("shard_key", ["source", "flow"])
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=10)
 @given(case=traffic_cases)
 def test_sharded_discipline_matches_oracle(backend, shard_key, case):
     check_backend_against_oracle(case, _sharded_nic(backend, shard_key))

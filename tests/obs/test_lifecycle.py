@@ -190,11 +190,7 @@ class TestBenchmarkLifecycles:
         fraction=st.sampled_from([0.0, 0.5, 1.0]),
         preset=st.sampled_from(["baseline", "alpu128"]),
     )
-    @settings(
-        max_examples=10,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
+    @settings(max_examples=10, suppress_health_check=[HealthCheck.too_slow])
     def test_property_monotone_single_terminal(
         self, queue_length, fraction, preset
     ):

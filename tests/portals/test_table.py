@@ -78,7 +78,7 @@ def test_alpu_capacity_guard():
         table.append(me(99))
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(
     ops=st.lists(
         st.one_of(

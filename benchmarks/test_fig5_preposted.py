@@ -23,7 +23,7 @@ from repro.analysis.curves import (
 )
 from repro.analysis.tables import format_curve
 from repro.workloads.preposted import PrepostedParams, run_preposted
-from repro.workloads.runner import nic_preset
+from repro.workloads import nic_preset
 
 #: full Figure-5 (queue length x fraction) grid -- excluded from the tier-1 run
 pytestmark = pytest.mark.slow

@@ -17,7 +17,7 @@ import pytest
 
 from repro.analysis.curves import crossover_length, detect_knee
 from repro.analysis.tables import format_curve
-from repro.workloads.runner import nic_preset
+from repro.workloads import nic_preset
 from repro.workloads.unexpected import UnexpectedParams, run_unexpected
 
 #: full Figure-6 unexpected-queue grid -- excluded from the tier-1 run

@@ -38,7 +38,7 @@ lifecycle mark, and the ``unexpected_admission_pressure`` health
 watchdog.
 
 All knobs live on :class:`QdiscConfig`, selected via
-``NicConfig(qdisc=...)`` and keyed into the sweep cache.
+``NicConfig(qdisc=...)`` (or ``SweepSpec(qdisc=...)`` for a whole grid).
 """
 
 from __future__ import annotations

@@ -16,8 +16,8 @@ With ``timeline=True`` the bundle also carries a
 
 A Telemetry object is **per run**: registries accumulate forever and
 collectors bind to the components of one world, so reuse across runs
-mixes numbers.  The sweep helpers in :mod:`repro.workloads.runner`
-create one per point for exactly this reason.
+mixes numbers.  The sweep executor (:func:`repro.workloads.sweep.run_point`)
+creates one per point for exactly this reason.
 """
 
 from __future__ import annotations

@@ -13,10 +13,9 @@
   the routed topologies (ring/mesh2d/torus3d) beyond two ranks.
 * :mod:`repro.workloads.sweep` -- the generic grid-sweep executor:
   declarative :class:`~repro.workloads.sweep.SweepSpec` grids, optional
-  process fan-out, content-hash result caching, plus the configuration
-  presets (baseline NIC, 128-entry ALPU, 256-entry ALPU).
-* :mod:`repro.workloads.runner` -- the classic ``sweep_preposted`` /
-  ``sweep_unexpected`` helpers, now thin wrappers over the executor.
+  process fan-out, one :class:`~repro.workloads.sweep.SweepRow` per
+  point and the JSON telemetry dump, plus the configuration presets
+  (baseline NIC, 128-entry ALPU, 256-entry ALPU).
 """
 
 from repro.workloads.halo import HaloParams, HaloResult, run_halo
@@ -28,16 +27,12 @@ from repro.workloads.unexpected import (
     run_unexpected,
 )
 from repro.workloads.sweep import (
+    dump_telemetry,
     nic_preset,
     PRESETS,
     run_sweep,
-    SweepCache,
+    SweepRow,
     SweepSpec,
-)
-from repro.workloads.runner import (
-    dump_telemetry,
-    sweep_preposted,
-    sweep_unexpected,
     telemetry_report,
 )
 
@@ -57,9 +52,7 @@ __all__ = [
     "nic_preset",
     "PRESETS",
     "run_sweep",
-    "SweepCache",
+    "SweepRow",
     "SweepSpec",
-    "sweep_preposted",
-    "sweep_unexpected",
     "telemetry_report",
 ]

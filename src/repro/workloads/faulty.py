@@ -53,7 +53,7 @@ def faulty_spec(
 
     The spec carries the fault configuration, so
     :func:`~repro.workloads.sweep.run_point` enables the NICs'
-    reliability layer on every point and the cache keys the loss rate.
+    reliability layer on every point.
     """
     return SweepSpec.preposted(
         presets,

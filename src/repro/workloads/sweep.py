@@ -1,22 +1,24 @@
-"""Declarative grid sweeps over the Figure 5/6 benchmarks.
+"""Declarative grid sweeps over the paper's benchmarks.
 
 One :class:`SweepSpec` names a benchmark, the receiver presets, and the
 parameter axes; :func:`run_sweep` expands the grid (preset-major, then
 axis-major -- the exact nesting order of the old hand-written loops) and
 runs every point, either serially or fanned out across worker processes.
+Every benchmark's points come back as the same :class:`SweepRow`, and
+:func:`dump_telemetry` writes a sweep's rows as one JSON report.
 
-Every point is one self-contained 2-rank simulation, so points are
+Every point is one self-contained simulation, so points are
 embarrassingly parallel *and* deterministic: the same spec produces
 bit-identical rows whether ``workers`` is ``None`` or 8 (pinned by
-test).  A :class:`SweepCache` keyed on a content hash of the point's
-full configuration short-circuits repeats without re-simulating.
+test).
 
 The three receiver presets of the paper's comparison live here too
 (:data:`PRESETS` / :func:`nic_preset`): the baseline NIC (embedded
 processor only, Red Storm-like), and the same NIC with 128- or
 256-entry ALPUs.
 
-Run one Figure-5 point through both execution modes as a smoke test::
+Run a Figure-5, a halo and a storm grid through both execution modes as
+a smoke test::
 
     PYTHONPATH=src python -m repro.workloads.sweep --smoke
 """
@@ -24,7 +26,6 @@ Run one Figure-5 point through both execution modes as a smoke test::
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import itertools
 import json
 import multiprocessing
@@ -69,131 +70,26 @@ def nic_preset(name: str, *, block_size: int = 16) -> NicConfig:
 
 
 @dataclasses.dataclass
-class PrepostedRow:
-    """One point of a Figure 5 surface."""
+class SweepRow:
+    """One grid point's result, for every benchmark."""
 
     preset: str
-    queue_length: int
-    traverse_fraction: float
-    message_size: int
+    #: the point's full params kwargs (axes plus fixed)
+    params: Dict[str, object]
+    #: the benchmark's headline median (see :data:`BENCHMARKS`)
     latency_ns: float
+    #: the benchmark's extra result columns (``{}`` when it has none)
+    extra: Dict[str, object]
     #: per-run metrics snapshot (sweeps with ``telemetry=True`` only)
     metrics: Optional[Dict[str, object]] = None
     #: per-stage latency attribution (sweeps with ``lifecycle=True`` only)
     attribution: Optional[Dict[str, object]] = None
     #: watchdog verdict+findings (``telemetry=True`` sweeps only):
     #: ``{"verdict": str, "findings": [HealthFinding.to_obj(), ...]}``
-    health: Optional[Dict[str, object]] = None
-    #: fabric snapshot (sweeps with ``fabric=True`` only)
-    fabric: Optional[Dict[str, object]] = None
-
-
-@dataclasses.dataclass
-class UnexpectedRow:
-    """One point of a Figure 6 curve."""
-
-    preset: str
-    queue_length: int
-    message_size: int
-    latency_ns: float
-    #: per-run metrics snapshot (sweeps with ``telemetry=True`` only)
-    metrics: Optional[Dict[str, object]] = None
-    #: per-stage latency attribution (sweeps with ``lifecycle=True`` only)
-    attribution: Optional[Dict[str, object]] = None
-    #: watchdog verdict+findings (``telemetry=True`` sweeps only):
-    #: ``{"verdict": str, "findings": [HealthFinding.to_obj(), ...]}``
-    health: Optional[Dict[str, object]] = None
-    #: fabric snapshot (sweeps with ``fabric=True`` only)
-    fabric: Optional[Dict[str, object]] = None
-
-
-@dataclasses.dataclass
-class HaloRow:
-    """One point of a topology-comparison surface."""
-
-    preset: str
-    ranks: int
-    topology: str
-    message_size: int
-    latency_ns: float
-    #: per-run metrics snapshot (sweeps with ``telemetry=True`` only)
-    metrics: Optional[Dict[str, object]] = None
-    #: per-stage latency attribution (sweeps with ``lifecycle=True`` only)
-    attribution: Optional[Dict[str, object]] = None
-    #: watchdog verdict+findings (``telemetry=True`` sweeps only)
     health: Optional[Dict[str, object]] = None
     #: fabric snapshot (sweeps with ``fabric=True`` only): per-link
     #: traffic/contention tallies plus the route table, the input of
     #: ``python -m repro.analysis.fabric --row N``
-    fabric: Optional[Dict[str, object]] = None
-
-
-@dataclasses.dataclass
-class StormRow:
-    """One point of a wildcard-storm surface."""
-
-    preset: str
-    workers: int
-    messages_per_worker: int
-    window: int
-    service_ns: float
-    #: median receive-sojourn of the master's wildcard receives
-    latency_ns: float
-    #: master-NIC unexpected-queue high-water mark
-    max_depth: int = 0
-    #: admission refusals at the master NIC
-    refused: int = 0
-    retransmits: int = 0
-    #: per-run metrics snapshot (sweeps with ``telemetry=True`` only)
-    metrics: Optional[Dict[str, object]] = None
-    #: per-stage latency attribution (sweeps with ``lifecycle=True`` only)
-    attribution: Optional[Dict[str, object]] = None
-    #: watchdog verdict+findings (``telemetry=True`` sweeps only)
-    health: Optional[Dict[str, object]] = None
-    #: fabric snapshot (sweeps with ``fabric=True`` only)
-    fabric: Optional[Dict[str, object]] = None
-
-
-@dataclasses.dataclass
-class AlltoallRow:
-    """One point of a sparse all-to-all surface."""
-
-    preset: str
-    num_ranks: int
-    degree: int
-    rounds: int
-    #: rank 0's median per-round completion time
-    latency_ns: float
-    #: per-run metrics snapshot (sweeps with ``telemetry=True`` only)
-    metrics: Optional[Dict[str, object]] = None
-    #: per-stage latency attribution (sweeps with ``lifecycle=True`` only)
-    attribution: Optional[Dict[str, object]] = None
-    #: watchdog verdict+findings (``telemetry=True`` sweeps only)
-    health: Optional[Dict[str, object]] = None
-    #: fabric snapshot (sweeps with ``fabric=True`` only)
-    fabric: Optional[Dict[str, object]] = None
-
-
-@dataclasses.dataclass
-class MultijobRow:
-    """One point of a NIC-sharing surface."""
-
-    preset: str
-    hog_messages: int
-    hog_service_ns: float
-    #: job A's median ping-pong round trip beside the hog
-    latency_ns: float
-    #: node-0 NIC unexpected-queue high-water mark (job B's backlog)
-    max_depth: int = 0
-    #: admission refusals at node 0
-    refused: int = 0
-    #: per-run metrics snapshot (sweeps with ``telemetry=True`` only)
-    metrics: Optional[Dict[str, object]] = None
-    #: per-stage latency attribution (sweeps with ``lifecycle=True`` only)
-    attribution: Optional[Dict[str, object]] = None
-    #: watchdog verdict+findings (``telemetry=True`` sweeps only)
-    health: Optional[Dict[str, object]] = None
-    #: fabric snapshot (sweeps with ``fabric=True`` only)
     fabric: Optional[Dict[str, object]] = None
 
 
@@ -202,55 +98,32 @@ class _Benchmark:
     """How one benchmark plugs into the generic executor."""
 
     params_cls: type
-    row_cls: type
     runner: Callable
-    #: parameter names copied onto the row next to ``preset``/``latency_ns``
-    row_fields: Tuple[str, ...]
-    #: optional extractor of extra row fields from the runner's result
+    #: optional extractor of the row's ``extra`` columns from the result
     row_extra: Optional[Callable] = None
 
 
+#: every row's ``latency_ns`` is its runner's ``median_ns``: message
+#: latency for preposted/unexpected/halo, the master's wildcard-receive
+#: sojourn for storm, rank 0's per-round completion for alltoall, and
+#: job A's ping-pong round trip beside the hog for multijob
 BENCHMARKS: Dict[str, _Benchmark] = {
-    "preposted": _Benchmark(
-        params_cls=PrepostedParams,
-        row_cls=PrepostedRow,
-        runner=run_preposted,
-        row_fields=("queue_length", "traverse_fraction", "message_size"),
-    ),
-    "unexpected": _Benchmark(
-        params_cls=UnexpectedParams,
-        row_cls=UnexpectedRow,
-        runner=run_unexpected,
-        row_fields=("queue_length", "message_size"),
-    ),
-    "halo": _Benchmark(
-        params_cls=HaloParams,
-        row_cls=HaloRow,
-        runner=run_halo,
-        row_fields=("ranks", "topology", "message_size"),
-    ),
+    "preposted": _Benchmark(params_cls=PrepostedParams, runner=run_preposted),
+    "unexpected": _Benchmark(params_cls=UnexpectedParams, runner=run_unexpected),
+    "halo": _Benchmark(params_cls=HaloParams, runner=run_halo),
     "storm": _Benchmark(
         params_cls=StormParams,
-        row_cls=StormRow,
         runner=run_storm,
-        row_fields=("workers", "messages_per_worker", "window", "service_ns"),
         row_extra=lambda result: {
             "max_depth": result.max_unexpected_depth,
             "refused": result.refused,
             "retransmits": result.retransmits,
         },
     ),
-    "alltoall": _Benchmark(
-        params_cls=AlltoallParams,
-        row_cls=AlltoallRow,
-        runner=run_alltoall,
-        row_fields=("num_ranks", "degree", "rounds"),
-    ),
+    "alltoall": _Benchmark(params_cls=AlltoallParams, runner=run_alltoall),
     "multijob": _Benchmark(
         params_cls=MultijobParams,
-        row_cls=MultijobRow,
         runner=run_multijob,
-        row_fields=("hog_messages", "hog_service_ns"),
         row_extra=lambda result: {
             "max_depth": result.max_unexpected_depth,
             "refused": result.refused,
@@ -265,8 +138,9 @@ class SweepSpec:
 
     ``axes`` are ``(name, values)`` pairs swept with :func:`itertools.product`
     (first axis outermost), inside a preset-major outer loop; ``fixed``
-    are ``(name, value)`` pairs held constant.  Together they must form a
-    valid parameter set for the benchmark's params class.
+    are ``(name, value)`` pairs held constant.  Every name must be a
+    field of the benchmark's params class and appear only once across
+    both; a bad grid is rejected here, not when a point runs.
     """
 
     benchmark: str
@@ -288,8 +162,9 @@ class SweepSpec:
     #: reliability layer on every point (retransmission under loss)
     faults: Optional[FaultConfig] = None
     #: fabric topology preset for benchmarks that don't carry one in
-    #: their params (``None`` keeps the crossbar default); the halo
-    #: benchmark sweeps topology as a normal parameter axis instead
+    #: their params (``None`` keeps the crossbar default); a benchmark
+    #: whose params carry a ``topology`` field (halo) takes it as a
+    #: parameter instead and rejects this one
     topology: Optional[str] = None
     #: queue-discipline overlay applied to every point's NIC (``None``
     #: keeps each preset's default FIFO); admission control
@@ -298,10 +173,30 @@ class SweepSpec:
     qdisc: Optional[QdiscConfig] = None
 
     def __post_init__(self) -> None:
-        if self.benchmark not in BENCHMARKS:
+        bench = BENCHMARKS.get(self.benchmark)
+        if bench is None:
             raise ValueError(
                 f"unknown benchmark {self.benchmark!r}; "
                 f"expected one of {sorted(BENCHMARKS)}"
+            )
+        fields = {f.name for f in dataclasses.fields(bench.params_cls)}
+        names = [name for name, _ in self.axes] + [name for name, _ in self.fixed]
+        unknown = sorted(set(names) - fields)
+        if unknown:
+            raise ValueError(
+                f"{self.benchmark} has no parameter(s) {unknown}; "
+                f"expected names from {sorted(fields)}"
+            )
+        repeated = sorted({name for name in names if names.count(name) > 1})
+        if repeated:
+            raise ValueError(
+                f"parameter(s) {repeated} given more than once across "
+                "axes and fixed"
+            )
+        if self.topology is not None and "topology" in fields:
+            raise ValueError(
+                f"{self.benchmark} carries topology in its params; sweep "
+                "it as an axis or fixed value, not via SweepSpec.topology"
             )
 
     # ---------------------------------------------------------- convenience
@@ -400,91 +295,6 @@ class SweepSpec:
             faults=faults,
         )
 
-    @staticmethod
-    def storm(
-        presets: Sequence[str],
-        workers: Iterable[int],
-        *,
-        messages_per_worker: int = 200,
-        window: int = 16,
-        service_ns: float = 400.0,
-        telemetry: bool = False,
-        lifecycle: bool = False,
-        qdisc: Optional[QdiscConfig] = None,
-    ) -> "SweepSpec":
-        """The wildcard-storm grid: preset x worker count."""
-        return SweepSpec(
-            benchmark="storm",
-            presets=tuple(presets),
-            axes=(("workers", tuple(workers)),),
-            fixed=(
-                ("messages_per_worker", messages_per_worker),
-                ("window", window),
-                ("service_ns", service_ns),
-            ),
-            telemetry=telemetry,
-            lifecycle=lifecycle,
-            qdisc=qdisc,
-        )
-
-    @staticmethod
-    def alltoall(
-        presets: Sequence[str],
-        num_ranks: Iterable[int],
-        degrees: Iterable[int],
-        *,
-        rounds: int = 10,
-        message_size: int = 0,
-        seed: int = 1,
-        telemetry: bool = False,
-        lifecycle: bool = False,
-        qdisc: Optional[QdiscConfig] = None,
-    ) -> "SweepSpec":
-        """The sparse all-to-all grid: preset x world size x degree."""
-        return SweepSpec(
-            benchmark="alltoall",
-            presets=tuple(presets),
-            axes=(
-                ("num_ranks", tuple(num_ranks)),
-                ("degree", tuple(degrees)),
-            ),
-            fixed=(
-                ("rounds", rounds),
-                ("message_size", message_size),
-                ("seed", seed),
-            ),
-            telemetry=telemetry,
-            lifecycle=lifecycle,
-            qdisc=qdisc,
-        )
-
-    @staticmethod
-    def multijob(
-        presets: Sequence[str],
-        hog_messages: Iterable[int],
-        *,
-        hog_service_ns: float = 400.0,
-        iterations: int = 50,
-        warmup: int = 5,
-        telemetry: bool = False,
-        lifecycle: bool = False,
-        qdisc: Optional[QdiscConfig] = None,
-    ) -> "SweepSpec":
-        """The NIC-sharing grid: preset x hog intensity."""
-        return SweepSpec(
-            benchmark="multijob",
-            presets=tuple(presets),
-            axes=(("hog_messages", tuple(hog_messages)),),
-            fixed=(
-                ("hog_service_ns", hog_service_ns),
-                ("iterations", iterations),
-                ("warmup", warmup),
-            ),
-            telemetry=telemetry,
-            lifecycle=lifecycle,
-            qdisc=qdisc,
-        )
-
     # --------------------------------------------------------------- points
     def points(self) -> List[Tuple[str, Dict[str, object]]]:
         """Expand the grid into ``(preset, params kwargs)`` pairs.
@@ -503,98 +313,13 @@ class SweepSpec:
         return points
 
 
-#: bump when row semantics change, so stale cache files never resurface
-#: (2: rows gained the ``attribution`` field; 3: keys gained ``faults``;
-#: 4: rows gained the ``health`` field, telemetry runs grew timelines;
-#: 5: keys gained ``topology``, the halo benchmark landed; 6: rows and
-#: keys gained ``fabric``, fabric-observability sweeps landed; 7: keys
-#: gained ``qdisc``, the storm/alltoall/multijob benchmarks landed)
-CACHE_VERSION = 7
-
-
-class SweepCache:
-    """Content-addressed memo of sweep rows.
-
-    Keys are sha256 hashes over the complete configuration of one point
-    (cache version, benchmark, preset, block size, telemetry flag, and
-    every parameter) so any change re-runs the simulation.  Backing
-    store is in-memory, optionally mirrored to a JSON file: pass
-    ``path`` to load it at construction and have :func:`run_sweep`
-    persist after each sweep.
-    """
-
-    def __init__(self, path: Optional[str] = None) -> None:
-        self.path = path
-        self.hits = 0
-        self.misses = 0
-        self._rows: Dict[str, Dict[str, object]] = {}
-        if path is not None and os.path.exists(path):
-            with open(path, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-            self._rows = payload.get("rows", {})
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    @staticmethod
-    def key(spec: SweepSpec, preset: str, params: Dict[str, object]) -> str:
-        """The content hash of one grid point."""
-        payload = {
-            "version": CACHE_VERSION,
-            "benchmark": spec.benchmark,
-            "preset": preset,
-            "block_size": spec.block_size,
-            "telemetry": spec.telemetry,
-            "lifecycle": spec.lifecycle,
-            "fabric": spec.fabric,
-            "faults": (
-                dataclasses.asdict(spec.faults) if spec.faults is not None else None
-            ),
-            "topology": spec.topology,
-            "qdisc": (
-                dataclasses.asdict(spec.qdisc) if spec.qdisc is not None else None
-            ),
-            "params": {name: params[name] for name in sorted(params)},
-        }
-        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-    def get(self, key: str, row_cls: type):
-        """The cached row for ``key``, rebuilt, or None."""
-        stored = self._rows.get(key)
-        if stored is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return row_cls(**stored)
-
-    def put(self, key: str, row) -> None:
-        self._rows[key] = dataclasses.asdict(row)
-
-    def save(self) -> None:
-        """Mirror the store to ``path`` (no-op when in-memory only)."""
-        if self.path is None:
-            return
-        parent = os.path.dirname(self.path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        with open(self.path, "w", encoding="utf-8") as fh:
-            json.dump(
-                {"version": CACHE_VERSION, "rows": self._rows},
-                fh,
-                indent=2,
-                sort_keys=True,
-            )
-            fh.write("\n")
-
-
 def run_point(
     spec: SweepSpec,
     preset: str,
     params: Dict[str, object],
     *,
     nic: Optional[NicConfig] = None,
-):
+) -> SweepRow:
     """Run one grid point and shape the result into its row."""
     bench = BENCHMARKS[spec.benchmark]
     if nic is None:
@@ -643,23 +368,21 @@ def run_point(
             "verdict": bundle.health_verdict(),
             "findings": [f.to_obj() for f in bundle.health_findings()],
         }
-    fields = {name: params[name] for name in bench.row_fields}
-    if bench.row_extra is not None:
-        fields.update(bench.row_extra(result))
-    return bench.row_cls(
+    return SweepRow(
         preset=preset,
+        params=params,
         latency_ns=result.median_ns,
+        extra=bench.row_extra(result) if bench.row_extra is not None else {},
         # a lifecycle-only bundle still snapshots metrics; keep rows
         # comparable by attaching them only when telemetry was asked for
         metrics=result.metrics if spec.telemetry else None,
         attribution=attribution,
         health=health,
         fabric=bundle.fabric_snapshot() if spec.fabric else None,
-        **fields,
     )
 
 
-def _pool_entry(job: Tuple[SweepSpec, str, Dict[str, object]]):
+def _pool_entry(job: Tuple[SweepSpec, str, Dict[str, object]]) -> SweepRow:
     """Module-level worker so both fork and spawn start methods pickle it."""
     spec, preset, params = job
     return run_point(spec, preset, params)
@@ -673,87 +396,94 @@ def _pool_context() -> multiprocessing.context.BaseContext:
         return multiprocessing.get_context("spawn")
 
 
-def run_sweep(
-    spec: SweepSpec,
-    *,
-    workers: Optional[int] = None,
-    cache: Optional[SweepCache] = None,
-) -> List:
+def run_sweep(spec: SweepSpec, *, workers: Optional[int] = None) -> List[SweepRow]:
     """Run every point of the grid; rows come back in grid order.
 
     ``workers``: None/0/1 runs in-process (building each preset's NIC
     configuration once and reusing it across that preset's points);
     ``workers >= 2`` fans the points out over a process pool.  Either
     way the rows are identical -- each point is an isolated simulation.
-
-    ``cache``: an optional :class:`SweepCache`; cached points are
-    never re-simulated, fresh rows are stored back, and a file-backed
-    cache is saved before returning.
     """
     points = spec.points()
-    bench = BENCHMARKS[spec.benchmark]
-    rows: List = [None] * len(points)
-
-    pending: List[Tuple[int, str, Dict[str, object]]] = []
-    for index, (preset, params) in enumerate(points):
-        if cache is not None:
-            row = cache.get(SweepCache.key(spec, preset, params), bench.row_cls)
-            if row is not None:
-                rows[index] = row
-                continue
-        pending.append((index, preset, params))
-
-    if pending and workers is not None and workers >= 2:
-        jobs = [(spec, preset, params) for _, preset, params in pending]
+    if workers is not None and workers >= 2:
+        jobs = [(spec, preset, params) for preset, params in points]
         with _pool_context().Pool(processes=workers) as pool:
-            fresh = pool.map(_pool_entry, jobs)
-        for (index, _, _), row in zip(pending, fresh):
-            rows[index] = row
-    elif pending:
-        # serial path: one NicConfig per preset, shared across its points
-        nics: Dict[str, NicConfig] = {}
-        for index, preset, params in pending:
-            if preset not in nics:
-                nics[preset] = nic_preset(preset, block_size=spec.block_size)
-            rows[index] = run_point(spec, preset, params, nic=nics[preset])
-
-    if cache is not None:
-        for index, preset, params in pending:
-            cache.put(SweepCache.key(spec, preset, params), rows[index])
-        cache.save()
+            return pool.map(_pool_entry, jobs)
+    # serial path: one NicConfig per preset, shared across its points
+    nics: Dict[str, NicConfig] = {}
+    rows = []
+    for preset, params in points:
+        if preset not in nics:
+            nics[preset] = nic_preset(preset, block_size=spec.block_size)
+        rows.append(run_point(spec, preset, params, nic=nics[preset]))
     return rows
 
 
+#: schema version of the sweep telemetry dump; v2 rows carry ``health``
+#: (verdict + findings) next to ``metrics``/``attribution``; v3 rows
+#: carry their parameters under ``params`` and result columns under
+#: ``extra`` instead of as top-level keys
+TELEMETRY_DUMP_VERSION = 3
+
+
+def telemetry_report(rows: Iterable[SweepRow], **meta: object) -> Dict[str, object]:
+    """Bundle sweep rows (with their metrics snapshots) into one report.
+
+    The shape matches what :mod:`repro.analysis.telemetry` loads back:
+    ``{"version": 3, "meta": {...}, "rows": [{"preset", "params",
+    "latency_ns", "extra", "metrics", "attribution", "health",
+    "fabric"}, ...]}``.
+    """
+    return {
+        "version": TELEMETRY_DUMP_VERSION,
+        "meta": dict(meta),
+        "rows": [dataclasses.asdict(row) for row in rows],
+    }
+
+
+def dump_telemetry(rows: Iterable[SweepRow], path: str, **meta: object) -> None:
+    """Write the sweep's telemetry report as JSON (``--telemetry out.json``).
+
+    Parent directories are created as needed, so nested report paths
+    like ``results/2026-08/fig5.json`` work without preparation.
+    """
+    parent = os.path.dirname(path)
+    if parent:
+        os.makedirs(parent, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(telemetry_report(rows, **meta), fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _smoke() -> None:
-    """One Figure-5 point through serial, parallel, and cached execution."""
-    spec = SweepSpec.preposted(
-        ("alpu128",), (8,), (1.0,), iterations=4, warmup=1
+    """A Figure-5 point, two halo points and a storm point, each run
+    serially and fanned out; the two must agree bit for bit."""
+    storm = SweepSpec(
+        benchmark="storm",
+        presets=("baseline",),
+        axes=(("workers", (2,)),),
+        fixed=(("messages_per_worker", 40), ("window", 8)),
+        qdisc=QdiscConfig(
+            discipline="sharded", max_unexpected=8, admission_policy="nack"
+        ),
     )
-    serial = run_sweep(spec)
-    parallel = run_sweep(spec, workers=2)
-    assert serial == parallel, (serial, parallel)
-    cache = SweepCache()
-    first = run_sweep(spec, cache=cache)
-    again = run_sweep(spec, cache=cache)
-    assert first == serial and again == serial, (first, again)
-    assert cache.hits == 1 and cache.misses == 1, (cache.hits, cache.misses)
-    row = serial[0]
-    print(
-        f"sweep smoke OK: preposted {row.preset} q={row.queue_length} "
-        f"f={row.traverse_fraction} -> {row.latency_ns:.1f} ns "
-        "(serial == parallel == cached)"
+    specs = (
+        SweepSpec.preposted(("alpu128",), (8,), (1.0,), iterations=4, warmup=1),
+        SweepSpec.halo(
+            ("alpu128",), (8,), ("crossbar", "torus3d"), iterations=2, warmup=1
+        ),
+        storm,
     )
-    halo_spec = SweepSpec.halo(
-        ("alpu128",), (8,), ("crossbar", "torus3d"), iterations=2, warmup=1
-    )
-    halo_serial = run_sweep(halo_spec)
-    halo_parallel = run_sweep(halo_spec, workers=2)
-    assert halo_serial == halo_parallel, (halo_serial, halo_parallel)
-    for row in halo_serial:
-        print(
-            f"sweep smoke OK: halo {row.preset} ranks={row.ranks} "
-            f"{row.topology} -> {row.latency_ns:.1f} ns (serial == parallel)"
-        )
+    for spec in specs:
+        serial = run_sweep(spec)
+        parallel = run_sweep(spec, workers=2)
+        assert serial == parallel, (serial, parallel)
+        for row in serial:
+            axes = {name: row.params[name] for name, _ in spec.axes}
+            print(
+                f"sweep smoke OK: {spec.benchmark} {row.preset} {axes} "
+                f"{row.extra} -> {row.latency_ns:.1f} ns (serial == parallel)"
+            )
 
 
 if __name__ == "__main__":

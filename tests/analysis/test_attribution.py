@@ -34,7 +34,7 @@ from repro.analysis.attribution import (
 from repro.obs import Telemetry
 from repro.obs.lifecycle import LifecycleRecorder
 from repro.workloads.preposted import PrepostedParams, run_preposted
-from repro.workloads.runner import nic_preset
+from repro.workloads import nic_preset
 from repro.workloads.sweep import SweepSpec, run_sweep
 
 FAST = dict(iterations=4, warmup=1)

@@ -9,7 +9,7 @@ from repro.network.faults import FaultConfig, FaultModel, Verdict
 from repro.network.packet import Packet, PacketKind, header_checksum
 from repro.sim.engine import Engine
 from repro.workloads.preposted import PrepostedParams, run_preposted
-from repro.workloads.runner import nic_preset
+from repro.workloads import nic_preset
 from repro.workloads.unexpected import UnexpectedParams, run_unexpected
 
 

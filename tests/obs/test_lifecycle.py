@@ -20,7 +20,7 @@ from repro.obs.lifecycle import (
 )
 from repro.portals.table import MatchListEntry, PortalTable
 from repro.workloads.preposted import PrepostedParams, run_preposted
-from repro.workloads.runner import nic_preset
+from repro.workloads import nic_preset
 from repro.workloads.unexpected import UnexpectedParams, run_unexpected
 
 

@@ -15,15 +15,18 @@ import json
 import pytest
 
 from repro.analysis.telemetry import (
+    MAX_DUMP_VERSION,
+    healthy_rows,
     load_report,
     mean_sampled_depth,
     metric_across_rows,
     metric_value,
+    row_verdict,
 )
 from repro.obs import Telemetry
 from repro.workloads.pingpong import PingPongParams, run_pingpong
 from repro.workloads.preposted import PrepostedParams, run_preposted
-from repro.workloads.runner import dump_telemetry, nic_preset, sweep_preposted
+from repro.workloads import SweepSpec, dump_telemetry, nic_preset, run_sweep
 from repro.workloads.unexpected import UnexpectedParams, run_unexpected
 
 FAST = dict(iterations=4, warmup=1)
@@ -98,8 +101,10 @@ class TestTraceCoverage:
 class TestSweepIntegration:
     @pytest.fixture(scope="class")
     def rows(self):
-        return sweep_preposted(
-            ["alpu256"], [16], [1.0], iterations=4, warmup=1, telemetry=True
+        return run_sweep(
+            SweepSpec.preposted(
+                ["alpu256"], [16], [1.0], iterations=4, warmup=1, telemetry=True
+            )
         )
 
     def test_figure5_row_reports_alpu_and_queue_metrics(self, rows):
@@ -111,7 +116,9 @@ class TestSweepIntegration:
         assert snapshot["fabric/packets"] > 0
 
     def test_telemetry_off_rows_have_no_metrics(self):
-        rows = sweep_preposted(["baseline"], [4], [1.0], iterations=2, warmup=1)
+        rows = run_sweep(
+            SweepSpec.preposted(["baseline"], [4], [1.0], iterations=2, warmup=1)
+        )
         assert rows[0].metrics is None
 
     def test_report_round_trip_and_analysis_helpers(self, rows, tmp_path):
@@ -130,6 +137,45 @@ class TestSweepIntegration:
         assert depth > 0
         # counters flatten, histograms read back via their mean
         assert metric_value(report["rows"][0]["metrics"], "missing") is None
+
+    def test_load_report_reads_every_dump_version(self, rows, tmp_path):
+        """v1 (unversioned, no health) and v2 rows keep their parameters
+        as top-level keys; v3 nests them under ``params``/``extra``.  All
+        three load, the metric/health helpers read them alike, and a
+        newer dump is refused."""
+        legacy_row = {
+            "preset": "alpu256",
+            "queue_length": 16,
+            "traverse_fraction": 1.0,
+            "message_size": 0,
+            "latency_ns": rows[0].latency_ns,
+            "metrics": rows[0].metrics,
+        }
+        v1 = tmp_path / "v1.json"
+        v1.write_text(json.dumps({"meta": {}, "rows": [legacy_row]}))
+        v2 = tmp_path / "v2.json"
+        v2.write_text(json.dumps({
+            "version": 2,
+            "meta": {},
+            "rows": [{**legacy_row, "attribution": None, "health": rows[0].health}],
+        }))
+        v3 = tmp_path / "v3.json"
+        dump_telemetry(rows, str(v3))
+        name = "nic1.alpu.posted/match_successes"
+        for path, version in ((v1, 1), (v2, 2), (v3, MAX_DUMP_VERSION)):
+            report = load_report(str(path))
+            assert report["version"] == version
+            assert metric_across_rows(report["rows"], name) == [
+                rows[0].metrics[name]
+            ]
+            assert row_verdict(report["rows"][0]) == "healthy"
+            assert healthy_rows(report["rows"]) == report["rows"]
+        (row,) = load_report(str(v3))["rows"]
+        assert row["params"]["queue_length"] == 16 and row["extra"] == {}
+        v4 = tmp_path / "v4.json"
+        v4.write_text(json.dumps({"version": MAX_DUMP_VERSION + 1, "rows": []}))
+        with pytest.raises(ValueError, match="understands up to v3"):
+            load_report(str(v4))
 
     def test_load_report_rejects_non_reports(self, tmp_path):
         path = tmp_path / "junk.json"

@@ -1,15 +1,15 @@
 """The faulty sweep preset: completion under loss, health verdicts,
-cache-key hygiene."""
+the loss-rate sweep."""
 
-from repro.network.faults import FaultConfig
 from repro.obs.health import has_finding, verdict_of
 from repro.workloads.faulty import (
     LOSS_RATES,
     STORM_LOSS_RATE,
     _retransmits,
     faulty_spec,
+    run_loss_sweep,
 )
-from repro.workloads.sweep import SweepCache, SweepSpec, run_sweep
+from repro.workloads.sweep import run_sweep
 
 
 def test_loss_rates_are_the_figure_5_points():
@@ -35,29 +35,12 @@ def test_zero_loss_faulty_sweep_sees_no_retransmits():
     assert _retransmits(rows) == 0
 
 
-def test_cache_key_distinguishes_fault_configurations():
-    base = SweepSpec.preposted(("baseline",), (4,), (1.0,), iterations=6, warmup=1)
-    lossy = SweepSpec.preposted(
-        ("baseline",),
-        (4,),
-        (1.0,),
-        iterations=6,
-        warmup=1,
-        faults=FaultConfig(seed=1, drop_rate=1e-2),
-    )
-    reseeded = SweepSpec.preposted(
-        ("baseline",),
-        (4,),
-        (1.0,),
-        iterations=6,
-        warmup=1,
-        faults=FaultConfig(seed=2, drop_rate=1e-2),
-    )
-    preset, params = base.points()[0]
-    keys = {
-        SweepCache.key(spec, preset, params) for spec in (base, lossy, reseeded)
-    }
-    assert len(keys) == 3, "faults (including the seed) must key the cache"
+def test_run_loss_sweep_runs_one_grid_per_rate():
+    point = dict(presets=("baseline",), queue_lengths=(4,), iterations=4, warmup=1)
+    results = run_loss_sweep((0.0, 1e-2), **point)
+    assert [rate for rate, _ in results] == [0.0, 1e-2]
+    for rate, rows in results:
+        assert rows == run_sweep(faulty_spec(rate, **point))
 
 
 def test_faulty_sweep_rows_are_reproducible():

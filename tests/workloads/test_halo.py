@@ -8,13 +8,7 @@ from repro.network.faults import FaultConfig
 from repro.nic.reliability import ReliabilityConfig
 from repro.obs.telemetry import Telemetry
 from repro.workloads.halo import HaloParams, run_halo
-from repro.workloads.sweep import (
-    HaloRow,
-    SweepCache,
-    SweepSpec,
-    nic_preset,
-    run_sweep,
-)
+from repro.workloads.sweep import SweepSpec, nic_preset, run_sweep
 
 
 def small_params(**overrides):
@@ -70,8 +64,8 @@ def test_halo_recovers_under_faults_with_clean_control():
 
 
 def test_16_rank_sweep_serial_vs_parallel_bit_identical():
-    """The satellite-3 pin: a 16-rank topology sweep produces identical
-    rows serially and fanned out, and the cache round-trips them."""
+    """A 16-rank topology sweep produces identical rows serially and
+    fanned out."""
     spec = SweepSpec.halo(
         ("alpu128",),
         (16,),
@@ -79,30 +73,10 @@ def test_16_rank_sweep_serial_vs_parallel_bit_identical():
         iterations=2,
         warmup=1,
     )
-    cache = SweepCache()
-    serial = run_sweep(spec, cache=cache)
+    serial = run_sweep(spec)
     fanned = run_sweep(spec, workers=2)
     assert serial == fanned
-    assert all(isinstance(row, HaloRow) for row in serial)
-    assert [row.topology for row in serial] == ["crossbar", "torus3d"]
-    # cache round trip (CACHE_VERSION 5 keys)
-    again = run_sweep(spec, cache=cache)
-    assert again == serial
-    assert cache.hits == len(serial)
-
-
-def test_cache_key_covers_topology():
-    """Both topology channels -- the halo params axis and the spec-level
-    override for the 2-rank benchmarks -- land in the cache key."""
-    spec = SweepSpec.halo(("alpu128",), (8,), ("crossbar",))
-    preset, params = spec.points()[0]
-    base = SweepCache.key(spec, preset, params)
-    assert SweepCache.key(spec, preset, {**params, "topology": "ring"}) != base
-    pp_spec = SweepSpec.preposted(("alpu128",), (4,), (1.0,))
-    pp_preset, pp_params = pp_spec.points()[0]
-    pp_base = SweepCache.key(pp_spec, pp_preset, pp_params)
-    routed = dataclasses.replace(pp_spec, topology="torus3d")
-    assert SweepCache.key(routed, pp_preset, pp_params) != pp_base
+    assert [row.params["topology"] for row in serial] == ["crossbar", "torus3d"]
 
 
 def test_two_rank_benchmarks_accept_topology_override():
@@ -119,10 +93,10 @@ def test_two_rank_benchmarks_accept_topology_override():
     ]
 
 
-def test_fabric_sweep_rows_carry_snapshots_and_key_the_cache():
+def test_fabric_sweep_rows_carry_snapshots():
     """fabric=True threads per-hop observability through the executor:
-    rows carry the fabric snapshot, latencies stay bit-identical to the
-    bare sweep, and the flag lands in the cache key."""
+    rows carry the fabric snapshot of the row's own topology, and
+    latencies stay bit-identical to the bare sweep."""
     bare_spec = SweepSpec.halo(
         ("alpu128",), (8,), ("torus3d",), iterations=2, warmup=1
     )
@@ -132,11 +106,7 @@ def test_fabric_sweep_rows_carry_snapshots_and_key_the_cache():
     ) == spec  # the factory passes the flag through
     (row,) = run_sweep(spec)
     assert row.fabric["packets_injected"] == row.fabric["packets_delivered"]
-    assert row.fabric["topology"]["preset"] == "torus3d"
+    assert row.fabric["topology"]["preset"] == row.params["topology"] == "torus3d"
     (bare,) = run_sweep(bare_spec)
     assert bare.fabric is None
     assert bare.latency_ns == row.latency_ns  # zero perturbation
-    preset, params = spec.points()[0]
-    assert SweepCache.key(spec, preset, params) != SweepCache.key(
-        bare_spec, preset, params
-    )

@@ -1,16 +1,16 @@
-"""Tests for presets and sweep helpers."""
+"""Tests for the receiver presets, the Figure 5/6 grids and the
+telemetry dump."""
 
 import json
 
 import pytest
 
-from repro.workloads.runner import (
+from repro.workloads import (
     PRESETS,
+    SweepSpec,
     dump_telemetry,
     nic_preset,
-    rows_by_preset,
-    sweep_preposted,
-    sweep_unexpected,
+    run_sweep,
 )
 
 
@@ -30,28 +30,25 @@ def test_unknown_preset_rejected():
         nic_preset("alpu512")
 
 
-def test_sweep_preposted_produces_the_grid():
-    rows = sweep_preposted(
-        ["baseline"], [1, 4], [0.0, 1.0], iterations=3, warmup=1
+def test_preposted_spec_produces_the_grid():
+    rows = run_sweep(
+        SweepSpec.preposted(["baseline"], [1, 4], [0.0, 1.0], iterations=3, warmup=1)
     )
     assert len(rows) == 4
-    assert {(r.queue_length, r.traverse_fraction) for r in rows} == {
+    assert {
+        (r.params["queue_length"], r.params["traverse_fraction"]) for r in rows
+    } == {
         (1, 0.0), (1, 1.0), (4, 0.0), (4, 1.0)
     }
     assert all(r.latency_ns > 0 for r in rows)
 
 
-def test_sweep_unexpected_produces_the_grid():
-    rows = sweep_unexpected(["baseline", "alpu128"], [0, 2], iterations=3, warmup=1)
+def test_unexpected_spec_produces_the_grid():
+    rows = run_sweep(
+        SweepSpec.unexpected(["baseline", "alpu128"], [0, 2], iterations=3, warmup=1)
+    )
     assert len(rows) == 4
     assert [r.preset for r in rows] == ["baseline", "baseline", "alpu128", "alpu128"]
-
-
-def test_rows_by_preset_groups_in_order():
-    rows = sweep_unexpected(["baseline", "alpu128"], [0], iterations=3, warmup=1)
-    grouped = rows_by_preset(rows)
-    assert list(grouped) == ["baseline", "alpu128"]
-    assert all(len(v) == 1 for v in grouped.values())
 
 
 def test_presets_tuple_matches_figures():
@@ -59,9 +56,14 @@ def test_presets_tuple_matches_figures():
 
 
 def test_dump_telemetry_creates_parent_directories(tmp_path):
-    rows = sweep_unexpected(["baseline"], [0], iterations=3, warmup=1)
+    rows = run_sweep(SweepSpec.unexpected(["baseline"], [0], iterations=3, warmup=1))
     path = tmp_path / "results" / "2026-08" / "fig6.json"
     dump_telemetry(rows, str(path), benchmark="unexpected")
     report = json.loads(path.read_text())
+    assert report["version"] == 3
     assert report["meta"] == {"benchmark": "unexpected"}
-    assert len(report["rows"]) == 1
+    (row,) = report["rows"]
+    assert row["params"] == {
+        "queue_length": 0, "message_size": 0, "iterations": 3, "warmup": 1
+    }
+    assert row["extra"] == {}

@@ -4,13 +4,12 @@ import dataclasses
 
 import pytest
 
-from repro.workloads.sweep import (
-    PrepostedRow,
-    SweepCache,
-    SweepSpec,
-    UnexpectedRow,
-    run_sweep,
-)
+from repro.nic.qdisc import QdiscConfig
+from repro.nic.reliability import ReliabilityConfig
+from repro.workloads.alltoall import AlltoallParams, run_alltoall
+from repro.workloads.multijob import MultijobParams, run_multijob
+from repro.workloads.storm import StormParams, run_storm
+from repro.workloads.sweep import SweepRow, SweepSpec, nic_preset, run_sweep
 
 
 def _small_preposted_spec(**overrides):
@@ -43,12 +42,42 @@ def test_unknown_benchmark_rejected():
         SweepSpec(benchmark="allreduce", presets=("baseline",), axes=())
 
 
+@pytest.mark.parametrize(
+    "name, axes, fixed, topology, match",
+    [
+        ("preposted", (("queue_lenght", (4,)),), (), None, "no parameter"),
+        ("unexpected", (("queue_length", (4,)),), (("itrations", 3),), None,
+         "no parameter"),
+        ("preposted", (("queue_length", (4,)),), (("queue_length", 8),), None,
+         "more than once"),
+        ("preposted", (("queue_length", (1,)), ("queue_length", (4,))), (),
+         None, "more than once"),
+        # the spec-level topology would run the halo on a ring while its
+        # row still reported the crossbar
+        ("halo", (("ranks", (8,)), ("topology", ("crossbar",))), (), "ring",
+         "carries topology"),
+    ],
+    ids=["axis-typo", "fixed-typo", "axis-and-fixed", "axis-twice", "halo-topology"],
+)
+def test_bad_grids_rejected_at_construction(name, axes, fixed, topology, match):
+    with pytest.raises(ValueError, match=match):
+        SweepSpec(
+            benchmark=name,
+            presets=("baseline",),
+            axes=axes,
+            fixed=fixed,
+            topology=topology,
+        )
+
+
 def test_parallel_rows_bit_identical_to_serial():
     spec = _small_preposted_spec()
     serial = run_sweep(spec)
     fanned = run_sweep(spec, workers=2)
     assert serial == fanned
-    assert all(isinstance(row, PrepostedRow) for row in fanned)
+    assert all(isinstance(row, SweepRow) for row in fanned)
+    assert [row.params for row in serial] == [p for _, p in spec.points()]
+    assert all(row.extra == {} for row in serial)
 
 
 def test_parallel_unexpected_matches_serial():
@@ -58,48 +87,75 @@ def test_parallel_unexpected_matches_serial():
     serial = run_sweep(spec)
     fanned = run_sweep(spec, workers=2)
     assert serial == fanned
-    assert all(isinstance(row, UnexpectedRow) for row in fanned)
+    assert all(isinstance(row, SweepRow) for row in fanned)
 
 
-def test_cache_skips_rerun_and_returns_identical_rows():
-    spec = _small_preposted_spec()
-    cache = SweepCache()
-    first = run_sweep(spec, cache=cache)
-    assert cache.misses == len(first) and cache.hits == 0
-    again = run_sweep(spec, cache=cache)
-    assert again == first
-    # every point was served from the cache the second time
-    assert cache.hits == len(first)
-    assert cache.misses == len(first)
+_ADMISSION = QdiscConfig(
+    discipline="sharded", max_unexpected=8, admission_policy="nack"
+)
 
 
-def test_cache_key_distinguishes_configurations():
-    spec = _small_preposted_spec()
-    preset, params = spec.points()[0]
-    base = SweepCache.key(spec, preset, params)
-    assert SweepCache.key(spec, "alpu256", params) != base
-    assert SweepCache.key(spec, preset, {**params, "iterations": 4}) != base
-    other = dataclasses.replace(spec, telemetry=True)
-    assert SweepCache.key(other, preset, params) != base
-    # same content hashes the same, regardless of object identity
-    assert SweepCache.key(_small_preposted_spec(), preset, dict(params)) == base
-
-
-def test_file_backed_cache_round_trips(tmp_path):
-    path = tmp_path / "cache" / "sweep.json"
-    spec = SweepSpec.preposted(("baseline",), (2,), (1.0,), iterations=3, warmup=1)
-    first = run_sweep(spec, cache=SweepCache(str(path)))
-    assert path.exists()
-    reloaded = SweepCache(str(path))
-    assert len(reloaded) == 1
-    again = run_sweep(spec, cache=reloaded)
-    assert again == first
-    assert reloaded.hits == 1 and reloaded.misses == 0
-
-
-def test_cache_and_workers_compose():
-    spec = _small_preposted_spec()
-    cache = SweepCache()
-    first = run_sweep(spec, workers=2, cache=cache)
-    again = run_sweep(spec, workers=2, cache=cache)
-    assert again == first and cache.hits == len(first)
+@pytest.mark.parametrize(
+    "name, axes, fixed, qdisc, direct, extra_attrs",
+    [
+        (
+            "storm",
+            (("workers", (2,)),),
+            (("messages_per_worker", 40), ("window", 8)),
+            _ADMISSION,
+            lambda nic: run_storm(
+                nic, StormParams(workers=2, messages_per_worker=40, window=8)
+            ),
+            {
+                "max_depth": "max_unexpected_depth",
+                "refused": "refused",
+                "retransmits": "retransmits",
+            },
+        ),
+        (
+            "multijob",
+            (("hog_messages", (32,)),),
+            (("iterations", 4), ("warmup", 1)),
+            _ADMISSION,
+            lambda nic: run_multijob(
+                nic, MultijobParams(hog_messages=32, iterations=4, warmup=1)
+            ),
+            {"max_depth": "max_unexpected_depth", "refused": "refused"},
+        ),
+        (
+            "alltoall",
+            (("num_ranks", (4,)),),
+            (("degree", 2), ("rounds", 2)),
+            None,
+            lambda nic: run_alltoall(
+                nic, AlltoallParams(num_ranks=4, degree=2, rounds=2)
+            ),
+            {},
+        ),
+    ],
+    ids=["storm", "multijob", "alltoall"],
+)
+def test_row_extra_matches_a_direct_run(name, axes, fixed, qdisc, direct, extra_attrs):
+    """Each benchmark's row carries the runner's median and its extra
+    columns, serially and fanned out alike."""
+    spec = SweepSpec(
+        benchmark=name,
+        presets=("baseline",),
+        axes=axes,
+        fixed=fixed,
+        qdisc=qdisc,
+    )
+    (row,) = run_sweep(spec)
+    assert run_sweep(spec, workers=2) == [row]
+    nic = nic_preset("baseline")
+    if qdisc is not None:
+        # admission control runs over the reliability layer
+        nic = dataclasses.replace(
+            nic, qdisc=qdisc, reliability=ReliabilityConfig(enabled=True)
+        )
+    result = direct(nic)
+    assert row.latency_ns == result.median_ns
+    assert row.params == {**dict(fixed), **{n: v[0] for n, v in axes}}
+    assert row.extra == {
+        column: getattr(result, attr) for column, attr in extra_attrs.items()
+    }

@@ -31,10 +31,11 @@ behaviour, keeping seeded fault runs bit-identical.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+import functools
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.network.faults import FaultModel, Verdict
-from repro.network.packet import Packet
+from repro.network.packet import Packet, stamp
 from repro.network.topology import Topology, TopologyConfig
 from repro.proc.params import NETWORK_WIRE_LATENCY_PS
 from repro.sim.component import Component
@@ -107,6 +108,9 @@ class Fabric(Component):
         #: per-destination delivery callbacks (NICs hook header replication
         #: to the ALPU and their wakeup kick here)
         self._rx_callbacks: List[List] = [[] for _ in range(num_nodes)]
+        #: per-node bound receivers (see :meth:`bind_receiver`); None is
+        #: the default: push into the rx FIFO, then run the callbacks
+        self._receivers: List[Optional[Callable[[Packet], None]]] = [None] * num_nodes
 
         # one shared Link per directed physical channel of the topology;
         # the channel's receiving node either delivers (final hop) or
@@ -119,15 +123,13 @@ class Fabric(Component):
                 dest=None,
                 latency_ps=config.wire_latency_ps,
                 bandwidth_bytes_per_ps=config.bandwidth_bytes_per_ps,
-                on_deliver=(lambda hop: (lambda pkt: self._on_hop(hop, pkt)))(
-                    dst
-                ),
+                on_deliver=functools.partial(self._on_hop, dst),
             )
         self._seq: Dict[tuple, int] = {}
         #: packets handed to :meth:`inject` (dropped ones included; a
         #: duplicated packet counts once -- it was injected once)
         self.packets_injected = 0
-        #: packets actually landed in a destination's rx FIFO (duplicates
+        #: packets handed to their destination node's receiver (duplicates
         #: count per landing; dropped packets never count)
         self.packets_delivered = 0
         #: store-and-forward handoffs (multi-hop presets only)
@@ -191,7 +193,7 @@ class Fabric(Component):
             }
         per_link[kind] += 1
 
-    def _send_hop(self, link: Link, packet: Packet) -> None:
+    def _send_hop(self, link: Link, packet: Packet, wire_bytes: int) -> None:
         """Commit ``packet`` to ``link``; mark the hop when observed.
 
         The three marks carry *computed* timestamps known at commit time
@@ -201,12 +203,12 @@ class Fabric(Component):
         exactly onto the channel's actual schedule without a single extra
         simulated event (the zero-perturbation guarantee).
         """
-        deliver_at = link.send(packet, packet.wire_bytes)
+        deliver_at = link.send(packet, wire_bytes)
         if self.observe_hops:
             lifecycle = self.engine.lifecycle
             if lifecycle.enabled:
                 now = self.engine.now
-                occupancy = link.occupancy_ps(packet.wire_bytes)
+                occupancy = link.occupancy_ps(wire_bytes)
                 start = deliver_at - link.latency_ps - occupancy
                 uid = packet.send_id
                 lifecycle.mark_uid_clamped(
@@ -222,7 +224,7 @@ class Fabric(Component):
                     {
                         "link": link.name,
                         "serialize_ps": occupancy,
-                        "bytes": packet.wire_bytes,
+                        "bytes": wire_bytes,
                     },
                 )
                 lifecycle.mark_uid_clamped(
@@ -253,12 +255,7 @@ class Fabric(Component):
         key = (packet.src, packet.dst)
         seq = self._seq.get(key, 0)
         self._seq[key] = seq + 1
-        # seq-stamp without dataclasses.replace: replace() re-runs the full
-        # dataclass __init__, and injection is per-packet hot.  Packet has
-        # no __post_init__, so a field-for-field clone is equivalent.
-        stamped = object.__new__(Packet)
-        stamped.__dict__.update(packet.__dict__)
-        stamped.__dict__["seq"] = seq
+        stamped = stamp(packet, seq=seq)
         self.packets_injected += 1
         verdict = Verdict.DELIVER if self.faults is None else self.faults.judge(stamped)
         link = self._links[(packet.src, self.topology.next_hop(packet.src, packet.dst))]
@@ -302,7 +299,7 @@ class Fabric(Component):
                     "kind": stamped.kind.name,
                     "src": stamped.src,
                     "dst": stamped.dst,
-                    "bytes": stamped.wire_bytes,
+                    "bytes": wire_bytes,
                 },
             )
         if verdict is Verdict.DELAY:
@@ -313,15 +310,16 @@ class Fabric(Component):
             self._mark_fault_delay(link, stamped, delay_ps)
             self.in_flight += 1
             self.engine.schedule(
-                delay_ps, lambda p=stamped, lk=link: self._send_hop(lk, p)
+                delay_ps,
+                functools.partial(self._send_hop, link, stamped, wire_bytes),
             )
         else:
             self.in_flight += 1
-            self._send_hop(link, stamped)
+            self._send_hop(link, stamped, wire_bytes)
             if verdict is Verdict.DUPLICATE:
                 self._fault(link, "duplicated", self._m_duplicated)
                 self.in_flight += 1
-                self._send_hop(link, stamped)
+                self._send_hop(link, stamped, wire_bytes)
         self._m_packets.inc()
         self._m_bytes.inc(wire_bytes)
         tracer = self.engine.tracer
@@ -333,7 +331,7 @@ class Fabric(Component):
                     "kind": packet.kind.name,
                     "src": packet.src,
                     "dst": packet.dst,
-                    "bytes": stamped.wire_bytes,
+                    "bytes": wire_bytes,
                 },
             )
         return stamped
@@ -342,8 +340,16 @@ class Fabric(Component):
     def _on_hop(self, node: int, packet: Packet) -> None:
         """A channel finished serializing ``packet`` into ``node``."""
         if node == packet.dst:
+            self.in_flight -= 1
+            self.packets_delivered += 1
+            self._m_delivered.inc()
+            receiver = self._receivers[node]
+            if receiver is not None:
+                receiver(packet)
+                return
             self.rx_fifos[node].push(packet)
-            self._notify(node, packet)
+            for callback in self._rx_callbacks[node]:
+                callback(packet)
         else:
             self._forward(node, packet)
 
@@ -390,27 +396,21 @@ class Fabric(Component):
                 packet, match_bits=self.faults.corrupt_bits(packet.match_bits)
             )
             self._fault(link, "corrupted", self._m_corrupted)
+        wire_bytes = packet.wire_bytes
         if verdict is Verdict.DELAY:
             self._fault(link, "delayed", self._m_delayed)
             delay_ps = self.faults.config.reorder_delay_ps
             self._mark_fault_delay(link, packet, delay_ps)
             self.engine.schedule(
                 delay_ps,
-                lambda p=packet, lk=link: self._send_hop(lk, p),
+                functools.partial(self._send_hop, link, packet, wire_bytes),
             )
         else:
-            self._send_hop(link, packet)
+            self._send_hop(link, packet, wire_bytes)
             if verdict is Verdict.DUPLICATE:
                 self._fault(link, "duplicated", self._m_duplicated)
                 self.in_flight += 1
-                self._send_hop(link, packet)
-
-    def _notify(self, dst: int, packet: Packet) -> None:
-        self.in_flight -= 1
-        self.packets_delivered += 1
-        self._m_delivered.inc()
-        for callback in self._rx_callbacks[dst]:
-            callback(packet)
+                self._send_hop(link, packet, wire_bytes)
 
     # -------------------------------------------------------------- surface
     @property
@@ -493,6 +493,18 @@ class Fabric(Component):
 
         Fires after the packet is pushed into the node's rx FIFO, i.e.
         hardware-side: the NIC uses this for its wakeup kick and for
-        replicating match headers into the ALPU's header FIFO.
+        replicating match headers into the ALPU's header FIFO.  Raises
+        ``ValueError`` on a node with a bound receiver.
         """
+        if self._receivers[node] is not None:
+            raise ValueError(f"node {node} has a bound receiver, not rx subscribers")
         self._rx_callbacks[node].append(callback)
+
+    def bind_receiver(self, node: int, receiver: Callable[[Packet], None]) -> None:
+        """Hand every packet landing at ``node`` to ``receiver`` instead of
+        the rx FIFO and subscribers (a reliability NIC binds its layer).
+        Raises ``ValueError`` if the node has either one already.
+        """
+        if self._receivers[node] is not None or self._rx_callbacks[node]:
+            raise ValueError(f"node {node} has a bound receiver or rx subscribers")
+        self._receivers[node] = receiver

@@ -16,6 +16,9 @@ import enum
 #: wire overhead per packet (routing + match header + CRC), in bytes
 HEADER_BYTES = 32
 
+_FNV_PRIME = 0x100000001B3
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+
 
 class PacketKind(enum.Enum):
     """Protocol slots used by the MPI implementation."""
@@ -37,6 +40,16 @@ class PacketKind(enum.Enum):
     #: full; sender should retry ``rel_seq`` later (backed off, without
     #: spending retry budget -- the receiver is demonstrably alive)
     NACK_BUSY = "nack_busy"
+
+    def __init__(self, value: str) -> None:
+        # plain attributes: per-packet code never hashes a member or reads
+        # one through the enum metaclass
+        #: the payload travels with the header
+        self.carries_payload = value in ("eager", "rndv_data")
+        #: FNV-1a state after the first header word, the value's bytes
+        self.checksum_basis = (
+            (0xCBF29CE484222325 ^ int.from_bytes(value.encode(), "little")) * _FNV_PRIME
+        ) & _MASK64
 
 
 @dataclasses.dataclass(frozen=True)
@@ -65,28 +78,41 @@ class Packet:
     @property
     def wire_bytes(self) -> int:
         """Bytes serialized on the wire."""
-        carries_payload = self.kind in (PacketKind.EAGER, PacketKind.RNDV_DATA)
-        return HEADER_BYTES + (self.payload_bytes if carries_payload else 0)
+        return HEADER_BYTES + (self.payload_bytes if self.kind.carries_payload else 0)
+
+
+def stamp(packet: Packet, **fields) -> Packet:
+    """A copy of ``packet`` with ``fields`` overwritten: a ``__dict__``
+    clone, because ``dataclasses.replace`` re-runs the frozen ``__init__``
+    (Packet has no ``__post_init__`` for a clone to skip).
+    """
+    clone = object.__new__(Packet)
+    state = clone.__dict__
+    state.update(packet.__dict__)
+    state.update(fields)
+    return clone
+
+
+def seal(packet: Packet, **fields) -> Packet:
+    """:func:`stamp`, with the checksum set over the stamped header."""
+    sealed = stamp(packet, **fields)
+    sealed.__dict__["checksum"] = header_checksum(sealed)
+    return sealed
 
 
 def header_checksum(packet: Packet) -> int:
-    """FNV-1a over the header fields the receiver acts on.
+    """64-bit FNV-1a over the header fields the receiver acts on.
 
     Deliberately excludes the fabric's ``seq`` stamp (re-assigned on every
     injection, so a retransmitted copy would never verify) and the
-    ``checksum`` field itself.
+    ``checksum`` field itself.  FNV-1a masks to 64 bits after each step;
+    this one unrolled pass masks once at the end, with the same digest:
+    the low 64 bits of a product or an xor depend only on the operands'.
     """
-    digest = 0xCBF29CE484222325
-    for word in (
-        int.from_bytes(packet.kind.value.encode(), "little"),
-        packet.src,
-        packet.dst,
-        packet.match_bits,
-        packet.payload_bytes,
-        packet.send_id,
-        packet.recv_id,
-        packet.rel_seq & 0xFFFFFFFF,
-    ):
-        digest ^= word
-        digest = (digest * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-    return digest
+    digest = (packet.kind.checksum_basis ^ packet.src) * _FNV_PRIME
+    digest = (digest ^ packet.dst) * _FNV_PRIME
+    digest = (digest ^ packet.match_bits) * _FNV_PRIME
+    digest = (digest ^ packet.payload_bytes) * _FNV_PRIME
+    digest = (digest ^ packet.send_id) * _FNV_PRIME
+    digest = (digest ^ packet.recv_id) * _FNV_PRIME
+    return ((digest ^ (packet.rel_seq & 0xFFFFFFFF)) * _FNV_PRIME) & _MASK64

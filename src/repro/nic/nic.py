@@ -183,14 +183,14 @@ class Nic(Component):
 
         # network side.  Without the reliability layer the NIC polls the
         # fabric's rx FIFO directly (the historical, bit-identical path);
-        # with it, wire arrivals are filtered (checksum / duplicate /
-        # reorder) and only accepted in-order packets reach the firmware.
+        # with it, the layer is the node's fabric receiver: it filters wire
+        # arrivals (checksum / duplicate / reorder) and only accepted
+        # in-order packets reach the firmware.
         self.reliability: Optional[ReliabilityLayer] = None
         if config.reliability.enabled:
-            self._wire_fifo = fabric.rx_fifo(node_id)
             self.rx_fifo = Fifo(name=f"{self.name}.rxaccepted")
             self.reliability = ReliabilityLayer(self, config.reliability)
-            fabric.subscribe_rx(node_id, self._on_wire_packet)
+            fabric.bind_receiver(node_id, self.reliability.on_wire_arrival)
         else:
             self.rx_fifo = fabric.rx_fifo(node_id)
             fabric.subscribe_rx(node_id, self._on_packet_arrival)
@@ -288,17 +288,6 @@ class Nic(Component):
             queue.reset_stats()
 
     # -------------------------------------------------------- hardware hooks
-    def _on_wire_packet(self, packet: Packet) -> None:
-        """Wire delivery with the reliability layer in front.
-
-        Drains the fabric's rx FIFO (one packet per callback, so the pop
-        is exactly the delivered packet) and lets the layer decide what
-        the firmware gets to see.
-        """
-        popped = self._wire_fifo.try_pop()
-        assert popped is packet, "wire FIFO / delivery callback misaligned"
-        self.reliability.on_wire_arrival(packet)
-
     def accept_packet(self, packet: Packet) -> None:
         """Reliability layer verdict: this packet reaches the firmware."""
         self.rx_fifo.push(packet)

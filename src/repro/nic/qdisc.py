@@ -268,7 +268,8 @@ class AdmissionControl:
         has not yet classified).  Both are unbounded hiding places for
         the very flood the threshold is supposed to bound.
         """
-        if packet.kind not in (PacketKind.EAGER, PacketKind.RNDV_RTS):
+        kind = packet.kind
+        if kind is not PacketKind.EAGER and kind is not PacketKind.RNDV_RTS:
             return True
         occupancy = len(self.queue) + len(self.nic.rx_fifo)
         reliability = self.nic.reliability

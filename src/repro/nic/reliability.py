@@ -23,12 +23,16 @@ packet through it, keeping the zero-fault benchmarks bit-identical.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Dict, Optional, Tuple
 
-from repro.network.packet import Packet, PacketKind, header_checksum
+from repro.network.packet import Packet, PacketKind, header_checksum, seal
 from repro.sim.engine import SimulationError
 from repro.sim.timerwheel import TimerHandle, TimerWheel
 from repro.sim.units import us
+
+#: every control packet is one seal() of this with kind, ends and rel_seq set
+_CONTROL = Packet(kind=PacketKind.ACK, src=0, dst=0, match_bits=0, payload_bytes=0)
 
 
 class RetryExhaustedError(SimulationError):
@@ -137,8 +141,7 @@ class ReliabilityLayer:
         """Stamp, track, and inject one firmware data packet."""
         seq = self._next_tx_seq.get(packet.dst, 0)
         self._next_tx_seq[packet.dst] = seq + 1
-        stamped = dataclasses.replace(packet, rel_seq=seq)
-        stamped = dataclasses.replace(stamped, checksum=header_checksum(stamped))
+        stamped = seal(packet, rel_seq=seq)
         record = _TxRecord(stamped, self.config.ack_timeout_ps)
         self._unacked[(stamped.dst, seq)] = record
         self.nic.fabric.inject(stamped)
@@ -147,7 +150,7 @@ class ReliabilityLayer:
     def _arm_timer(self, record: _TxRecord) -> None:
         key = (record.packet.dst, record.packet.rel_seq)
         record.timer = self._timers.schedule(
-            record.timeout_ps, lambda: self._on_timeout(key)
+            record.timeout_ps, functools.partial(self._on_timeout, key)
         )
 
     def _on_timeout(self, key: Tuple[int, int]) -> None:
@@ -221,31 +224,28 @@ class ReliabilityLayer:
 
     # --------------------------------------------------------------- rx side
     def on_wire_arrival(self, packet: Packet) -> None:
-        """Everything that lands on the wire passes through here."""
+        """The node's fabric receiver: every packet landing here, first."""
+        kind = packet.kind
         if header_checksum(packet) != packet.checksum:
             # corrupt header: drop it and (for data) ask for a resend now
             # rather than waiting out the sender's timeout.  A corrupt
             # ACK/NACK is just dropped -- the retransmit timer covers it.
             self._m_corrupt.inc()
-            if packet.kind not in (
-                PacketKind.ACK,
-                PacketKind.NACK,
-                PacketKind.NACK_BUSY,
-            ):
+            if kind not in (PacketKind.ACK, PacketKind.NACK, PacketKind.NACK_BUSY):
                 self._send_control(PacketKind.NACK, packet)
                 self._m_nacks.inc()
             return
-        if packet.kind is PacketKind.ACK:
+        if kind is PacketKind.ACK:
             record = self._unacked.pop((packet.src, packet.rel_seq), None)
             if record is not None and record.timer is not None:
                 record.timer.cancel()
             return
-        if packet.kind is PacketKind.NACK:
+        if kind is PacketKind.NACK:
             record = self._unacked.get((packet.src, packet.rel_seq))
             if record is not None:
                 self._retransmit(record, reason="nack")
             return
-        if packet.kind is PacketKind.NACK_BUSY:
+        if kind is PacketKind.NACK_BUSY:
             record = self._unacked.get((packet.src, packet.rel_seq))
             if record is not None:
                 self._defer_retransmit(record)
@@ -282,25 +282,21 @@ class ReliabilityLayer:
             self._reorder[(packet.src, packet.rel_seq)] = packet
             self._m_buffered.inc()
             return
-        self._deliver(packet)
+        self.nic.accept_packet(packet)
         expected += 1
         while (held := self._reorder.pop((packet.src, expected), None)) is not None:
-            self._deliver(held)
+            self.nic.accept_packet(held)
             expected += 1
         self._expected_rx[packet.src] = expected
 
-    def _deliver(self, packet: Packet) -> None:
-        self.nic.accept_packet(packet)
-
     def _send_control(self, kind: PacketKind, about: Packet) -> None:
         """Inject a link-level ACK/NACK (no processor involvement)."""
-        control = Packet(
-            kind=kind,
-            src=self.nic.node_id,
-            dst=about.src,
-            match_bits=0,
-            payload_bytes=0,
-            rel_seq=about.rel_seq,
+        self.nic.fabric.inject(
+            seal(
+                _CONTROL,
+                kind=kind,
+                src=self.nic.node_id,
+                dst=about.src,
+                rel_seq=about.rel_seq,
+            )
         )
-        control = dataclasses.replace(control, checksum=header_checksum(control))
-        self.nic.fabric.inject(control)

@@ -26,6 +26,7 @@ available.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Callable, Dict
 
@@ -72,12 +73,12 @@ class TimerWheel:
         if delay_ps < 0:
             raise ValueError(f"negative timer delay: {delay_ps}")
         engine = self._engine
-        deadline = engine.now + delay_ps
+        deadline = engine._now + delay_ps
         slot = self._slots.get(deadline)
         if slot is None:
             slot = {}
             self._slots[deadline] = slot
-            engine.schedule_call(delay_ps, lambda: self._fire(deadline))
+            engine.schedule_call(delay_ps, functools.partial(self._fire, deadline))
         token = next(self._tokens)
         slot[token] = callback
         return TimerHandle(slot, token)

@@ -264,7 +264,9 @@ def _smoke() -> None:
 
     Asserts the three tentpole behaviours end to end: the run completes,
     the unexpected queue stays bounded at the admission threshold, and
-    the ``unexpected_admission_pressure`` watchdog fires.
+    the ``unexpected_admission_pressure`` watchdog fires.  A second run,
+    without telemetry, must repeat the samples, refusals and retransmits
+    exactly (the run is deterministic and telemetry does not perturb it).
     """
     import dataclasses as dc
 
@@ -289,6 +291,10 @@ def _smoke() -> None:
     )
     telemetry = Telemetry(tracing=False, timeline=True, health=True)
     result = run_storm(nic, params, telemetry=telemetry)
+    again = run_storm(nic, params)
+    assert (again.latencies_ns, again.refused, again.retransmits) == (
+        result.latencies_ns, result.refused, result.retransmits
+    ), "two runs of one storm point differ"
     assert result.total_messages == params.total_messages
     # the reorder buffer shares the occupancy budget, so the queue itself
     # may only overshoot by what was already in flight inside one window
@@ -302,7 +308,8 @@ def _smoke() -> None:
         f"storm smoke OK: {result.total_messages} msgs in "
         f"{result.duration_ns / 1000:.1f} us, median sojourn "
         f"{result.median_ns:.0f} ns, max depth {result.max_unexpected_depth}, "
-        f"{result.refused} refused (admission watchdog fired)"
+        f"{result.refused} refused, {result.retransmits} retransmits "
+        "(admission watchdog fired; identical on a second run)"
     )
 
 

@@ -51,6 +51,10 @@ class ReportError(ValueError):
     """A run-report artifact was malformed or unrenderable."""
 
 
+#: the self-profile fields the renderers read
+_PROFILE_FIELDS = ("events", "handler_seconds", "events_per_sec")
+
+
 # ------------------------------------------------------------ load / fold
 def load_report(path: str) -> Dict[str, object]:
     """Load one run-report artifact, upgrading v1 shapes in place.
@@ -64,6 +68,8 @@ def load_report(path: str) -> Dict[str, object]:
     if not isinstance(document, dict) or "metrics" not in document:
         raise ReportError(f"{path} is not a run-report artifact")
     version = document.get("version", 1)
+    if type(version) is not int:
+        raise ReportError(f"{path} has a non-integer version {version!r}")
     if version > REPORT_VERSION:
         raise ReportError(
             f"{path} is a v{version} report; this tool understands "
@@ -76,6 +82,13 @@ def load_report(path: str) -> Dict[str, object]:
     document.setdefault("lifecycles", None)
     document.setdefault("profile", None)
     document.setdefault("fabric", None)
+    profile = document["profile"]
+    if profile is not None and not (
+        isinstance(profile, dict) and all(f in profile for f in _PROFILE_FIELDS)
+    ):
+        raise ReportError(
+            f"{path}: a profile section needs {', '.join(_PROFILE_FIELDS)}"
+        )
     return document
 
 
@@ -695,28 +708,6 @@ def render_json(document: Dict[str, object]) -> str:
         document if "attribution" in document else fold(document)
     )
     return json.dumps(document, indent=1, sort_keys=True)
-
-
-def write_artifacts(
-    document: Dict[str, object], directory, stem: str = "run_report"
-) -> List[str]:
-    """Write text/JSON/HTML renderings into ``directory``; returns paths."""
-    import os
-
-    os.makedirs(directory, exist_ok=True)
-    folded = fold(document) if "attribution" not in document else document
-    written = []
-    for suffix, renderer in (
-        (".txt", render_text),
-        (".json", render_json),
-        (".html", render_html),
-    ):
-        path = os.path.join(directory, stem + suffix)
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(renderer(folded))
-            handle.write("\n")
-        written.append(path)
-    return written
 
 
 # --------------------------------------------------------------- the CLI

@@ -15,9 +15,10 @@ or off (the overhead is real wall-clock time, which is exactly what it
 is measuring).  It is opt-in: the engine's hook is ``None`` by default
 and ``step()`` takes the untimed branch.
 
-The benchmark baseline (``BENCH_baseline.json``, written by
-``python -m repro.workloads.bench``) commits these numbers so wall-clock
-regressions of the simulator are visible in CI.
+The pinned grid (``tests/workloads/pinned_grid.json``) commits each
+point's events/sec with a tolerance band; its ``wallclock`` test (run
+in CI with ``pytest -m wallclock``) makes wall-clock regressions of the
+simulator visible there.
 """
 
 from __future__ import annotations

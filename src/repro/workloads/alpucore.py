@@ -20,11 +20,12 @@ allows, so nearly every simulated event carries a core operation:
 
 Simulated latencies are pure protocol timing -- bus transactions plus
 pipeline occupancy from :class:`~repro.core.pipeline.AlpuTimingModel` --
-and are pinned in ``BENCH_baseline.json`` exactly like the system
-points.  Wall-clock events/sec, in contrast, tracks the Python cost of
-the core model almost 1:1, which makes this the point where the SWAR
-vectorization of :mod:`repro.core.block` is visible undiluted: the
-before/after table in EXPERIMENTS.md is anchored here.
+and are pinned in ``tests/workloads/pinned_grid.json`` exactly like
+the system points.  Wall-clock events/sec, in contrast, tracks the
+Python cost of the core model almost 1:1, which makes this the point
+where the SWAR vectorization of :mod:`repro.core.block` is visible
+undiluted: the historical before/after table in EXPERIMENTS.md is
+anchored here.
 """
 
 from __future__ import annotations

@@ -303,9 +303,6 @@ def _congestion_smoke(artifact_dir: str = "congestion-artifacts") -> None:
 
     Covers, in one run each:
 
-    * the zero-perturbation gate -- the pinned torus3d halo point with
-      the *full* observability stack on must stay bit-identical to
-      ``BENCH_baseline.json`` (captured with everything off);
     * the telescoping decomposition -- every wire traversal's per-hop
       budget sums exactly to its span (asserted inside
       :func:`~repro.analysis.attribution.wire_segments`);
@@ -314,11 +311,13 @@ def _congestion_smoke(artifact_dir: str = "congestion-artifacts") -> None:
       hottest channel;
     * the artifacts -- the JSON report, the HTML heatmap page, and the
       fabric CLI tables land in ``artifact_dir`` for CI upload.
+
+    The zero-perturbation check of the same torus3d point (fabric
+    observability on, latencies equal to the pins) is tier-1's, with the
+    rest of ``tests/workloads/pinned_grid.json``.
     """
     import html as html_mod
-    import json
     import os
-    from pathlib import Path
 
     from repro.analysis.attribution import link_budgets, wire_segments
     from repro.analysis.fabric import format_fabric
@@ -332,23 +331,11 @@ def _congestion_smoke(artifact_dir: str = "congestion-artifacts") -> None:
         ranks=16, topology="torus3d", message_size=512, iterations=3, warmup=1
     )
 
-    # 1. zero-perturbation gate against the pinned grid
-    baseline_path = Path(__file__).resolve().parents[3] / "BENCH_baseline.json"
-    with open(baseline_path, "r", encoding="utf-8") as handle:
-        grid = json.load(handle)["grid"]
-    pinned = next(
-        row
-        for row in grid
-        if row["id"] == "halo/alpu128/message_size=512_ranks=16_topology=torus3d"
-    )
+    # 1. the torus3d point with fabric observability on
     bundle = Telemetry(
         tracing=False, timeline=True, health=True, lifecycle=True, fabric=True
     )
-    observed = run_halo(nic_preset("alpu128"), pinned_params, telemetry=bundle)
-    assert observed.latencies_ns == pinned["latencies_ns"], (
-        "fabric observability perturbed the pinned point: "
-        f"{observed.latencies_ns} != {pinned['latencies_ns']}"
-    )
+    run_halo(nic_preset("alpu128"), pinned_params, telemetry=bundle)
 
     # 2. telescoping: every wire traversal decomposes exactly
     segments = 0
@@ -406,9 +393,8 @@ def _congestion_smoke(artifact_dir: str = "congestion-artifacts") -> None:
         handle.write("\n")
     print(tables)
     print(
-        f"congestion smoke OK: pinned point bit-identical with full obs on, "
-        f"{segments} wire segments telescoped, hotspot {hottest['name']} at "
-        f"{hottest['utilization']:.1%} utilization "
+        f"congestion smoke OK: {segments} wire segments telescoped, "
+        f"hotspot {hottest['name']} at {hottest['utilization']:.1%} utilization "
         f"({len(findings)} finding(s)); artifacts in {artifact_dir}/"
     )
 

@@ -14,6 +14,7 @@ import json
 import pytest
 
 from repro.analysis.report import (
+    ReportError,
     hottest_links,
     load_report,
     render_html,
@@ -117,3 +118,20 @@ class TestLegacyDocuments:
         document = load_report(str(path))
         assert document["fabric"] is None
         assert "<h2>Fabric</h2>" not in render_html(document)
+
+
+class TestMalformedDocuments:
+    def test_string_version_is_a_report_error(self, tmp_path):
+        path = tmp_path / "bad.report.json"
+        path.write_text(json.dumps({"version": "3", "metrics": {}}))
+        with pytest.raises(ReportError, match="non-integer version"):
+            load_report(str(path))
+
+    def test_profile_without_handler_seconds_is_a_report_error(self, tmp_path):
+        path = tmp_path / "bad.report.json"
+        profile = {"events": 10, "events_per_sec": 100.0}
+        path.write_text(
+            json.dumps({"version": 3, "metrics": {}, "profile": profile})
+        )
+        with pytest.raises(ReportError, match="handler_seconds"):
+            render_text(load_report(str(path)))

@@ -2,12 +2,16 @@
 
 Two layers of pinning:
 
-* the **absolute** pre-PR latencies of four benchmark points are coded
-  in (captured before the lifecycle layer existed), so any accidental
-  simulated-time charge anywhere in the recording path fails loudly;
+* the **absolute** latencies of four points of the pinned grid
+  (``tests/workloads/pinned_grid.json``, captured before the lifecycle
+  layer existed), so any accidental simulated-time charge anywhere in
+  the recording path fails loudly;
 * every observability combination (lifecycle, profiler, everything at
   once) must reproduce the plain run **bit-identically**.
 """
+
+import json
+from pathlib import Path
 
 import pytest
 
@@ -18,13 +22,23 @@ from repro.workloads.unexpected import UnexpectedParams, run_unexpected
 
 FAST = dict(iterations=4, warmup=1)
 
-#: latencies captured at the commit *before* this observability layer
-#: landed -- the recorder must not move them by a single picosecond
+#: the pinned grid's latencies of the four points :func:`run_point` runs
+#: -- the recorder must not move them by a single picosecond
+_LATENCIES = {
+    point["id"]: point["latencies_ns"]
+    for point in json.loads(
+        (Path(__file__).parents[1] / "workloads" / "pinned_grid.json").read_text()
+    )
+}
 PINNED = {
-    ("preposted", "baseline"): [956.0, 956.0, 956.0, 956.0],
-    ("preposted", "alpu128"): [692.0, 692.0, 692.0, 692.0],
-    ("unexpected", "baseline"): [634.0, 634.0, 634.0, 634.0],
-    ("unexpected", "alpu128"): [692.0, 692.0, 692.0, 692.0],
+    ("preposted", "baseline"): _LATENCIES[
+        "preposted/baseline/queue_length=24_traverse_fraction=1.0"
+    ],
+    ("preposted", "alpu128"): _LATENCIES[
+        "preposted/alpu128/queue_length=24_traverse_fraction=1.0"
+    ],
+    ("unexpected", "baseline"): _LATENCIES["unexpected/baseline/queue_length=16"],
+    ("unexpected", "alpu128"): _LATENCIES["unexpected/alpu128/queue_length=16"],
 }
 
 

@@ -17,7 +17,9 @@ and software/ALPU search crossover.  It is also a CLI
 :mod:`repro.analysis.report` folds one run's whole telemetry artifact
 (metrics, timeline, health findings, lifecycles, self-profile) into
 text/JSON/HTML renderings -- the unified run report
-(``python -m repro.analysis.report``).
+(``python -m repro.analysis.report``).  Its :func:`load_report` is the
+one loader for every telemetry dump, sweep dumps included, and its row
+helpers filter a sweep dump's rows by metric or health.
 """
 
 from repro.analysis.curves import (
@@ -27,18 +29,6 @@ from repro.analysis.curves import (
     fixed_overhead_ns,
 )
 from repro.analysis.tables import format_rows, format_curve
-from repro.analysis.telemetry import (
-    healthy_rows,
-    histogram_stats,
-    load_report,
-    mean_sampled_depth,
-    metric_across_rows,
-    metric_value,
-    row_findings,
-    row_verdict,
-    rows_with_finding,
-    unhealthy_rows,
-)
 
 # attribution's and report's names resolve lazily so `python -m
 # repro.analysis.<mod>` does not re-import the module runpy is about to
@@ -58,7 +48,23 @@ _ATTRIBUTION_NAMES = frozenset(
 )
 
 _REPORT_NAMES = frozenset(
-    {"fold", "render_html", "render_json", "render_text", "sparkline"}
+    {
+        "fold",
+        "healthy_rows",
+        "histogram_stats",
+        "load_report",
+        "mean_sampled_depth",
+        "metric_across_rows",
+        "metric_value",
+        "render_html",
+        "render_json",
+        "render_text",
+        "row_findings",
+        "row_verdict",
+        "rows_with_finding",
+        "sparkline",
+        "unhealthy_rows",
+    }
 )
 
 

@@ -36,7 +36,7 @@ from repro.analysis.attribution import (
     attribute_run,
     format_report,
 )
-from repro.obs.health import SEVERITIES, verdict_of
+from repro.obs.health import has_finding, verdict_of
 from repro.obs.lifecycle import MessageLifecycle
 from repro.obs.telemetry import REPORT_VERSION
 from repro.obs.timeline import Timeline
@@ -57,25 +57,45 @@ _PROFILE_FIELDS = ("events", "handler_seconds", "events_per_sec")
 
 # ------------------------------------------------------------ load / fold
 def load_report(path: str) -> Dict[str, object]:
-    """Load one run-report artifact, upgrading v1 shapes in place.
+    """Load a telemetry dump: a sweep dump or a run report.
 
-    v1 reports (``{"meta", "metrics"}``) predate the version field; they
-    upgrade to the v2 shape with the newer sections empty so every
-    renderer handles both.
+    Both kinds share one envelope, checked once: a JSON object whose
+    integer ``version`` is at most :data:`REPORT_VERSION` (a document
+    without one predates the field and reads as v1).  The body is then
+    one of:
+
+    * a **sweep dump** (:func:`repro.workloads.sweep.dump_telemetry`):
+      a ``rows`` list.  v1 and v2 rows hold their parameters and result
+      columns as top-level keys, v2 rows add ``health``, and v3 rows nest
+      them under ``params``/``extra``.  The row helpers below read only
+      ``metrics`` and ``health``, so they work on every vintage;
+    * a **run report** (:meth:`repro.obs.telemetry.Telemetry.report`):
+      a ``metrics`` section.  Sections newer than the document's version
+      are filled in empty so every renderer handles older reports.
+
+    Anything else -- or anything newer -- raises :class:`ReportError`
+    rather than being misread.
     """
     with open(path, "r", encoding="utf-8") as handle:
         document = json.load(handle)
-    if not isinstance(document, dict) or "metrics" not in document:
-        raise ReportError(f"{path} is not a run-report artifact")
-    version = document.get("version", 1)
+    if not isinstance(document, dict):
+        raise ReportError(f"{path} is not a telemetry dump (not a JSON object)")
+    version = document.setdefault("version", 1)
     if type(version) is not int:
         raise ReportError(f"{path} has a non-integer version {version!r}")
     if version > REPORT_VERSION:
         raise ReportError(
-            f"{path} is a v{version} report; this tool understands "
+            f"{path} is a v{version} dump; this tool understands "
             f"up to v{REPORT_VERSION}"
         )
-    document.setdefault("version", version)
+    if "rows" in document:
+        if not isinstance(document["rows"], list):
+            raise ReportError(f"{path}: a sweep dump's 'rows' must be a list")
+        return document
+    if "metrics" not in document:
+        raise ReportError(
+            f"{path} is not a telemetry dump (no 'rows' or 'metrics' key)"
+        )
     document.setdefault("meta", {})
     document.setdefault("timeline", None)
     document.setdefault("health", {"verdict": "healthy", "findings": []})
@@ -90,6 +110,86 @@ def load_report(path: str) -> Dict[str, object]:
             f"{path}: a profile section needs {', '.join(_PROFILE_FIELDS)}"
         )
     return document
+
+
+# ------------------------------------------------------------ sweep rows
+# Snapshot value shapes (see :meth:`repro.obs.MetricsRegistry.snapshot`):
+# counters flatten to a number; gauges to ``{"value", "high_water"}``;
+# histograms to ``{"count", "sum", "min", "max", "mean", "buckets"}``.
+def row_verdict(row: Dict[str, object]) -> str:
+    """The watchdog verdict of one row (``"healthy"`` when none rode)."""
+    health = row.get("health")
+    if not health:
+        return "healthy"
+    return health.get("verdict", "healthy")
+
+
+def row_findings(row: Dict[str, object]) -> List[Dict[str, object]]:
+    """The finding dicts of one row ([] when none rode)."""
+    health = row.get("health")
+    if not health:
+        return []
+    return list(health.get("findings", []))
+
+
+def healthy_rows(rows: List[Dict[str, object]]) -> List[Dict[str, object]]:
+    """Rows whose watchdogs stayed silent."""
+    return [row for row in rows if row_verdict(row) == "healthy"]
+
+
+def unhealthy_rows(rows: List[Dict[str, object]]) -> List[Dict[str, object]]:
+    """Rows with at least one finding, in row order."""
+    return [row for row in rows if row_verdict(row) != "healthy"]
+
+
+def rows_with_finding(
+    rows: List[Dict[str, object]], code: str
+) -> List[Dict[str, object]]:
+    """Rows carrying a finding with ``code`` (e.g. ``retransmit_storm``)."""
+    return [row for row in rows if has_finding(row_findings(row), code)]
+
+
+def metric_value(snapshot: Optional[Dict[str, object]], name: str):
+    """One metric from a snapshot; None when absent or telemetry was off.
+
+    Counters and collectors come back as plain numbers, gauges as their
+    current value, histograms as their mean.
+    """
+    if not snapshot:
+        return None
+    entry = snapshot.get(name)
+    if isinstance(entry, dict):
+        if "mean" in entry:
+            return entry["mean"]
+        return entry.get("value")
+    return entry
+
+
+def metric_across_rows(rows: List[Dict[str, object]], name: str) -> List[object]:
+    """The same metric from every row's snapshot, in row order."""
+    return [metric_value(row.get("metrics"), name) for row in rows]
+
+
+def histogram_stats(
+    snapshot: Optional[Dict[str, object]], name: str
+) -> Optional[Dict[str, object]]:
+    """The full histogram entry for ``name``, or None if not a histogram."""
+    if not snapshot:
+        return None
+    entry = snapshot.get(name)
+    if isinstance(entry, dict) and "buckets" in entry:
+        return entry
+    return None
+
+
+def mean_sampled_depth(
+    snapshot: Optional[Dict[str, object]], queue_name: str
+) -> Optional[float]:
+    """Mean sampled depth of a NIC queue, e.g. ``"nic1.postedRecvQ"``."""
+    stats = histogram_stats(snapshot, f"{queue_name}/depth_samples")
+    if stats is None or not stats["count"]:
+        return None
+    return stats["mean"]
 
 
 def fold(document: Dict[str, object]) -> Dict[str, object]:
@@ -793,6 +893,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.input:
         document = load_report(args.input)
+        if "rows" in document:
+            raise ReportError(
+                f"{args.input} is a sweep dump: its rows are not one run; "
+                "load it with repro.analysis.load_report instead"
+            )
     else:
         document = _run_benchmark(args)
     folded = fold(document)

@@ -24,9 +24,8 @@ Adding an engine is one registration::
     register_backend("mine", MyBackend)
     NicConfig(firmware=FirmwareConfig(matching="mine"))  # just works
 
-``FirmwareConfig.matching`` accepts any registered name; the legacy
-values ``"list"``/``"hash"`` and the ``use_alpu=True`` flag (which
-resolves to the ``"alpu"`` backend) keep working unchanged.
+``FirmwareConfig.matching`` accepts any registered name: the stock
+``"list"``, ``"hash"`` and ``"alpu"`` engines are registered here.
 """
 
 from repro.nic.backends.alpumatch import AlpuMatchBackend

@@ -4,9 +4,8 @@
 error reporting; the module-level functions wrap one instance of it as
 *the* matching-backend registry used by
 :class:`~repro.nic.firmware.FirmwareConfig` and
-:class:`~repro.nic.nic.Nic`.  Other pluggable seams (the Portals-lite
-matchers in :mod:`repro.portals.table`) reuse :class:`Registry` with
-their own instances.
+:class:`~repro.nic.nic.Nic`.  The queue disciplines in
+:mod:`repro.nic.qdisc` reuse :class:`Registry` with their own instance.
 
 Registering a backend makes its name a valid ``FirmwareConfig.matching``
 value; ``needs_alpu=True`` additionally tells the NIC assembly to build

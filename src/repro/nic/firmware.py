@@ -10,8 +10,7 @@ queues are searched lives in a pluggable
 backend registry.  ``FirmwareConfig.matching`` selects it -- ``"list"``
 (linear traversal, the Red Storm-like NIC of the paper's Figure 5(a,b)
 and Figure 6 baseline), ``"hash"`` (the Section II alternative),
-``"alpu"`` (the paper's accelerator; also selected by the legacy
-``use_alpu=True`` flag), or any name registered via
+``"alpu"`` (the paper's accelerator), or any name registered via
 :func:`repro.nic.backends.register_backend`.
 
 Message protocol: eager for payloads up to ``eager_threshold`` (payload
@@ -44,10 +43,6 @@ from repro.sim.units import us
 class FirmwareConfig:
     """Firmware behaviour knobs."""
 
-    #: legacy switch for the ALPU engine; ``True`` resolves the backend
-    #: to ``"alpu"`` regardless of ``matching`` (which must stay at its
-    #: software default) -- kept for config back-compat
-    use_alpu: bool = False
     #: matching engine, by backend-registry name: "list" (linear
     #: traversal, what every surveyed MPI uses), "hash" (the Section II
     #: alternative), "alpu", or any custom registered backend
@@ -59,23 +54,11 @@ class FirmwareConfig:
 
     def __post_init__(self) -> None:
         backend_spec(self.matching)  # raises ValueError when unknown
-        if self.use_alpu and self.matching not in ("list", "alpu"):
-            raise ValueError(
-                f"matching={self.matching!r} conflicts with use_alpu=True: "
-                "the legacy flag forces the 'alpu' backend and would "
-                "silently override the requested software engine -- drop "
-                "use_alpu or set matching='alpu'"
-            )
-
-    @property
-    def backend_name(self) -> str:
-        """The resolved backend-registry name for this configuration."""
-        return "alpu" if self.use_alpu else self.matching
 
     @property
     def backend(self):
         """The resolved :class:`BackendSpec` (hardware needs included)."""
-        return backend_spec(self.backend_name)
+        return backend_spec(self.matching)
 
 
 class NicFirmware:
@@ -129,7 +112,7 @@ class NicFirmware:
         #: observable record tests compare against the matching oracle
         self.pairings: list = []
         #: the pluggable matching engine this firmware dispatches to
-        self.backend = create_backend(self.cfg.backend_name)
+        self.backend = create_backend(self.cfg.matching)
         self.backend.attach(self)
         #: True once a stalled ALPU forced the fall-back to software
         self.degraded = False

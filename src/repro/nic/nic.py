@@ -92,7 +92,7 @@ class NicConfig:
     @staticmethod
     def baseline() -> "NicConfig":
         """The Red Storm-like NIC: embedded processor only."""
-        return NicConfig(firmware=FirmwareConfig(use_alpu=False))
+        return NicConfig(firmware=FirmwareConfig())
 
     @staticmethod
     def with_backend(name: str, **firmware_kwargs) -> "NicConfig":
@@ -111,7 +111,7 @@ class NicConfig:
     def with_alpu(total_cells: int = 256, block_size: int = 16) -> "NicConfig":
         """A NIC with posted-receive and unexpected ALPUs of equal size."""
         return NicConfig(
-            firmware=FirmwareConfig(use_alpu=True),
+            firmware=FirmwareConfig(matching="alpu"),
             alpu_posted=AlpuConfig(
                 kind=CellKind.POSTED_RECEIVE,
                 total_cells=total_cells,

@@ -66,8 +66,7 @@ class MessageLifecycle:
 
     #: monotone recorder-local id (stable across identical runs)
     mid: int
-    #: "send" (the message journey), "recv" (the posted receive), "me"
-    #: (a Portals match-list entry)
+    #: "send" (the message journey) or "recv" (the posted receive)
     kind: str
     rank: int
     req_id: int
@@ -211,8 +210,8 @@ class LifecycleRecorder:
     def _request(self, rank: int, req_id: int) -> Optional[MessageLifecycle]:
         # a (rank, req_id) pair names at most one lifecycle: MPI request
         # ids come from one per-process counter shared across sends and
-        # receives, and "me" (Portals) recorders are not mixed with MPI
-        for kind in ("send", "recv", "me"):
+        # receives
+        for kind in ("send", "recv"):
             lifecycle = self._by_key.get((kind, rank, req_id))
             if lifecycle is not None:
                 return lifecycle

@@ -34,9 +34,9 @@ from repro.obs.selfprof import SimProfiler
 from repro.obs.timeline import Timeline
 from repro.obs.tracer import Tracer
 
-#: schema version of :meth:`Telemetry.report` documents (and of the
-#: sweep telemetry dumps that embed them); bump on shape changes so
-#: :mod:`repro.analysis` can dispatch
+#: schema version of every telemetry dump, :meth:`Telemetry.report`
+#: documents and sweep dumps alike; bump on shape changes so
+#: :func:`repro.analysis.load_report` can dispatch
 REPORT_VERSION = 3
 
 

@@ -13,10 +13,6 @@ round's full fan-in.
 Degrees of freedom: world size, per-rank out-degree, and rounds --
 ``num_ranks * degree * rounds`` messages total, which reaches 10^6 with
 e.g. 64 ranks x 16 peers x 1000 rounds.
-
-Smoke::
-
-    PYTHONPATH=src python -m repro.workloads.alltoall --smoke
 """
 
 from __future__ import annotations
@@ -156,38 +152,3 @@ def run_alltoall(
         total_messages=params.total_messages,
         metrics=telemetry.snapshot() if telemetry is not None else None,
     )
-
-
-def _smoke() -> None:
-    """Sharded and fifo disciplines must agree on the exchanged rounds."""
-    import dataclasses as dc
-
-    from repro.nic.qdisc import QdiscConfig
-
-    params = AlltoallParams(num_ranks=8, degree=3, rounds=6)
-    base = NicConfig.baseline()
-    fifo = run_alltoall(base, params)
-    sharded = run_alltoall(
-        dc.replace(
-            base, qdisc=QdiscConfig(discipline="sharded", shard_key="flow")
-        ),
-        params,
-    )
-    assert len(fifo.round_ns) == params.rounds
-    assert len(sharded.round_ns) == params.rounds
-    # same matches in both (a sharded search returns the same oldest
-    # entry), so simulated times differ only through visit counts
-    print(
-        f"alltoall smoke OK: {params.total_messages} msgs, "
-        f"fifo median round {fifo.median_ns:.0f} ns, "
-        f"sharded median round {sharded.median_ns:.0f} ns"
-    )
-
-
-if __name__ == "__main__":
-    import sys
-
-    if "--smoke" in sys.argv[1:]:
-        _smoke()
-    else:
-        print(__doc__)

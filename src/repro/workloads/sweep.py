@@ -37,7 +37,7 @@ from repro.network.faults import FaultConfig
 from repro.nic.nic import NicConfig
 from repro.nic.qdisc import QdiscConfig
 from repro.nic.reliability import ReliabilityConfig
-from repro.obs.telemetry import Telemetry
+from repro.obs.telemetry import REPORT_VERSION, Telemetry
 from repro.workloads.alltoall import AlltoallParams, run_alltoall
 from repro.workloads.halo import HaloParams, run_halo
 from repro.workloads.multijob import MultijobParams, run_multijob
@@ -419,30 +419,23 @@ def run_sweep(spec: SweepSpec, *, workers: Optional[int] = None) -> List[SweepRo
     return rows
 
 
-#: schema version of the sweep telemetry dump; v2 rows carry ``health``
-#: (verdict + findings) next to ``metrics``/``attribution``; v3 rows
-#: carry their parameters under ``params`` and result columns under
-#: ``extra`` instead of as top-level keys
-TELEMETRY_DUMP_VERSION = 3
-
-
 def telemetry_report(rows: Iterable[SweepRow], **meta: object) -> Dict[str, object]:
     """Bundle sweep rows (with their metrics snapshots) into one report.
 
-    The shape matches what :mod:`repro.analysis.telemetry` loads back:
+    The shape matches what :func:`repro.analysis.load_report` loads back:
     ``{"version": 3, "meta": {...}, "rows": [{"preset", "params",
     "latency_ns", "extra", "metrics", "attribution", "health",
     "fabric"}, ...]}``.
     """
     return {
-        "version": TELEMETRY_DUMP_VERSION,
+        "version": REPORT_VERSION,
         "meta": dict(meta),
         "rows": [dataclasses.asdict(row) for row in rows],
     }
 
 
 def dump_telemetry(rows: Iterable[SweepRow], path: str, **meta: object) -> None:
-    """Write the sweep's telemetry report as JSON (``--telemetry out.json``).
+    """Write the sweep's telemetry report to ``path`` as JSON.
 
     Parent directories are created as needed, so nested report paths
     like ``results/2026-08/fig5.json`` work without preparation.

@@ -17,12 +17,13 @@ from repro.analysis.report import (
     ReportError,
     hottest_links,
     load_report,
+    main,
     render_html,
     render_text,
 )
 from repro.obs.telemetry import Telemetry
 from repro.workloads.halo import HaloParams, run_halo
-from repro.workloads.sweep import nic_preset
+from repro.workloads.sweep import dump_telemetry, nic_preset
 
 
 def _run_report(**params):
@@ -119,13 +120,33 @@ class TestLegacyDocuments:
         assert document["fabric"] is None
         assert "<h2>Fabric</h2>" not in render_html(document)
 
+    @pytest.mark.parametrize(
+        "body", [{"metrics": {}}, {"rows": []}], ids=["run", "sweep"]
+    )
+    def test_unversioned_document_reads_as_v1(self, body, tmp_path):
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps(body))
+        assert load_report(str(path))["version"] == 1
+
 
 class TestMalformedDocuments:
-    def test_string_version_is_a_report_error(self, tmp_path):
+    @pytest.mark.parametrize(
+        "version", ["3", None, True, 3.0], ids=["string", "null", "bool", "float"]
+    )
+    @pytest.mark.parametrize(
+        "body", [{"metrics": {}}, {"rows": []}], ids=["run", "sweep"]
+    )
+    def test_non_integer_version_is_a_report_error(self, body, version, tmp_path):
         path = tmp_path / "bad.report.json"
-        path.write_text(json.dumps({"version": "3", "metrics": {}}))
+        path.write_text(json.dumps({"version": version, **body}))
         with pytest.raises(ReportError, match="non-integer version"):
             load_report(str(path))
+
+    def test_report_cli_rejects_a_sweep_dump(self, tmp_path):
+        path = tmp_path / "sweep.json"
+        dump_telemetry([], str(path))
+        with pytest.raises(ReportError, match="is a sweep dump"):
+            main(["--input", str(path)])
 
     def test_profile_without_handler_seconds_is_a_report_error(self, tmp_path):
         path = tmp_path / "bad.report.json"

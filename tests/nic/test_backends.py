@@ -1,5 +1,7 @@
 """Tests for the pluggable match-backend layer (registry + protocol)."""
 
+import dataclasses
+
 import pytest
 
 from repro.nic.backends import (
@@ -42,13 +44,20 @@ def test_duplicate_registration_rejected_without_replace():
 
 
 def test_firmware_config_backcompat():
-    # the legacy string values and the use_alpu flag resolve as before
-    assert FirmwareConfig(matching="list").backend_name == "list"
-    assert FirmwareConfig(matching="hash").backend_name == "hash"
-    assert FirmwareConfig(use_alpu=True).backend_name == "alpu"
-    assert FirmwareConfig(use_alpu=True, matching="list").backend_name == "alpu"
-    with pytest.raises(ValueError, match="conflicts with use_alpu=True"):
-        FirmwareConfig(use_alpu=True, matching="hash")
+    # the string values resolve to their registered backends
+    assert FirmwareConfig(matching="list").backend.name == "list"
+    assert FirmwareConfig(matching="hash").backend.name == "hash"
+
+
+def test_firmware_config_has_no_legacy_alpu_flag():
+    # ``matching`` alone selects the engine
+    assert [f.name for f in dataclasses.fields(FirmwareConfig)] == [
+        "matching",
+        "eager_threshold",
+        "match_format",
+    ]
+    assert NicConfig.baseline().firmware.backend.name == "list"
+    assert NicConfig.with_alpu().firmware.backend.needs_alpu
 
 
 def test_needs_alpu_drives_nic_assembly():
@@ -85,7 +94,7 @@ def test_custom_backend_runs_end_to_end():
     register_backend("toy", TracingToyBackend)
     try:
         nic = NicConfig.with_backend("toy")
-        assert nic.firmware.backend_name == "toy"
+        assert nic.firmware.matching == "toy"
         result = run_pingpong(nic, PingPongParams(iterations=3, warmup=1))
         assert len(result.latencies_ns) == 3
         assert all(ns > 0 for ns in result.latencies_ns)

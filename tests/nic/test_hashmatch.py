@@ -115,8 +115,6 @@ def test_entries_in_order(setup):
     assert table.entries_in_order() == entries
 
 
-def test_firmware_config_rejects_hash_plus_alpu():
-    with pytest.raises(ValueError):
-        FirmwareConfig(use_alpu=True, matching="hash")
+def test_firmware_config_rejects_unknown_engine():
     with pytest.raises(ValueError):
         FirmwareConfig(matching="btree")

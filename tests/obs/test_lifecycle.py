@@ -18,7 +18,6 @@ from repro.obs.lifecycle import (
     TERMINAL_STAGE,
     lifecycle_chrome_events,
 )
-from repro.portals.table import MatchListEntry, PortalTable
 from repro.workloads.preposted import PrepostedParams, run_preposted
 from repro.workloads import nic_preset
 from repro.workloads.unexpected import UnexpectedParams, run_unexpected
@@ -210,32 +209,3 @@ class TestBenchmarkLifecycles:
         for lifecycle in lifecycles:
             assert_well_formed(lifecycle)
 
-
-class TestPortalsLifecycle:
-    def test_me_lifecycles(self):
-        recorder = LifecycleRecorder()
-        table = PortalTable(lifecycle=recorder)
-        once = MatchListEntry(match_bits=0xAB)
-        sticky = MatchListEntry(match_bits=0xCD, use_once=False)
-        spare = MatchListEntry(match_bits=0xEF)
-        for entry in (once, sticky, spare):
-            table.append(entry)
-        assert table.deliver(0xAB) is once
-        assert table.deliver(0xCD) is sticky
-        assert table.deliver(0xCD) is sticky  # persistent: matches again
-        table.unlink(spare)
-        by_id = {lc.req_id: lc for lc in recorder.lifecycles}
-        assert by_id[once.me_id].complete
-        assert by_id[once.me_id].marks[-1].detail == {"outcome": "matched"}
-        assert by_id[spare.me_id].marks[-1].detail == {"outcome": "unlinked"}
-        sticky_stages = [m.stage for m in by_id[sticky.me_id].marks]
-        assert sticky_stages == ["me_linked", "matched", "matched"]
-        for lifecycle in recorder.lifecycles:
-            assert_well_formed(lifecycle)
-
-    def test_table_without_recorder_unchanged(self):
-        table = PortalTable()
-        entry = MatchListEntry(match_bits=1)
-        table.append(entry)
-        assert table.deliver(1) is entry
-        assert len(table) == 0

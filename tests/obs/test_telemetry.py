@@ -14,8 +14,7 @@ import json
 
 import pytest
 
-from repro.analysis.telemetry import (
-    MAX_DUMP_VERSION,
+from repro.analysis import (
     healthy_rows,
     load_report,
     mean_sampled_depth,
@@ -23,7 +22,8 @@ from repro.analysis.telemetry import (
     metric_value,
     row_verdict,
 )
-from repro.obs import Telemetry
+from repro.analysis.report import ReportError
+from repro.obs import REPORT_VERSION, Telemetry
 from repro.workloads.pingpong import PingPongParams, run_pingpong
 from repro.workloads.preposted import PrepostedParams, run_preposted
 from repro.workloads import SweepSpec, dump_telemetry, nic_preset, run_sweep
@@ -162,7 +162,7 @@ class TestSweepIntegration:
         v3 = tmp_path / "v3.json"
         dump_telemetry(rows, str(v3))
         name = "nic1.alpu.posted/match_successes"
-        for path, version in ((v1, 1), (v2, 2), (v3, MAX_DUMP_VERSION)):
+        for path, version in ((v1, 1), (v2, 2), (v3, REPORT_VERSION)):
             report = load_report(str(path))
             assert report["version"] == version
             assert metric_across_rows(report["rows"], name) == [
@@ -173,14 +173,60 @@ class TestSweepIntegration:
         (row,) = load_report(str(v3))["rows"]
         assert row["params"]["queue_length"] == 16 and row["extra"] == {}
         v4 = tmp_path / "v4.json"
-        v4.write_text(json.dumps({"version": MAX_DUMP_VERSION + 1, "rows": []}))
-        with pytest.raises(ValueError, match="understands up to v3"):
+        v4.write_text(json.dumps({"version": REPORT_VERSION + 1, "rows": []}))
+        with pytest.raises(ReportError, match="understands up to v3"):
             load_report(str(v4))
 
-    def test_load_report_rejects_non_reports(self, tmp_path):
+    def test_sweep_dumps_and_run_reports_share_one_loader(self, rows, tmp_path):
+        dump = tmp_path / "sweep.json"
+        dump_telemetry(rows, str(dump))
+        run = tmp_path / "run.json"
+        _, telemetry = run_traced_pingpong()
+        telemetry.write_report(str(run))
+        sweep_dump, run_report = load_report(str(dump)), load_report(str(run))
+        assert sweep_dump["version"] == run_report["version"] == REPORT_VERSION
+        assert len(sweep_dump["rows"]) == len(rows)
+        assert run_report["metrics"] == telemetry.snapshot()
+
+    def test_row_helpers_read_a_run_report_like_a_row(self, tmp_path):
+        # both dump kinds carry ``metrics`` and ``health`` in one form
+        run = tmp_path / "run.json"
+        _, telemetry = run_traced_pingpong()
+        telemetry.write_report(str(run))
+        report = load_report(str(run))
+        name = "nic1.alpu.posted/match_successes"
+        assert telemetry.snapshot()[name] > 0
+        assert metric_across_rows([report], name) == [telemetry.snapshot()[name]]
+        assert row_verdict(report) == report["health"]["verdict"]
+        assert healthy_rows([report]) == (
+            [report] if report["health"]["verdict"] == "healthy" else []
+        )
+
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            ({"nope": 1}, "not a telemetry dump"),
+            ([], "not a telemetry dump"),
+            ({"version": "3", "rows": []}, "non-integer version"),
+            ({"version": None, "rows": []}, "non-integer version"),
+            ({"version": 3, "rows": 5}, "'rows' must be a list"),
+            ({"version": "3", "metrics": {}}, "non-integer version"),
+            ({"version": None, "metrics": {}}, "non-integer version"),
+        ],
+        ids=[
+            "no-body",
+            "not-an-object",
+            "sweep-string-version",
+            "sweep-null-version",
+            "sweep-rows-not-a-list",
+            "run-string-version",
+            "run-null-version",
+        ],
+    )
+    def test_load_report_rejects_non_reports(self, document, message, tmp_path):
         path = tmp_path / "junk.json"
-        path.write_text(json.dumps({"nope": 1}))
-        with pytest.raises(ValueError, match="telemetry report"):
+        path.write_text(json.dumps(document))
+        with pytest.raises(ReportError, match=message):
             load_report(str(path))
 
 

@@ -16,8 +16,9 @@ from repro.workloads import (
 
 def test_presets_build_the_papers_three_receivers():
     baseline = nic_preset("baseline")
-    assert not baseline.firmware.use_alpu
+    assert baseline.firmware.matching == "list"
     alpu128 = nic_preset("alpu128")
+    assert alpu128.firmware.matching == "alpu"
     assert alpu128.alpu_posted.total_cells == 128
     alpu256 = nic_preset("alpu256", block_size=32)
     assert alpu256.alpu_posted.total_cells == 256

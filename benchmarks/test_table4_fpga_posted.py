@@ -6,7 +6,7 @@ the paper discusses (FFs fall / LUTs rise with block size; block size 32
 misses the 9 ns timing constraint; the latency column).
 """
 
-from repro.core.cell import CellKind
+from repro.core import CellKind
 from repro.fpga.report import TABLE_IV_PUBLISHED, model_table, render_table
 
 TOLERANCE = 0.015

@@ -6,7 +6,7 @@ flip-flops and slices for the same LUT budget, because receives carry
 their wildcards with the request instead of storing them per cell.
 """
 
-from repro.core.cell import CellKind
+from repro.core import CellKind
 from repro.fpga.report import (
     TABLE_V_PUBLISHED,
     model_table,

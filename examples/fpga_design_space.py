@@ -12,8 +12,7 @@ Run:  python examples/fpga_design_space.py
 """
 
 from repro.analysis.tables import format_rows
-from repro.core.alpu import AlpuConfig
-from repro.core.cell import CellKind
+from repro.core import AlpuConfig, CellKind
 from repro.core.pipeline import match_latency_cycles
 from repro.fpga.resources import estimate_resources
 from repro.fpga.timing import asic_clock_mhz, clock_mhz

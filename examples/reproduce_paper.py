@@ -10,7 +10,7 @@ Run:  python examples/reproduce_paper.py            (~1 minute)
 
 from repro.analysis.curves import crossover_length, detect_knee, per_entry_slope_ns
 from repro.analysis.tables import format_curve, format_rows
-from repro.core.cell import CellKind
+from repro.core import CellKind
 from repro.fpga.report import (
     TABLE_IV_PUBLISHED,
     TABLE_V_PUBLISHED,

@@ -9,7 +9,7 @@ Layers (bottom up):
 * :mod:`repro.proc` -- calibrated host-CPU and NIC-processor cost models
   (the SimpleScalar substitute; Table III parameters).
 * :mod:`repro.core` -- **the paper's contribution**: the ALPU associative
-  list processing unit (cells, blocks, priority muxing, compaction, the
+  list processing unit (the packed cell array, block compaction, the
   Fig. 3 state machine, and the Tables I/II command protocol).
 * :mod:`repro.network` -- wire/fabric models (200 ns, Table III).
 * :mod:`repro.nic` -- NIC assembly: firmware progress loop, the five

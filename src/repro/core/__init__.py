@@ -5,26 +5,24 @@ associative matching structure augmented with list management so it can
 implement MPI's ordered, high-turnover posted-receive and
 unexpected-message queues in hardware.
 
-The hierarchy follows Figure 2 of the paper:
+The structure follows Figure 2 of the paper:
 
-* :class:`~repro.core.cell.Cell` -- one match cell: stored match bits,
-  (optionally stored) mask bits, valid bit, and a tag that software uses as
-  a pointer into NIC memory.  Two flavours exist: the posted-receive cell
-  stores its mask (receives carry the wildcards) and the
-  unexpected-message cell takes the mask as an input (the receive being
-  posted carries the wildcards).
-* :class:`~repro.core.block.CellBlock` -- 2^k cells with a registered
-  request, per-cell shift enables, compaction control and a binary
-  priority-mux tree that selects the *oldest* matching cell.
-* :class:`~repro.core.alpu.Alpu` -- chains blocks into one virtual array,
-  adds the controlling state machine of Figure 3 (Match / Read Command /
-  Insert modes) and the command/response protocol of Tables I and II.
+* :class:`~repro.core.alpu.Alpu` -- the array of match cells.  Each cell
+  holds match bits, (optionally stored) mask bits, a valid bit and a tag
+  that software uses as a pointer into NIC memory; the two
+  :class:`~repro.core.alpu.CellKind` flavours differ in where the mask
+  comes from (stored by the posted-receive cell, an input of the
+  unexpected-message cell).  The array is packed one SWAR word per field,
+  so a match compares every cell at once and the oldest hit wins; cell
+  blocks survive as the insert-mode compaction rule.  The ALPU adds the
+  controlling state machine of Figure 3 (Match / Read Command / Insert
+  modes) and the command/response protocol of Tables I and II.
 * :class:`~repro.core.pipeline.AlpuTimingModel` -- the pipeline timing of
   Section V-D: a new match every 6-7 clock cycles, inserts every other
-  cycle.
+  cycle, with the between-block stage set by the block geometry.
 * :class:`~repro.core.reference.ReferenceMatchList` -- a golden,
-  linear-list matcher with identical semantics, used both for differential
-  testing of the ALPU and as the software queue in the baseline NIC.
+  linear-list matcher with identical semantics: the test oracle the ALPU
+  is held equal to.
 """
 
 from repro.core.match import (
@@ -35,9 +33,7 @@ from repro.core.match import (
     ANY_SOURCE,
     ANY_TAG,
 )
-from repro.core.cell import Cell, CellKind
-from repro.core.block import CellBlock
-from repro.core.alpu import Alpu, AlpuConfig, AlpuMode
+from repro.core.alpu import Alpu, AlpuConfig, AlpuMode, CellKind
 from repro.core.commands import (
     Command,
     StartInsert,
@@ -59,9 +55,7 @@ __all__ = [
     "matches",
     "ANY_SOURCE",
     "ANY_TAG",
-    "Cell",
     "CellKind",
-    "CellBlock",
     "Alpu",
     "AlpuConfig",
     "AlpuMode",

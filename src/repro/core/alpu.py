@@ -1,19 +1,31 @@
-"""The Associative List Processing Unit (Figure 2d + Figure 3).
+"""The Associative List Processing Unit (Figure 2 + Figure 3).
 
-The ALPU chains several cell blocks into one large virtual array of cells
-and adds the control logic that talks to the rest of the NIC through three
-FIFOs (header in, command in, result out).  This module is the
-*behavioural* model: transactions (matches, inserts, resets) execute with
-exact hardware semantics -- ordering, priority, wildcards, delete-on-match
-compaction, insert-mode hold-and-retry -- while the *timing* of those
-transactions is layered on separately by
-:class:`~repro.core.pipeline.AlpuTimingModel` so the same model serves
-both the property-test suite and the system simulation.
+The ALPU is one large array of match cells plus the control logic that
+talks to the rest of the NIC through three FIFOs (header in, command in,
+result out).  This module is the *behavioural* model: transactions
+(matches, inserts, resets) execute with exact hardware semantics --
+ordering, priority, wildcards, delete-on-match compaction, insert-mode
+hold-and-retry -- while the *timing* of those transactions is layered on
+separately by :class:`~repro.core.pipeline.AlpuTimingModel` so the same
+model serves both the property-test suite and the system simulation.
+
+Cells (Fig. 2a/2b) store match bits, mask bits, a tag and a valid bit.
+The two flavours differ only in where the mask comes from: the
+posted-receive cell *stores* it (each receive carries its own
+wildcards), the unexpected-message cell has no mask storage and takes
+the mask as an *input* with the request (the receive being posted
+carries the wildcards).
 
 Cell ordering convention (matches Fig. 2c): list items are inserted at the
-*youngest* end (block 0, local cell 0) and migrate toward the *oldest* end
-(last block, highest local cell).  The oldest matching entry wins, because
-MPI requires the first matching item in list order to be chosen.
+*youngest* end (cell 0) and migrate toward the *oldest* end (cell
+``total_cells - 1``).  The oldest matching entry wins, because MPI
+requires the first matching item in list order to be chosen.
+
+Cell blocks (Fig. 2c) group ``block_size`` cells.  In the FPGA they bound
+the priority-mux tree and the "space available" rule of insert-mode
+compaction; here they survive only as that compaction rule
+(:meth:`Alpu.compact_step` under :attr:`CompactionReach.BLOCK`) and as the
+geometry behind the Tables IV/V timing.
 
 State machine (Fig. 3): the ALPU starts in Match mode.  A command moves it
 through Read Command, where only RESET and START INSERT are valid (other
@@ -21,6 +33,48 @@ commands are discarded, footnote 3).  In Insert mode, matching continues
 between inserts, but a *failed* match is held for retry until inserts
 complete -- this closes the race where a header misses the ALPU while the
 matching receive is sitting in the command FIFO on its way in.
+
+Data layout (SWAR)
+------------------
+The hardware compares every cell *in parallel* -- a ternary CAM, the same
+wide bitline-parallel structure as a bitline-compute SRAM.  The simulator
+mirrors that with packed-integer SWAR (SIMD-within-a-register) state: one
+Python big-int per field, one *lane* per cell, across the whole array.
+
+``_bits`` / ``_mask``
+    One lane per cell at stride ``S = match_width + 1``.  The extra top
+    bit per lane is a **guard bit** that is always 0 in stored data; it
+    gives lane arithmetic a place to borrow without crossing into the
+    neighbour lane.
+``_tags``
+    Tags packed at stride ``tag_width`` (no guard needed -- tags are only
+    ever shifted and extracted, never compared).
+``_valid`` / ``_valid_guard``
+    The valid bits in two synchronized encodings: bit ``i`` for cell
+    ``i`` (occupancy, holes, compaction planning) and bit
+    ``i*S + match_width`` (the guard position, ANDed into the match).
+
+A whole-array match is five big-int operations (the compare plane) plus
+one ``bit_length`` (the priority encoder)::
+
+    x     = (bits ^ repl(req)) & ~(mask | repl(req_mask)) & LANES
+    hit   = (HIGH - x) & valid_guard      # guard set <=> lane x == 0
+    cell  = (hit.bit_length() - 1 - w) // S
+
+``repl(v) = v * COMB`` replicates a ``w``-bit value into every lane
+(``COMB`` has one LSB set per lane).  ``HIGH - x`` cannot borrow across
+lanes because each lane's minuend ``2^w`` exceeds any ``w``-bit ``x``
+lane; the difference's guard bit survives exactly when the lane was
+zero, i.e. when every un-masked bit compared equal.  The highest set
+guard bit is the oldest matching cell -- the answer of the paper's
+per-block priority-mux trees followed by the between-block stage.  The
+tests hold this layout equal, cell for cell and cycle for cycle, to a
+per-cell model built from those mux trees.
+
+Every shift moves a set of cells up one lane in one masked big-int
+operation per field: ``X & ~REGION | (X & MOVING) << stride``.  Invalid
+lanes keep their stale contents (hardware clears only the valid bit), and
+lane 0 reads zeros when nothing shifts into it.
 """
 
 from __future__ import annotations
@@ -32,8 +86,6 @@ from typing import Deque, List, Optional
 
 from repro.obs.metrics import NULL_REGISTRY
 
-from repro.core.block import CellBlock
-from repro.core.cell import Cell, CellKind
 from repro.core.commands import (
     Command,
     Insert,
@@ -46,6 +98,13 @@ from repro.core.commands import (
     StopInsert,
 )
 from repro.core.match import MatchEntry, MatchRequest
+
+
+class CellKind(enum.Enum):
+    """Which ALPU flavour: where a cell's mask comes from (Fig. 2a/2b)."""
+
+    POSTED_RECEIVE = "posted_receive"
+    UNEXPECTED = "unexpected"
 
 
 class AlpuMode(enum.Enum):
@@ -87,6 +146,8 @@ class AlpuConfig:
     compaction_reach: CompactionReach = CompactionReach.BLOCK
 
     def __post_init__(self) -> None:
+        if self.block_size <= 0:
+            raise ValueError(f"block_size must be positive: {self.block_size}")
         if self.total_cells <= 0 or self.total_cells % self.block_size:
             raise ValueError(
                 f"total_cells ({self.total_cells}) must be a positive "
@@ -133,16 +194,27 @@ class Alpu:
         name: str = "alpu",
     ) -> None:
         self.config = config = config if config is not None else AlpuConfig()
-        self.blocks: List[CellBlock] = [
-            CellBlock(
-                config.kind,
-                config.block_size,
-                index=i,
-                match_width=config.match_width,
-                tag_width=config.tag_width,
-            )
-            for i in range(config.num_blocks)
-        ]
+        # ----------------------------------------------- SWAR lane constants
+        w = config.match_width
+        self._w = w
+        self._s = s = w + 1
+        self._t = config.tag_width
+        #: single-lane value mask / tag mask
+        self._lane = (1 << w) - 1
+        self._tag_mask = (1 << config.tag_width) - 1
+        #: one LSB per lane: multiplying by this replicates a lane value
+        self._comb = ((1 << config.total_cells * s) - 1) // ((1 << s) - 1)
+        #: every data bit of every lane (w low bits per lane)
+        self._lanes = self._lane * self._comb
+        #: every guard bit (bit w of each lane)
+        self._high = self._comb << w
+        self._stores_mask = config.kind is CellKind.POSTED_RECEIVE
+        # ------------------------------------------------------ packed state
+        self._bits = 0
+        self._mask = 0
+        self._tags = 0
+        self._valid = 0
+        self._valid_guard = 0
         self.mode = AlpuMode.MATCH
         #: responses in result-FIFO order
         self.results: Deque[Response] = deque()
@@ -172,8 +244,8 @@ class Alpu:
 
     @property
     def occupancy(self) -> int:
-        """Number of valid entries currently stored."""
-        return sum(block.occupancy for block in self.blocks)
+        """Number of valid entries currently stored (a popcount)."""
+        return self._valid.bit_count()
 
     @property
     def free_entries(self) -> int:
@@ -188,21 +260,19 @@ class Alpu:
     def entries(self) -> List[MatchEntry]:
         """Stored entries in priority (oldest-first) order, skipping holes."""
         ordered: List[MatchEntry] = []
-        size = self.config.block_size
-        for block in reversed(self.blocks):
-            for local in range(size - 1, -1, -1):
-                snap = block.entry_at(local)
-                if snap is not None:
-                    ordered.append(snap)
+        s, t, lane, tag_mask = self._s, self._t, self._lane, self._tag_mask
+        valid = self._valid
+        while valid:
+            cell = valid.bit_length() - 1
+            valid ^= 1 << cell
+            ordered.append(
+                MatchEntry(
+                    bits=self._bits >> cell * s & lane,
+                    mask=self._mask >> cell * s & lane,
+                    tag=self._tags >> cell * t & tag_mask,
+                )
+            )
         return ordered
-
-    def _cell(self, global_index: int) -> Cell:
-        """Materialized snapshot of one cell (tests/diagnostics only --
-        the packed state in :class:`CellBlock` is the model of record)."""
-        block_index, local = divmod(global_index, self.config.block_size)
-        block = self.blocks[block_index]
-        bits, mask, tag, valid = block.cell_tuple(local)
-        return Cell(block.kind, bits=bits, mask=mask, tag=tag, valid=valid)
 
     # =============================================================== headers
     def present_header(self, request: MatchRequest) -> List[Response]:
@@ -243,44 +313,63 @@ class Alpu:
         """One full match pipeline pass: compare, prioritize, delete."""
         self.stats.matches_attempted += 1
         self._m_matches.inc()
-        # stage 1: fan the request out; each block registers its own copy
-        for block in self.blocks:
-            block.register_request(request)
-        # stages 2-3: per-cell compares + in-block priority muxing;
-        # stage 4: between-block prioritization (oldest block wins)
-        found_block = -1
-        local_location = -1
-        tag = 0
-        for block_index in range(len(self.blocks) - 1, -1, -1):
-            matched, location, block_tag = self.blocks[block_index].match()
-            if matched:
-                found_block, local_location, tag = block_index, location, block_tag
-                break
-        if found_block < 0:
+        tag = self._take_oldest_match(request)
+        if tag is None:
             self.stats.match_failures += 1
             self._m_failures.inc()
             return False, MatchFailure()
-        # stages 5-6: broadcast the delete and shift-compact
-        self._delete_at(found_block, local_location)
         self.stats.match_successes += 1
         self._m_successes.inc()
         if self._g_occupancy.enabled:
             self._g_occupancy.set(self.occupancy)
         return True, MatchSuccess(tag=tag)
 
-    def _delete_at(self, block_index: int, local_location: int) -> None:
-        """Delete-on-match: everything below the match shifts up one.
+    def _take_oldest_match(self, request: MatchRequest) -> Optional[int]:
+        """Compare every cell, pick the oldest hit, delete it; its tag.
 
-        "On a successful match ... the match location is broadcast to all
-        of the cell blocks.  Cells at, and below, the match location are
-        enabled while cells above it are not."  The shift crosses block
-        boundaries freely (unlike insert-mode compaction).
+        The whole-array compare and priority encode are described in the
+        module docstring.  Delete-on-match: "Cells at, and below, the
+        match location are enabled while cells above it are not" -- the
+        shift crosses block boundaries freely (unlike insert-mode
+        compaction).
         """
-        size = self.config.block_size
-        for current in range(block_index, -1, -1):
-            through = local_location if current == block_index else size - 1
-            incoming = self.blocks[current - 1].top_cell() if current > 0 else None
-            self.blocks[current].shift_up_through(through, incoming)
+        comb = self._comb
+        x = (
+            (self._bits ^ request.bits * comb)
+            & ~(self._mask | request.mask * comb)
+            & self._lanes
+        )
+        hit = (self._high - x) & self._valid_guard
+        if not hit:
+            return None
+        cell = (hit.bit_length() - 1 - self._w) // self._s
+        tag = self._tags >> cell * self._t & self._tag_mask
+        self._shift_up_through(cell)
+        return tag
+
+    def _shift_up_through(self, cell: int) -> None:
+        """Shift cells ``[0, cell]`` up one lane; cell 0 empties.
+
+        Per field of stride ``f``: the lanes above ``cell`` stay, the
+        lanes below it move up one, and whatever sat in ``cell`` is
+        overwritten -- ``X >> (cell+1)*f << (cell+1)*f | (X & below) << f``.
+        """
+        s, t = self._s, self._t
+        keep_s = (cell + 1) * s
+        keep_t = (cell + 1) * t
+        below_s = (1 << cell * s) - 1
+        below_t = (1 << cell * t) - 1
+        below_v = (1 << cell) - 1
+        self._bits = self._bits >> keep_s << keep_s | (self._bits & below_s) << s
+        self._mask = self._mask >> keep_s << keep_s | (self._mask & below_s) << s
+        self._tags = self._tags >> keep_t << keep_t | (self._tags & below_t) << t
+        self._valid_guard = (
+            self._valid_guard >> keep_s << keep_s
+            | (self._valid_guard & below_s) << s
+        )
+        self._valid = (
+            self._valid >> cell + 1 << cell + 1 | (self._valid & below_v) << 1
+        )
 
     # ============================================================== commands
     def submit(self, command: Command) -> List[Response]:
@@ -330,13 +419,17 @@ class Alpu:
         Requests in flight resolve against an empty array (all failures),
         preserving one-response-per-header.
         """
-        for block in self.blocks:
-            block.clear_valid()
+        self._clear_valid()
         self.mode = AlpuMode.MATCH
         self.stats.resets += 1
         self._m_resets.inc()
         self._g_occupancy.set(0)
         return self._drain_pending()
+
+    def _clear_valid(self) -> None:
+        """Drop every valid bit; stored data is don't-care."""
+        self._valid = 0
+        self._valid_guard = 0
 
     # =============================================================== inserts
     def _insert(self, command: Insert) -> None:
@@ -350,17 +443,13 @@ class Alpu:
         # the insert point is the youngest cell; if occupied, compaction
         # must first migrate a hole down to it (each step is one clock)
         stall = 0
-        youngest = self.blocks[0]
-        while youngest.bottom_valid:
+        while self._valid & 1:
             if not self.compact_step():
                 raise AlpuError("compaction cannot free the insert cell")
             stall += 1
         self.stats.insert_stall_cycles += stall
         self._m_insert_stalls.inc(stall)
-        entry = MatchEntry(
-            bits=command.match_bits, mask=command.mask_bits, tag=command.tag
-        )
-        youngest.load(0, entry)
+        self._load_youngest(command)
         self.stats.inserts += 1
         self._m_inserts.inc()
         if self._g_occupancy.enabled:
@@ -368,6 +457,17 @@ class Alpu:
         # the pipeline allows inserts every other cycle because data shifts
         # up one position on the intervening clock; model that free step
         self.compact_step()
+
+    def _load_youngest(self, command: Insert) -> None:
+        """Latch an INSERT into cell 0 (the unexpected-message cell has
+        no mask storage, Fig. 2b, so its mask is dropped)."""
+        lane = self._lane
+        mask = command.mask_bits if self._stores_mask else 0
+        self._bits = self._bits & ~lane | command.match_bits
+        self._mask = self._mask & ~lane | mask
+        self._tags = self._tags & ~self._tag_mask | command.tag
+        self._valid |= 1
+        self._valid_guard |= 1 << self._w
 
     # ============================================================ compaction
     def compact_step(self) -> bool:
@@ -404,68 +504,56 @@ class Alpu:
         return lowest_valid + (~above & (above + 1)).bit_length() - 1
 
     def _compact_step_global(self) -> bool:
-        size = self.config.block_size
-        # find the globally lowest hole with valid data below it
-        combined = 0
-        for block_index, block in enumerate(self.blocks):
-            combined |= block.valid_mask << (block_index * size)
-        if not combined:
+        if not self._valid:
             return False
-        hole = self._lowest_hole_with_valid_below(combined)
+        hole = self._lowest_hole_with_valid_below(self._valid)
         if hole >= self.capacity:
             return False
-        block_index, local = divmod(hole, size)
-        self._delete_like_shift(block_index, local)
+        self._shift_up_through(hole)
         return True
 
     def _compact_step_block(self) -> bool:
-        size = self.config.block_size
-        blocks = self.blocks
-        count = len(blocks)
-        start_valid = [block.valid_mask for block in blocks]
+        """Plan every block from cycle-start valid bits, then move once.
 
-        FULL = -1
-        plans: List[Optional[int]] = []
+        Each plan is a run of *moving* cells that shift up one lane: a
+        FULL block moves all its cells (its top crossing into the next
+        block's empty cell 0), a hole plan moves the cells below the
+        hole.  The changed region is the moving cells and their
+        destinations; a region cell whose younger neighbour does not move
+        reads zeros, exactly like cell 0 under a delete.
+        """
+        size = self.config.block_size
+        count = self.config.num_blocks
+        s, t = self._s, self._t
+        block_full = (1 << size) - 1
+        valid = self._valid
+        moving = moving_s = moving_t = 0
         for index in range(count):
-            valid_mask = start_valid[index]
-            plan: Optional[int] = None
-            if valid_mask:
-                if index + 1 < count and not start_valid[index + 1] & 1:
-                    plan = FULL
-                else:
-                    hole = self._lowest_hole_with_valid_below(valid_mask)
-                    if hole < size:
-                        plan = hole
-            plans.append(plan)
-
-        if all(plan is None for plan in plans):
+            base = index * size
+            block_valid = valid >> base & block_full
+            if not block_valid:
+                continue
+            if index + 1 < count and not valid >> base + size & 1:
+                run = size
+            else:
+                run = self._lowest_hole_with_valid_below(block_valid)
+                if run >= size:
+                    continue
+            moving |= ((1 << run) - 1) << base
+            moving_s |= ((1 << run * s) - 1) << base * s
+            moving_t |= ((1 << run * t) - 1) << base * t
+        if not moving:
             return False
-
-        # apply oldest-first so each block reads its younger neighbour's
-        # cycle-start top cell before that neighbour shifts
-        for index in range(count - 1, -1, -1):
-            plan = plans[index]
-            incoming = None
-            if index > 0 and plans[index - 1] == FULL:
-                incoming = blocks[index - 1].top_cell()
-            if plan == FULL:
-                blocks[index].shift_up_through(size - 1, incoming)
-            elif plan is not None:
-                blocks[index].shift_up_through(plan, incoming)
-            elif incoming is not None:
-                blocks[index].set_bottom(incoming)
-        # a FULL block's top was consumed by its older neighbour's cell 0;
-        # shift_up_through already rewrote every cell it owned, and the
-        # incoming latch above completes the cross-block move, so nothing
-        # is left dangling.
+        keep_s = ~(moving_s | moving_s << s)
+        keep_t = ~(moving_t | moving_t << t)
+        self._bits = self._bits & keep_s | (self._bits & moving_s) << s
+        self._mask = self._mask & keep_s | (self._mask & moving_s) << s
+        self._tags = self._tags & keep_t | (self._tags & moving_t) << t
+        self._valid_guard = (
+            self._valid_guard & keep_s | (self._valid_guard & moving_s) << s
+        )
+        self._valid = valid & ~(moving | moving << 1) | (valid & moving) << 1
         return True
-
-    def _delete_like_shift(self, block_index: int, local_location: int) -> None:
-        size = self.config.block_size
-        for current in range(block_index, -1, -1):
-            through = local_location if current == block_index else size - 1
-            incoming = self.blocks[current - 1].top_cell() if current > 0 else None
-            self.blocks[current].shift_up_through(through, incoming)
 
     # ============================================================ validation
     def _check_widths(self, bits: int, mask: int) -> None:

@@ -1,15 +1,12 @@
-"""Golden reference: an ordered linear match list.
+"""Golden reference: an ordered linear match list, the ALPU's test oracle.
 
 Every MPI implementation the paper surveys represents the posted-receive
 and unexpected queues as linear lists with first-match-wins semantics.
-:class:`ReferenceMatchList` is that list.  It serves two purposes:
-
-1. **Differential oracle.**  The ALPU, for any interleaving of inserts and
-   matches, must behave exactly like this list.  The hypothesis-based
-   property suite drives both with the same traffic and compares.
-2. **The software queue.**  The baseline NIC firmware and the "portion of
-   the list not yet loaded into the ALPU" in the accelerated firmware both
-   search a structure with exactly these semantics.
+:class:`ReferenceMatchList` is that list, kept as the differential
+oracle: the ALPU, for any interleaving of inserts and matches, must
+behave exactly like it, and the hypothesis property suite drives both
+with the same traffic and compares.  (The NIC's own software queues live
+in :mod:`repro.nic`; nothing in the simulator runs on this class.)
 """
 
 from __future__ import annotations
@@ -39,8 +36,7 @@ class ReferenceMatchList:
         """Find-and-remove the first (oldest) matching entry.
 
         Returns ``(entry, entries_traversed)``; ``entry`` is None on a
-        failed match, in which case every entry was traversed.  The
-        traversal count is what the baseline firmware pays for.
+        failed match, in which case every entry was traversed.
         """
         for index, entry in enumerate(self._entries):
             if entry.matches_request(request):

@@ -9,8 +9,7 @@ from __future__ import annotations
 import dataclasses
 from typing import List
 
-from repro.core.alpu import AlpuConfig
-from repro.core.cell import CellKind
+from repro.core import AlpuConfig, CellKind
 from repro.core.pipeline import match_latency_cycles
 from repro.fpga.resources import estimate_resources
 from repro.fpga.timing import clock_mhz

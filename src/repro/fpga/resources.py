@@ -32,8 +32,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.core.alpu import AlpuConfig
-from repro.core.cell import CellKind
+from repro.core import AlpuConfig, CellKind
 
 #: per-block control/pipeline registers: base + per-cell shift enables
 CTRL_BASE = 37.0

@@ -21,8 +21,7 @@ import dataclasses
 from collections import deque
 from typing import Optional
 
-from repro.core.alpu import AlpuConfig
-from repro.core.cell import CellKind
+from repro.core import AlpuConfig, CellKind
 from repro.core.match import MatchRequest
 from repro.core.pipeline import AlpuTimingModel
 from repro.memory.layout import AddressAllocator

@@ -23,7 +23,7 @@ pipeline occupancy from :class:`~repro.core.pipeline.AlpuTimingModel` --
 and are pinned in ``tests/workloads/pinned_grid.json`` exactly like
 the system points.  Wall-clock events/sec, in contrast, tracks the
 Python cost of the core model almost 1:1, which makes this the point
-where the SWAR vectorization of :mod:`repro.core.block` is visible
+where the SWAR layout of :mod:`repro.core.alpu` is visible
 undiluted: the historical before/after table in EXPERIMENTS.md is
 anchored here.
 """
@@ -34,8 +34,7 @@ import dataclasses
 import statistics
 from typing import List, Optional
 
-from repro.core.alpu import AlpuConfig
-from repro.core.cell import CellKind
+from repro.core import AlpuConfig, CellKind
 from repro.core.commands import (
     Insert,
     MatchFailure,

@@ -7,6 +7,7 @@ from repro.core.alpu import (
     AlpuConfig,
     AlpuError,
     AlpuMode,
+    CellKind,
     CompactionReach,
 )
 from repro.core.commands import (
@@ -19,6 +20,8 @@ from repro.core.commands import (
     StopInsert,
 )
 from repro.core.match import MatchFormat, MatchRequest
+
+from tests.core.percell import flat_cells
 
 FMT = MatchFormat()
 
@@ -123,6 +126,28 @@ def test_ordering_across_block_boundaries():
         ]
 
 
+def test_oldest_hit_wins_over_an_older_miss_and_younger_hits():
+    """Within one block, the oldest *matching* cell wins (the mux tree)."""
+    alpu = make(total=4, block=4)
+    insert_many(alpu, [(7, 0, 1), (5, 0, 2), (5, 0, 3), (5, 0, 4)])
+    assert alpu.present_header(MatchRequest(bits=5)) == [MatchSuccess(tag=2)]
+    assert [e.tag for e in alpu.entries()] == [1, 3, 4]
+
+
+def test_unexpected_alpu_drops_stored_masks_and_honours_request_mask():
+    """Fig. 2b: the unexpected-message cell has no mask storage; the
+    wildcards arrive as inputs with the receive being posted."""
+    alpu = make(kind=CellKind.UNEXPECTED)
+    header = FMT.pack(1, 7, 5)
+    insert_many(alpu, [(header, FMT.source_field_mask, 1)])
+    assert [e.mask for e in alpu.entries()] == [0]
+    # the dropped mask makes no wildcard: another source misses...
+    assert alpu.present_header(MatchRequest(FMT.pack(1, 8, 5))) == [MatchFailure()]
+    # ...but a receive carrying ANY_SOURCE as its input mask matches
+    bits, mask = FMT.pack_receive(1, -1, 5)
+    assert alpu.present_header(MatchRequest(bits, mask)) == [MatchSuccess(tag=1)]
+
+
 def test_wildcard_entries_match_by_priority_not_specificity():
     """Unlike LPM routing, ordering beats specificity (Section II)."""
     alpu = make()
@@ -140,6 +165,26 @@ def test_deletion_preserves_survivor_order():
     insert_many(alpu, [(i, 0, i) for i in range(6)])
     alpu.present_header(MatchRequest(bits=3))
     assert [e.tag for e in alpu.entries()] == [0, 1, 2, 4, 5]
+
+
+@pytest.mark.parametrize("total,block", [(8, 4), (16, 4), (8, 8), (32, 8)])
+def test_match_at_every_cell_shifts_only_the_younger_cells(total, block):
+    """Delete-on-match at cell g: the cells above g keep their contents,
+    the cells below g move up one lane (across block boundaries) and
+    cell 0 empties to zeros."""
+    for target in range(total):
+        alpu = make(total=total, block=block)
+        insert_many(alpu, [(i + 1, 1 << 41, i) for i in range(total)])
+        before = flat_cells(alpu)
+        bits, _, tag, _ = before[target]
+        assert alpu.present_header(MatchRequest(bits=bits)) == [
+            MatchSuccess(tag=tag)
+        ]
+        after = flat_cells(alpu)
+        assert after[target + 1:] == before[target + 1:]
+        assert after[1:target + 1] == before[:target]
+        assert after[0] == (0, 0, 0, False)
+        assert alpu.occupancy == total - 1
 
 
 # ---------------------------------------------------- insert-mode holding
@@ -219,7 +264,11 @@ def test_width_checks():
     with pytest.raises(AlpuError):
         alpu2.submit(Insert(1 << 42, 0, 0))
     with pytest.raises(AlpuError):
+        alpu2.submit(Insert(0, 1 << 42, 0))
+    with pytest.raises(AlpuError):
         alpu2.submit(Insert(0, 0, 1 << 16))
+    with pytest.raises(AlpuError):
+        alpu2.submit(Insert(-1, 0, 0))
 
 
 def test_config_validation():
@@ -227,6 +276,25 @@ def test_config_validation():
         AlpuConfig(total_cells=10, block_size=4)  # not a multiple
     with pytest.raises(ValueError):
         AlpuConfig(total_cells=24, block_size=12)  # not a power of two
+    with pytest.raises(ValueError):
+        AlpuConfig(total_cells=16, block_size=0)
+    with pytest.raises(ValueError):
+        AlpuConfig(total_cells=0, block_size=4)
+
+
+@pytest.mark.parametrize(
+    "geometry",
+    [
+        *({"total_cells": 60, "block_size": size} for size in (-4, 3, 5, 6, 12)),
+        {"match_width": 0},
+        {"match_width": -1},
+        {"tag_width": 0},
+    ],
+)
+def test_config_rejects_bad_geometry(geometry):
+    """Non-power-of-two or non-positive block sizes, non-positive widths."""
+    with pytest.raises(ValueError):
+        AlpuConfig(**{"total_cells": 8, "block_size": 4, **geometry})
 
 
 # ------------------------------------------------------------ compaction
@@ -237,8 +305,7 @@ def test_data_drifts_toward_the_oldest_end():
     for _ in range(10):
         alpu.compact_step()
     # the single entry should have migrated to the highest cell
-    assert alpu._cell(7).valid
-    assert not alpu._cell(0).valid
+    assert alpu._valid == 1 << 7
 
 
 def test_compaction_preserves_order():
@@ -258,6 +325,70 @@ def test_global_reach_behaves_like_block_reach_for_ordering():
         for _ in range(30):
             alpu.compact_step()
         assert [e.tag for e in alpu.entries()] == [0, 1, 2, 3, 5, 6, 7, 8]
+
+
+@pytest.mark.parametrize(
+    "valid,hole",
+    [(0b1, 1), (0b1011, 2), (0b1100, 4), (0b10110, 3), (0b1111, 4)],
+)
+def test_lowest_hole_with_valid_below(valid, hole):
+    """Holes below the lowest valid cell have nothing to pull down; a
+    hole-free run reports a position past it (callers bound it)."""
+    assert Alpu._lowest_hole_with_valid_below(valid) == hole
+
+
+def place(alpu, cells):
+    """Latch entries straight into the packed cells; tag = cell index."""
+    for cell in cells:
+        alpu._tags |= cell << cell * alpu._t
+        alpu._valid |= 1 << cell
+        alpu._valid_guard |= 1 << cell * alpu._s + alpu._w
+
+
+BLOCK, GLOBAL = CompactionReach.BLOCK, CompactionReach.GLOBAL
+
+
+@pytest.mark.parametrize(
+    "reach,cells,after",
+    [
+        # two blocks each pull their own hole down in the same clock...
+        (BLOCK, (0, 2, 3, 4, 5, 6), 0b11101110),
+        # ...where GLOBAL reach moves only the run below the lowest hole
+        (GLOBAL, (0, 2, 3, 4, 5, 6), 0b01111110),
+        # a block whose older neighbour's lowest cell is free moves whole
+        (BLOCK, (0, 1, 2, 3, 5, 6, 7), 0b11111110),
+        (GLOBAL, (0, 1, 2, 3, 5, 6, 7), 0b11111110),
+        # a full block stays put while the next block's lowest cell is
+        # occupied; GLOBAL reach shifts across it to the hole above
+        (BLOCK, (0, 1, 2, 3, 4), 0b00101111),
+        (GLOBAL, (0, 1, 2, 3, 4), 0b00111110),
+    ],
+)
+def test_one_compaction_clock(reach, cells, after):
+    alpu = make(total=8, block=4, compaction_reach=reach)
+    place(alpu, cells)
+    assert alpu.compact_step()
+    assert alpu._valid == after
+    # moving cells carry their contents: order is preserved
+    assert [e.tag for e in alpu.entries()] == sorted(cells, reverse=True)
+
+
+@pytest.mark.parametrize(
+    "reach,stalls,steps",
+    [(CompactionReach.BLOCK, 11, 31), (CompactionReach.GLOBAL, 0, 20)],
+)
+def test_insert_stall_and_compaction_cycles(reach, stalls, steps):
+    """Refilling the youngest block of a full ALPU: under BLOCK reach the
+    full older block cannot take a shift, so inserts stall until holes
+    migrate; GLOBAL reach always has the hole ready."""
+    alpu = make(total=16, block=4, compaction_reach=reach)
+    insert_many(alpu, [(i, 0, i) for i in range(16)])
+    for oldest in range(4):
+        alpu.present_header(MatchRequest(bits=oldest))
+    insert_many(alpu, [(100 + i, 0, 100 + i) for i in range(4)])
+    assert alpu.stats.insert_stall_cycles == stalls
+    assert alpu.stats.compaction_steps == steps
+    assert [e.tag for e in alpu.entries()] == [*range(4, 16), 100, 101, 102, 103]
 
 
 def test_compact_step_reports_quiescence():

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.core.alpu import AlpuConfig
-from repro.core.cell import CellKind
+from repro.core import AlpuConfig, CellKind
 from repro.fpga.report import (
     TABLE_IV_PUBLISHED,
     TABLE_V_PUBLISHED,

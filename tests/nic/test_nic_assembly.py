@@ -1,7 +1,7 @@
 """Tests for NIC assembly and its hardware hooks."""
 
 
-from repro.core.cell import CellKind
+from repro.core import CellKind
 from repro.network.fabric import Fabric
 from repro.network.packet import Packet, PacketKind
 from repro.nic.host_interface import PostRecv, PostSend

@@ -44,21 +44,6 @@ class ReferenceMatchList:
                 return entry, index + 1
         return None, len(self._entries)
 
-    def peek_match(self, request: MatchRequest) -> Tuple[Optional[MatchEntry], int]:
-        """As :meth:`match` but without removing the entry."""
-        for index, entry in enumerate(self._entries):
-            if entry.matches_request(request):
-                return entry, index + 1
-        return None, len(self._entries)
-
-    def remove_by_tag(self, tag: int) -> Optional[MatchEntry]:
-        """Remove the oldest entry with the given tag (ALPU said it matched)."""
-        for index, entry in enumerate(self._entries):
-            if entry.tag == tag:
-                del self._entries[index]
-                return entry
-        return None
-
     def snapshot(self) -> List[MatchEntry]:
         """Copy of the entries, oldest first."""
         return list(self._entries)

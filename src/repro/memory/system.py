@@ -17,7 +17,7 @@ load-to-use path in Table III's bands: 30-32 cycles at 500 MHz for the NIC
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.memory.cache import _ABSENT, Cache, CacheConfig
 from repro.memory.dram import Dram, DramConfig
@@ -71,8 +71,8 @@ class MemorySystem:
         self._counted = [
             (cache, name) for cache in levels for name in ("hits", "misses", "writebacks")
         ] + [(self.dram, name) for name in ("page_hits", "page_misses", "page_conflicts")]
-        #: the last long walk: ((addrs, state before), state after,
-        #: counter deltas, stall) -- one entry, so memory stays bounded
+        #: the last long walk: (key, sets after, open rows after, counter
+        #: deltas, stall) -- one entry, so memory stays bounded
         self._replay: Optional[tuple] = None
         #: long walks answered from :attr:`_replay` rather than simulated
         #: (host work, not a simulated event: :meth:`reset_stats` keeps it)
@@ -106,7 +106,7 @@ class MemorySystem:
                 stall += self._lines((self._place(index * line),), write)
         return stall
 
-    def read_lines(self, addrs: Iterable[int]) -> int:
+    def read_lines(self, addrs: List[int]) -> int:
         """Read whole lines in order; returns their summed stall in ps.
 
         Each address must start a line.  The result -- stall, cache and
@@ -116,37 +116,44 @@ class MemorySystem:
         revisits the same entries over and over, so placements are
         memoised: safe, since a placement is a pure function of the
         address and the frozen configs.  A walk longer than the caches
-        hold goes through :meth:`_long_walk`, which replays a repeat.
+        hold goes through :meth:`_long_walk`, which replays a repeat and
+        keeps ``addrs`` for that, so the caller must not mutate it.
         """
-        addrs = tuple(addrs)
         if len(addrs) > self._capacity:
             return self._long_walk(addrs)
         return self._walk(addrs)
 
-    def _walk(self, addrs: Tuple[int, ...]) -> int:
+    def _walk(self, addrs: List[int]) -> int:
         """Simulate a walk through memoised placements."""
         walked = self._walked
         remember = self._remember
         return self._lines([walked.get(a) or remember(a) for a in addrs], False)
 
-    def _long_walk(self, addrs: Tuple[int, ...]) -> int:
+    def _long_walk(self, addrs: List[int]) -> int:
         """Simulate a long walk, or replay it when it repeats the last one.
 
         A walk's effect is a pure function of its addresses, every set's
-        LRU-ordered ``(tag, dirty)`` items and the DRAM open rows.  When
-        all of these equal the last long walk's, its recorded after-state
-        is restored and its counter deltas are added -- exactly what
-        simulating again would do.  Restores mutate the existing dicts
-        (placements and the caches hold references to them).
+        LRU-ordered tags and dirty bits and the DRAM open rows.  When all
+        of these equal the last long walk's, its recorded after-state is
+        restored and its counter deltas are added -- exactly what
+        simulating again would do.  The key holds one tag list and one
+        dirty-bit list per set; restores refill the existing dicts in
+        place (placements and the caches hold references to them).
         """
-        key = (addrs, self._state())
+        sets = self._all_sets
+        open_rows = self.dram._open_rows
+        key = (
+            addrs,
+            [*map(list, sets)],
+            [*map(list, map(dict.values, sets))],
+            list(open_rows.items()),
+        )
         record = self._replay
         if record is not None and record[0] == key:
-            _, (sets, rows), deltas, stall = record
-            for cache_set, items in zip(self._all_sets, sets):
+            _, after, rows, deltas, stall = record
+            for cache_set, items in zip(sets, after):
                 cache_set.clear()
                 cache_set.update(items)
-            open_rows = self.dram._open_rows
             open_rows.clear()
             open_rows.update(rows)
             for (owner, name), delta in zip(self._counted, deltas):
@@ -160,15 +167,10 @@ class MemorySystem:
             getattr(owner, name) - count
             for (owner, name), count in zip(self._counted, before)
         ]
-        self._replay = (key, self._state(), deltas, stall)
-        return stall
-
-    def _state(self) -> tuple:
-        """Cache contents in LRU order with dirty bits, and DRAM open rows."""
-        return (
-            tuple(map(tuple, map(dict.items, self._all_sets))),
-            tuple(self.dram._open_rows.items()),
+        self._replay = (
+            key, [*map(dict.copy, sets)], open_rows.copy(), deltas, stall
         )
+        return stall
 
     def _place(self, line_addr: int) -> Placement:
         """Where a line lives: L1 set and tag, DRAM bank and row."""

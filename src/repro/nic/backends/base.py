@@ -158,20 +158,31 @@ class MatchBackend(abc.ABC):
         tracing = tracer.enabled
         if tracing:
             tracer.begin("nic", f"{self.nic.name}.search.{queue.name}")
-        entries = queue.search_candidates(request, suffix_only=suffix_only)
         found: Optional[QueueEntry] = None
         # each visit reads the entry's first line (envelope + next
         # pointer); the compare is the ternary rule of
         # repro.core.match.matches with both masks honoured
-        visits = []
-        visit = visits.append
         req_bits = request.bits
         req_mask = request.mask
-        for entry in entries:
-            visit(entry.addr)
-            if not (entry.bits ^ req_bits) & ~(entry.mask | req_mask):
-                found = entry
-                break
+        if queue.discipline.fifo and not (req_mask or queue.masked):
+            # no mask on either side: the rule is bit equality, so the
+            # first equal entry in append order is the match
+            start = queue.alpu_count if suffix_only else 0
+            try:
+                pos = queue.bits.index(req_bits, start)
+            except ValueError:
+                visits = queue.addrs[start:]
+            else:
+                visits = queue.addrs[start:pos + 1]
+                found = queue.entries[pos]
+        else:
+            visits = []
+            visit = visits.append
+            for entry in queue.search_candidates(request, suffix_only=suffix_only):
+                visit(entry.addr)
+                if not (entry.bits ^ req_bits) & ~(entry.mask | req_mask):
+                    found = entry
+                    break
         # Nothing yields or touches memory between visits, so charging the
         # lines in one read_lines call (same order) is exact, and compare
         # cycles are linear in visits (cycles() is exact integer

@@ -119,6 +119,9 @@ class QueueDiscipline:
 
     #: registry name (informational)
     name = "?"
+    #: True when the candidates are always the queue in append order, so
+    #: a search may scan the queue's flat lists directly
+    fifo = False
 
     def attach(self, queue) -> None:
         """Bind to the queue this instance indexes (one queue each)."""
@@ -142,6 +145,7 @@ class FifoDiscipline(QueueDiscipline):
     """Plain append-order traversal (the historical behaviour)."""
 
     name = "fifo"
+    fifo = True
 
     def candidates(
         self, request: MatchRequest, *, suffix_only: bool = False
@@ -203,8 +207,14 @@ class ShardedDiscipline(QueueDiscipline):
         """Merge one shard with the wildcard shard by append sequence.
 
         Both maps iterate in insertion order, which is ascending
-        ``seq``, so a two-way merge yields global age order.
+        ``seq``, so a two-way merge yields global age order.  The
+        mirrored prefix is likewise every entry older than the first
+        unmirrored one, which ``suffix_only`` skips by ``seq``.
         """
+        floor = 0
+        if suffix_only:
+            first = self.queue.peek_software_suffix(1)
+            floor = first[0].seq if first else float("inf")
         it_a = iter(shard.values()) if shard else iter(())
         it_b = iter(self._wild.values())
         ea = next(it_a, None)
@@ -214,9 +224,8 @@ class ShardedDiscipline(QueueDiscipline):
                 out, ea = ea, next(it_a, None)
             else:
                 out, eb = eb, next(it_b, None)
-            if suffix_only and out.in_alpu:
-                continue
-            yield out
+            if out.seq >= floor:
+                yield out
 
 
 #: the discipline registry (``QdiscConfig.discipline`` values)

@@ -13,13 +13,17 @@ matches or is being advanced).  Entries are recycled through the
 allocator's free list, as the C++ firmware's allocator would, keeping a
 steady-state queue at stable addresses.
 
-The store is an insertion-ordered map keyed by entry uid, so ``append``,
-``remove`` and ``find_by_uid`` are all O(1) while iteration still walks
-FIFO order -- the million-message workloads churn these queues hard
-enough that the old ``list.index`` unlink turned quadratic.  *Which*
-entries a search visits (and in what order) is delegated to a pluggable
-:class:`~repro.nic.qdisc.QueueDiscipline`; the default FIFO discipline
-reproduces plain linear traversal bit-for-bit.
+The store is three parallel lists in FIFO order -- the entries, their
+match bits and their block addresses -- plus a count of entries with a
+nonzero mask.  An exact search over unmasked entries is then one
+C-level ``bits.index`` and its visits one slice of ``addrs``, and the
+ALPU-mirrored prefix is simply the first ``alpu_count`` positions.
+``remove`` locates an entry by identity (``list.index``, after an O(1)
+check of the tail); matches land near the head or the tail, where the
+unlink stays cheap.  *Which* entries a search visits (and in what order)
+is delegated to a pluggable :class:`~repro.nic.qdisc.QueueDiscipline`;
+the default FIFO discipline reproduces plain linear traversal
+bit-for-bit.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import itertools
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Iterable, Iterator, List, Optional
 
 from repro.core.match import MatchRequest
 from repro.memory.layout import AddressAllocator
@@ -81,9 +85,6 @@ class QueueEntry:
     #: queue-global append order (assigned by :meth:`NicQueue.append`);
     #: sharded disciplines merge shards on it to recover FIFO age order
     seq: int = 0
-    #: True while this entry is mirrored in the ALPU (the prefix); the
-    #: mirrored entries always form a prefix of the append order
-    in_alpu: bool = False
     #: unique id; doubles as the ALPU tag via the driver's tag table
     uid: int = dataclasses.field(default_factory=lambda: next(_entry_ids))
 
@@ -107,19 +108,26 @@ class NicQueue:
     The oldest ``alpu_count`` entries are mirrored in the ALPU; the
     suffix is software-only.  "A pointer is kept to indicate which
     portions of the postedRecvQ and unexpectedQ have been transferred to
-    the ALPU and which have not" -- here that pointer is the per-entry
-    ``in_alpu`` flag plus the ``alpu_count`` tally, which survives O(1)
-    mid-queue removals (the flagged entries always form a prefix of the
-    append order, because the driver only ever flags the oldest
-    unflagged entries).
+    the ALPU and which have not" -- here that pointer is ``alpu_count``:
+    the driver only ever mirrors the oldest unmirrored entries, so the
+    mirrored ones are always the first ``alpu_count`` positions, and a
+    removal inside the prefix shrinks it by one.
+
+    ``entries``, ``bits`` and ``addrs`` are parallel lists in FIFO
+    order, and ``masked`` counts the entries with a nonzero mask; all
+    four are read-only outside this class.
     """
 
     def __init__(self, name: str, allocator: AddressAllocator, discipline=None) -> None:
         self.name = name
         self.allocator = allocator
-        #: insertion-ordered uid -> entry map; dict order IS queue order
-        self._entries: Dict[int, QueueEntry] = {}
-        self._alpu_count = 0
+        self.entries: List[QueueEntry] = []
+        self.bits: List[int] = []
+        self.addrs: List[int] = []
+        self.masked = 0
+        #: how many of the oldest entries are mirrored in the ALPU (the
+        #: firmware's degrade path resets it to 0)
+        self.alpu_count = 0
         self._next_seq = 0
         self.max_length = 0
         #: telemetry depth gauge (no-op unless the NIC attaches a real one)
@@ -135,67 +143,27 @@ class NicQueue:
     def attach_depth_gauge(self, gauge) -> None:
         """Mirror this queue's length into a registry gauge on mutation."""
         self._depth_gauge = gauge
-        gauge.set(len(self._entries))
+        gauge.set(len(self.entries))
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.entries)
 
     def __iter__(self) -> Iterator[QueueEntry]:
-        return iter(self._entries.values())
-
-    @property
-    def entries(self) -> List[QueueEntry]:
-        """The queue in FIFO order, as a list (tests and diagnostics;
-        hot paths iterate the queue object itself instead)."""
-        return list(self._entries.values())
+        return iter(self.entries)
 
     # ------------------------------------------------------- ALPU prefix
-    @property
-    def alpu_count(self) -> int:
-        """How many of the oldest entries are mirrored in the ALPU."""
-        return self._alpu_count
-
-    @alpu_count.setter
-    def alpu_count(self, value: int) -> None:
-        """Re-derive the mirrored prefix to exactly ``value`` entries.
-
-        O(n): this is the recovery/diagnostic path (firmware degrade
-        resets it to 0; tests pin arbitrary prefixes).  The driver's hot
-        path extends the prefix with :meth:`mark_alpu_mirrored` instead.
-        """
-        count = 0
-        for entry in self._entries.values():
-            entry.in_alpu = count < value
-            count += 1
-        self._alpu_count = min(value, count)
-
     def peek_software_suffix(self, limit: int) -> List[QueueEntry]:
-        """The oldest ``limit`` not-yet-mirrored entries, in FIFO order.
+        """The oldest ``limit`` not-yet-mirrored entries, in FIFO order."""
+        start = self.alpu_count
+        return self.entries[start:start + limit]
 
-        O(prefix + limit): the mirrored entries form a prefix of the
-        append order, so the scan stops as soon as the batch is full.
+    def mark_alpu_mirrored(self, batch: List[QueueEntry]) -> None:
+        """Extend the prefix over a just-inserted driver batch.
+
+        The batch must be the oldest unmirrored entries (what
+        :meth:`peek_software_suffix` returned).
         """
-        batch: List[QueueEntry] = []
-        for entry in self._entries.values():
-            if entry.in_alpu:
-                continue
-            batch.append(entry)
-            if len(batch) >= limit:
-                break
-        return batch
-
-    def mark_alpu_mirrored(self, batch: Iterable[QueueEntry]) -> None:
-        """Flag a just-inserted driver batch as ALPU-resident.
-
-        The batch must be the oldest unflagged entries (what
-        :meth:`peek_software_suffix` returned), preserving the
-        prefix invariant.
-        """
-        moved = 0
-        for entry in batch:
-            entry.in_alpu = True
-            moved += 1
-        self._alpu_count += moved
+        self.alpu_count += len(batch)
 
     # ------------------------------------------------------------ mutation
     def allocate_entry(
@@ -217,21 +185,31 @@ class NicQueue:
         """Link an entry at the tail (the youngest end)."""
         entry.seq = self._next_seq
         self._next_seq += 1
-        entry.in_alpu = False
-        self._entries[entry.uid] = entry
-        depth = len(self._entries)
+        self.entries.append(entry)
+        self.bits.append(entry.bits)
+        self.addrs.append(entry.addr)
+        if entry.mask:
+            self.masked += 1
+        depth = len(self.entries)
         if depth > self.max_length:
             self.max_length = depth
         self._depth_gauge.set(depth)
         self.discipline.on_append(entry)
 
     def remove(self, entry: QueueEntry) -> None:
-        """Unlink an entry in O(1); adjusts the ALPU-prefix tally."""
-        del self._entries[entry.uid]
-        if entry.in_alpu:
-            entry.in_alpu = False
-            self._alpu_count -= 1
-        self._depth_gauge.set(len(self._entries))
+        """Unlink an entry; adjusts the ALPU-prefix count."""
+        entries = self.entries
+        pos = len(entries) - 1
+        if entries[pos] is not entry:  # the tail is O(1); else scan from the head
+            pos = entries.index(entry)
+        del entries[pos]
+        del self.bits[pos]
+        del self.addrs[pos]
+        if entry.mask:
+            self.masked -= 1
+        if pos < self.alpu_count:
+            self.alpu_count -= 1
+        self._depth_gauge.set(len(entries))
         self.discipline.on_remove(entry)
 
     def release(self, entry: QueueEntry) -> None:
@@ -240,7 +218,7 @@ class NicQueue:
 
     def reset_stats(self) -> None:
         """Zero the high-water mark (between benchmark phases/runs)."""
-        self.max_length = len(self._entries)
+        self.max_length = len(self.entries)
 
     # ------------------------------------------------------------- lookups
     def search_candidates(
@@ -254,25 +232,20 @@ class NicQueue:
         """
         return self.discipline.candidates(request, suffix_only=suffix_only)
 
-    def iter_fifo(self, *, suffix_only: bool = False) -> Iterable[QueueEntry]:
-        """Append-order iteration, optionally skipping the ALPU prefix.
+    def iter_fifo(self, *, suffix_only: bool = False) -> List[QueueEntry]:
+        """Append order, optionally without the ALPU prefix.
 
-        With no prefix to skip this returns the raw store view (no
-        generator frame on the search hot path).
+        With no prefix to skip this returns the store itself (no copy on
+        the search hot path).
         """
-        if suffix_only and self._alpu_count:
-            return self._iter_suffix()
-        return self._entries.values()
-
-    def _iter_suffix(self) -> Iterator[QueueEntry]:
-        for entry in self._entries.values():
-            if not entry.in_alpu:
-                yield entry
+        if suffix_only and self.alpu_count:
+            return self.entries[self.alpu_count:]
+        return self.entries
 
     def software_suffix(self) -> List[QueueEntry]:
         """Entries not (yet) mirrored in the ALPU."""
-        return list(self.iter_fifo(suffix_only=True))
+        return self.entries[self.alpu_count:]
 
     def find_by_uid(self, uid: int) -> Optional[QueueEntry]:
-        """O(1) lookup by unique id (diagnostics only)."""
-        return self._entries.get(uid)
+        """Linear lookup by unique id (diagnostics only)."""
+        return next((entry for entry in self.entries if entry.uid == uid), None)

@@ -10,7 +10,7 @@ processes with ``yield delay(...)``.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import List, Optional
 
 from repro.memory.system import MemorySystem
 from repro.sim.component import ClockedComponent
@@ -55,7 +55,7 @@ class Processor(ClockedComponent):
         self.stall_ps += stall
         return stall
 
-    def read_lines(self, addrs: Iterable[int]) -> int:
+    def read_lines(self, addrs: List[int]) -> int:
         """Charge whole-line reads in order (a list walk); returns the stall ps.
 
         Same charge as one :meth:`touch` of a line per address, in one call.

@@ -40,24 +40,6 @@ def test_failed_match_traverses_everything():
     assert len(queue) == 3  # nothing removed
 
 
-def test_peek_match_does_not_remove():
-    queue = ReferenceMatchList()
-    queue.append(entry(1, 2, 3, payload=7))
-    matched, _ = queue.peek_match(MatchRequest(FMT.pack(1, 2, 3)))
-    assert matched.tag == 7
-    assert len(queue) == 1
-
-
-def test_remove_by_tag():
-    queue = ReferenceMatchList()
-    queue.append(entry(1, 2, 3, payload=5))
-    queue.append(entry(1, 2, 4, payload=6))
-    removed = queue.remove_by_tag(6)
-    assert removed is not None
-    assert [e.tag for e in queue] == [5]
-    assert queue.remove_by_tag(99) is None
-
-
 def test_snapshot_is_a_copy():
     queue = ReferenceMatchList()
     queue.append(entry(1, 2, 3, payload=1))

@@ -5,8 +5,8 @@ Three layers of assurance:
 * unit tests of the sharded discipline's search-order contract directly
   against a :class:`NicQueue` (merged age order, wildcard fallbacks);
 * a hypothesis property run interleaving append/remove/degrade under
-  every registered discipline, pinning the ALPU-prefix invariant, the
-  depth gauge, and candidate order against a model list;
+  every registered discipline, pinning the flat store, the ALPU prefix,
+  the depth gauge, and candidate order against a model list;
 * the full differential gate: generated traffic through a sharded NIC
   must produce the matching oracle's exact pairings (both shard keys,
   list and ALPU backends).
@@ -194,50 +194,66 @@ _ops = st.lists(
 @settings(max_examples=40)
 @given(ops=_ops)
 def test_queue_invariants_under_churn(config, ops):
-    """alpu_count prefix + depth gauge + candidate order vs a model list."""
+    """Flat lists, mirrored prefix, depth gauge and candidate order vs a
+    model list plus a model prefix count."""
     assert config.discipline in DISCIPLINES
     queue = make_queue(config)
     gauge = _RecordingGauge()
     queue.attach_depth_gauge(gauge)
     model = []
+    mirrored = 0
     peak = 0
     for op, x, y in ops:
         if op == "append":
             model.append(append_entry(queue, source=x, tag=y))
             peak = max(peak, len(model))
         elif op == "remove" and model:
-            queue.remove(model.pop(x % len(model)))
+            pos = x % len(model)
+            queue.remove(model.pop(pos))
+            mirrored -= pos < mirrored
         elif op == "mirror":
             batch = queue.peek_software_suffix(x)
-            assert batch == [e for e in model if not e.in_alpu][: x]
+            assert batch == model[mirrored:mirrored + x]
             queue.mark_alpu_mirrored(batch)
+            mirrored += len(batch)
         elif op == "degrade":
             queue.alpu_count = 0
+            mirrored = 0
+            assert queue.peek_software_suffix(len(model) + 1) == model
 
-        # the store is the model list, in order
+        # the store is the model list, in order, with its flat columns
         assert queue.entries == model
+        assert queue.bits == [e.bits for e in model]
+        assert queue.addrs == [e.addr for e in model]
+        assert queue.masked == sum(1 for e in model if e.mask)
         assert len(queue) == len(model) == gauge.value
         assert queue.max_length == peak
-        # mirrored entries always form a prefix of append order
-        flags = [e.in_alpu for e in model]
-        assert queue.alpu_count == sum(flags)
-        assert flags == sorted(flags, reverse=True)
-        assert queue.software_suffix() == [e for e in model if not e.in_alpu]
+        # the mirrored prefix is the first `mirrored` model entries
+        assert queue.alpu_count == mirrored
+        assert queue.software_suffix() == model[mirrored:]
+        for k in (0, 1, 3):
+            assert queue.peek_software_suffix(k) == model[mirrored:mirrored + k]
         # discipline candidates: same matching entries, same relative
-        # order as a plain FIFO walk, for concrete and wildcard requests
-        for request in (
-            header(source=1, tag=0),
-            header(source=2, tag=1),
-            MatchRequest(*FMT.pack_receive(0, ANY_SOURCE, 1)),
-        ):
-            visited = list(queue.search_candidates(request))
-            assert [e for e in visited if e.matches(request)] == [
-                e for e in model if e.matches(request)
-            ]
-            # candidates are a subsequence of the model's FIFO order
-            order = {e.uid: i for i, e in enumerate(model)}
-            ranks = [order[e.uid] for e in visited]
-            assert ranks == sorted(ranks)
+        # order as a plain FIFO walk, for concrete and wildcard requests,
+        # over the whole queue and over the software suffix only
+        order = {e.uid: i for i, e in enumerate(model)}
+        for suffix_only, walked in ((False, model), (True, model[mirrored:])):
+            for request in (
+                header(source=1, tag=0),
+                header(source=2, tag=1),
+                MatchRequest(*FMT.pack_receive(0, ANY_SOURCE, 1)),
+            ):
+                visited = list(
+                    queue.search_candidates(request, suffix_only=suffix_only)
+                )
+                assert [e for e in visited if e.matches(request)] == [
+                    e for e in walked if e.matches(request)
+                ]
+                # candidates are a subsequence of the walked FIFO order
+                ranks = [order[e.uid] for e in visited]
+                assert ranks == sorted(ranks)
+                if suffix_only:
+                    assert all(rank >= mirrored for rank in ranks)
     queue.reset_stats()
     assert queue.max_length == len(model)
 

@@ -7,6 +7,12 @@ charged picoseconds, the matched entry, the traversal counters and
 histogram, and the processor's stall must agree after every search, so
 the cache and DRAM state carries over identically from one search to the
 next.
+
+Two queues run the same searches.  One holds only exact headers, so
+under FIFO an exact request takes the flat path (``bits.index`` plus a
+slice of ``addrs``); the other also holds masked posted entries (of
+another context, so they never match), which sends every request
+through the entry-by-entry ternary loop.
 """
 
 import dataclasses
@@ -30,9 +36,12 @@ DISCIPLINES = {
 #: entry spacing), so walks miss, evict and conflict on DRAM rows
 DEPTH = 400
 SOURCES = 4
+#: the oldest 50 queue positions start in the mirrored prefix (in the
+#: exact-only queue, entries 0..49)
+MIRRORED = DEPTH // 8
 
 
-def build(qdisc):
+def build(qdisc, masked):
     engine = Engine(metrics=MetricsRegistry())
     config = dataclasses.replace(NicConfig.baseline(), qdisc=qdisc)
     nic = Nic(engine, 1, Fabric(engine, 2), Fifo(name="completions"), config)
@@ -46,6 +55,13 @@ def build(qdisc):
             size=0,
         )
         queue.append(entry)
+        if masked and i % 40 == 7:
+            bits, mask = fmt.pack_receive(1, ANY_SOURCE, ANY_TAG)
+            queue.append(
+                queue.allocate_entry(EntryKind.POSTED_RECV, bits=bits, mask=mask, size=0)
+            )
+    # an ALPU-mirrored prefix for the suffix-only (MATCH FAILURE) walks
+    queue.mark_alpu_mirrored(queue.peek_software_suffix(MIRRORED))
     return engine, nic
 
 
@@ -101,31 +117,37 @@ def receive(fmt, source, tag):
     return MatchRequest(*fmt.pack_receive(0, source, tag))
 
 
-#: (name, request, suffix_only, hits) per search, run in order on one queue
+#: (name, request, suffix_only, hits) per search, run in order on one
+#: queue; entry i holds (source i % SOURCES, tag i)
 def searches(fmt):
     tail = DEPTH - 1
+
+    def exact(i):
+        return receive(fmt, i % SOURCES, i)
+
     return [
         ("miss walks the whole queue", receive(fmt, 1, DEPTH + 7), False, False),
-        ("hit at the tail", receive(fmt, tail % SOURCES, tail), False, True),
-        ("hit mid-queue", receive(fmt, 2, DEPTH // 2 + 2), False, True),
+        ("hit at the head", exact(0), False, True),
+        ("hit at the tail", exact(tail), False, True),
+        ("hit mid-queue", exact(DEPTH // 2 + 2), False, True),
         ("wildcard source", receive(fmt, ANY_SOURCE, DEPTH - 3), False, True),
         ("wildcard tag: a source's oldest", receive(fmt, 3, ANY_TAG), False, True),
         ("suffix-only miss", receive(fmt, 0, DEPTH + 9), True, False),
-        ("suffix-only hit at the tail", receive(fmt, 2, DEPTH - 2), True, True),
+        ("suffix-only skips a mirrored entry", exact(5), True, False),
+        ("suffix-only hit at the suffix head", exact(MIRRORED), True, True),
+        ("suffix-only hit mid-suffix", exact(DEPTH // 2 + 1), True, True),
+        ("suffix-only hit at the tail", exact(DEPTH - 2), True, True),
+        ("hit in the mirrored prefix", exact(5), False, True),
         ("second miss, over a warm cache", receive(fmt, 1, DEPTH + 7), False, False),
     ]
 
 
+@pytest.mark.parametrize("masked", [False, True], ids=["exact", "masked"])
 @pytest.mark.parametrize("discipline", sorted(DISCIPLINES))
-def test_one_call_walk_equals_per_entry_touches(discipline):
-    engine_a, walked = build(DISCIPLINES[discipline])
-    engine_b, oracle = build(DISCIPLINES[discipline])
-    for nic in (walked, oracle):
-        # an ALPU-mirrored prefix for the suffix-only (MATCH FAILURE) walks
-        prefix = list(nic.unexpected_q.iter_fifo())[:DEPTH // 8]
-        for entry in prefix:
-            entry.in_alpu = True
-        nic.unexpected_q.alpu_count = len(prefix)
+def test_one_call_walk_equals_per_entry_touches(discipline, masked):
+    engine_a, walked = build(DISCIPLINES[discipline], masked)
+    engine_b, oracle = build(DISCIPLINES[discipline], masked)
+    assert (walked.unexpected_q.masked > 0) == masked
     for name, request, suffix_only, hits in searches(walked.firmware.fmt):
         found_a, charged_a = run_search(walked, request, suffix_only)
         found_b, charged_b = oracle_search(oracle, request, suffix_only)
@@ -133,5 +155,6 @@ def test_one_call_walk_equals_per_entry_touches(discipline):
             engine_b, oracle, found_b, charged_b
         ), name
         assert (found_a is not None) == hits, name
+        assert walked.unexpected_q.alpu_count == oracle.unexpected_q.alpu_count
     # the walks really went to DRAM
     assert walked.firmware.proc.memory.dram.page_conflicts > 0

@@ -16,47 +16,11 @@ from repro.analysis.curves import (
     crossover_length,
     detect_knee,
     fixed_overhead_ns,
+    latency_series,
     per_entry_slope_ns,
 )
 from repro.analysis.tables import format_curve
-from repro.workloads.preposted import PrepostedParams, run_preposted
-from repro.workloads import nic_preset
-from repro.workloads.unexpected import UnexpectedParams, run_unexpected
-
-
-def preposted_curves(lengths, iterations):
-    curves = {}
-    for preset in ("baseline", "alpu128", "alpu256"):
-        series = []
-        for length in lengths:
-            result = run_preposted(
-                nic_preset(preset),
-                PrepostedParams(
-                    queue_length=length,
-                    traverse_fraction=1.0,
-                    iterations=iterations,
-                    warmup=2,
-                ),
-            )
-            series.append(result.median_ns)
-        curves[preset] = series
-    return curves
-
-
-def unexpected_curves(lengths, iterations):
-    curves = {}
-    for preset in ("baseline", "alpu128", "alpu256"):
-        series = []
-        for length in lengths:
-            result = run_unexpected(
-                nic_preset(preset),
-                UnexpectedParams(
-                    queue_length=length, iterations=iterations, warmup=2
-                ),
-            )
-            series.append(result.median_ns)
-        curves[preset] = series
-    return curves
+from repro.workloads import PRESETS, SweepSpec, run_sweep
 
 
 def main() -> None:
@@ -73,11 +37,13 @@ def main() -> None:
 
     print("Posted-receive queue (Figure 5 projections, full traversal)")
     print("-" * 64)
-    curves = preposted_curves(lengths, iterations)
-    for preset, series in curves.items():
+    curves5 = latency_series(run_sweep(
+        SweepSpec.preposted(PRESETS, lengths, (1.0,), iterations=iterations, warmup=2)
+    ))
+    for preset, series in curves5.items():
         print(format_curve(preset, lengths, series))
 
-    baseline = curves["baseline"]
+    baseline = curves5["baseline"]
     warm = per_entry_slope_ns(lengths, baseline, hi=128)
     knee = detect_knee(lengths, baseline)
     cold = per_entry_slope_ns(lengths, baseline, lo=max(300, knee or 0))
@@ -85,7 +51,7 @@ def main() -> None:
     print(f"  cache knee         : {knee} entries      (32 KB L1 exhausted)")
     print(f"  baseline cold cost : {cold:5.1f} ns/entry   (paper ~64)")
     for preset, capacity in (("alpu128", 128), ("alpu256", 256)):
-        series = curves[preset]
+        series = curves5[preset]
         overhead = fixed_overhead_ns(lengths[:2], series[:2]) - fixed_overhead_ns(
             lengths[:2], baseline[:2]
         )
@@ -100,7 +66,11 @@ def main() -> None:
     print("Unexpected-message queue (Figure 6)")
     print("-" * 64)
     unexpected_lengths = [x for x in lengths if x <= 300]
-    curves6 = unexpected_curves(unexpected_lengths, iterations)
+    curves6 = latency_series(run_sweep(
+        SweepSpec.unexpected(
+            PRESETS, unexpected_lengths, iterations=iterations, warmup=2
+        )
+    ))
     for preset, series in curves6.items():
         print(format_curve(preset, unexpected_lengths, series))
     win = crossover_length(

@@ -4,7 +4,7 @@ The paper summarizes its curves with a handful of derived quantities --
 nanoseconds per traversed entry (warm and cold), where the cache knee
 sits, the ALPU's fixed overhead, and the queue length at which the ALPU
 breaks even.  These helpers compute the same quantities from sweep rows
-so EXPERIMENTS.md and the benchmark harness can report paper-vs-measured
+so EXPERIMENTS.md and ``tests/paper`` can report paper-vs-measured
 side by side.
 
 :mod:`repro.analysis.attribution` goes one level deeper: it folds the
@@ -27,6 +27,7 @@ from repro.analysis.curves import (
     detect_knee,
     crossover_length,
     fixed_overhead_ns,
+    latency_series,
 )
 from repro.analysis.tables import format_rows, format_curve
 
@@ -94,6 +95,7 @@ __all__ = [
     "detect_knee",
     "crossover_length",
     "fixed_overhead_ns",
+    "latency_series",
     "format_rows",
     "format_curve",
     "histogram_stats",

@@ -3,11 +3,29 @@
 All functions take parallel sequences ``lengths`` (queue lengths) and
 ``latencies_ns`` and are deliberately simple -- least-squares lines and
 piecewise scans, not smoothing, so a test failure points at the data.
+:func:`latency_series` cuts those sequences out of a sweep's rows.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Dict, Iterable, Optional, Sequence
+
+
+def latency_series(rows: Iterable, by: Optional[str] = None) -> Dict:
+    """Fold sweep rows into per-preset latency series, in grid order.
+
+    Without ``by``: ``{preset: [latency_ns, ...]}``.  With ``by`` naming
+    the sweep's last axis: ``{preset: {value: [latency_ns, ...]}}``, one
+    series per value of that axis.
+    """
+    series: Dict = {}
+    for row in rows:
+        if by is None:
+            series.setdefault(row.preset, []).append(row.latency_ns)
+        else:
+            per_value = series.setdefault(row.preset, {})
+            per_value.setdefault(row.params[by], []).append(row.latency_ns)
+    return series
 
 
 def _check(lengths: Sequence[float], latencies_ns: Sequence[float]) -> None:

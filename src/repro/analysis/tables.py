@@ -1,7 +1,7 @@
 """Plain-text table formatting for benchmark output.
 
-The benchmark harness prints paper-style rows; these helpers keep the
-formatting in one place.
+The paper tests and example scripts print paper-style rows; these
+helpers keep the formatting in one place.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Render and compare Tables IV and V.
 
 Holds the published numbers verbatim, generates the model's version of
-each table, and formats both for the benchmark harness.
+each table, and formats both for ``tests/paper``.
 """
 
 from __future__ import annotations

@@ -31,7 +31,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import itertools
-from typing import Iterable, Iterator, List, Optional
+from typing import Iterable, Iterator, List
 
 from repro.core.match import MatchRequest
 from repro.memory.layout import AddressAllocator
@@ -241,11 +241,3 @@ class NicQueue:
         if suffix_only and self.alpu_count:
             return self.entries[self.alpu_count:]
         return self.entries
-
-    def software_suffix(self) -> List[QueueEntry]:
-        """Entries not (yet) mirrored in the ALPU."""
-        return self.entries[self.alpu_count:]
-
-    def find_by_uid(self, uid: int) -> Optional[QueueEntry]:
-        """Linear lookup by unique id (diagnostics only)."""
-        return next((entry for entry in self.entries if entry.uid == uid), None)

@@ -29,7 +29,7 @@ counts, so downsampled (wider-window) timelines fire the same way.
 ``unexpected_backlog_growth``, ``reorder_stall``, ``backend_degraded``,
 ``sim_livelock`` -- tuned so the zero-fault benchmark points come back
 clean while seeded fault runs produce deterministic findings (pinned by
-``tests/obs/test_health.py`` and the CI fault smoke).
+``tests/obs/test_health.py`` and ``tests/workloads/test_faulty.py``).
 
 Evaluation is pull-style and end-of-run: watchdogs read the finished
 timeline and metrics snapshot, so enabling them cannot perturb simulated

@@ -56,16 +56,11 @@ class Tracer:
     def __init__(self) -> None:
         self.records: List[TraceRecord] = []
         self._now: Callable[[], int] = lambda: 0
-        self._subscribers: List[Callable[[TraceRecord], None]] = []
 
     # ------------------------------------------------------------- plumbing
     def attach_clock(self, now_fn: Callable[[], int]) -> None:
         """Bind the simulated-time source (the engine does this)."""
         self._now = now_fn
-
-    def subscribe(self, fn: Callable[[TraceRecord], None]) -> None:
-        """Call ``fn(record)`` for every record as it is emitted."""
-        self._subscribers.append(fn)
 
     # ------------------------------------------------------------- emission
     def _emit(
@@ -75,10 +70,7 @@ class Tracer:
         kind: str,
         args: Optional[Dict[str, object]],
     ) -> None:
-        record = TraceRecord(self._now(), category, name, kind, args)
-        self.records.append(record)
-        for fn in self._subscribers:
-            fn(record)
+        self.records.append(TraceRecord(self._now(), category, name, kind, args))
 
     def begin(
         self, category: str, name: str, args: Optional[Dict[str, object]] = None
@@ -124,10 +116,6 @@ class Tracer:
     def __len__(self) -> int:
         return len(self.records)
 
-    def clear(self) -> None:
-        """Drop all collected records (subscribers stay)."""
-        self.records.clear()
-
 
 class NullTracer:
     """The disabled tracer: every method is a no-op.
@@ -139,9 +127,6 @@ class NullTracer:
     records = ()
 
     def attach_clock(self, now_fn: Callable[[], int]) -> None:
-        pass
-
-    def subscribe(self, fn: Callable[[TraceRecord], None]) -> None:
         pass
 
     def begin(self, category, name, args=None) -> None:
@@ -162,9 +147,6 @@ class NullTracer:
 
     def __len__(self) -> int:
         return 0
-
-    def clear(self) -> None:
-        pass
 
 
 NULL_TRACER = NullTracer()

@@ -18,10 +18,6 @@ Per-iteration wall time is sampled at rank 0 (the global simulated clock
 needs no round-trip halving), and the allreduce doubles as a whole-world
 correctness check: every iteration reduces ``rank + 1`` and every rank
 must see ``P * (P + 1) / 2``.
-
-Smoke (the CI multi-rank step)::
-
-    PYTHONPATH=src python -m repro.workloads.halo --smoke
 """
 
 from __future__ import annotations
@@ -257,154 +253,3 @@ def run_halo(
         ),
         metrics=telemetry.snapshot() if telemetry is not None else None,
     )
-
-
-# ----------------------------------------------------------------- smoke
-def _smoke() -> None:
-    """The CI multi-rank step: 16-rank torus3d halo + allreduce.
-
-    Covers: clean verdicts on the fault-free run, retransmission-based
-    recovery under injected faults, and a zero-fault control alongside.
-    """
-    from repro.obs.telemetry import Telemetry
-    from repro.workloads.sweep import nic_preset
-
-    params = HaloParams(ranks=16, topology="torus3d", iterations=2, warmup=1)
-    bundle = Telemetry(tracing=False, timeline=True, health=True)
-    clean = run_halo(nic_preset("alpu128"), params, telemetry=bundle)
-    verdict = bundle.health_verdict()
-    assert verdict == "healthy", f"clean run verdict {verdict!r}"
-    assert clean.allreduce_value == 136
-
-    faults = FaultConfig(seed=7, drop_rate=0.01)
-    nic = nic_preset("alpu128")
-    nic = dataclasses.replace(
-        nic,
-        reliability=dataclasses.replace(nic.reliability, enabled=True),
-    )
-    faulty = run_halo(nic, params, faults=faults)
-    assert faulty.retransmits > 0, "fault run saw no retransmissions"
-    # control: the same reliability-enabled NIC with no faults completes
-    # with zero recoveries and the same collective result
-    control = run_halo(nic, params)
-    assert control.retransmits == 0, control.retransmits
-    assert control.allreduce_value == clean.allreduce_value
-    print(
-        f"halo smoke OK: 16-rank torus3d, verdict {verdict}, "
-        f"clean median {clean.median_ns:.1f} ns, "
-        f"faulty median {faulty.median_ns:.1f} ns "
-        f"({faulty.retransmits} retransmits), "
-        f"control median {control.median_ns:.1f} ns (0 retransmits)"
-    )
-
-
-def _congestion_smoke(artifact_dir: str = "congestion-artifacts") -> None:
-    """The CI fabric-observability step: incast contention on a torus.
-
-    Covers, in one run each:
-
-    * the telescoping decomposition -- every wire traversal's per-hop
-      budget sums exactly to its span (asserted inside
-      :func:`~repro.analysis.attribution.wire_segments`);
-    * congestion attribution -- the injected incast must trip the
-      ``hotspot_link`` watchdog and the heatmap report must name the
-      hottest channel;
-    * the artifacts -- the JSON report, the HTML heatmap page, and the
-      fabric CLI tables land in ``artifact_dir`` for CI upload.
-
-    The zero-perturbation check of the same torus3d point (fabric
-    observability on, latencies equal to the pins) is tier-1's, with the
-    rest of ``tests/workloads/pinned_grid.json``.
-    """
-    import html as html_mod
-    import os
-
-    from repro.analysis.attribution import link_budgets, wire_segments
-    from repro.analysis.fabric import format_fabric
-    from repro.analysis.report import render_html, render_text
-    from repro.obs.health import has_finding
-    from repro.obs.telemetry import Telemetry
-    from repro.workloads.sweep import nic_preset
-
-    os.makedirs(artifact_dir, exist_ok=True)
-    pinned_params = HaloParams(
-        ranks=16, topology="torus3d", message_size=512, iterations=3, warmup=1
-    )
-
-    # 1. the torus3d point with fabric observability on
-    bundle = Telemetry(
-        tracing=False, timeline=True, health=True, lifecycle=True, fabric=True
-    )
-    run_halo(nic_preset("alpu128"), pinned_params, telemetry=bundle)
-
-    # 2. telescoping: every wire traversal decomposes exactly
-    segments = 0
-    for lifecycle in bundle.lifecycle.lifecycles:
-        if lifecycle.complete:
-            segments += len(wire_segments(lifecycle))
-    assert segments > 0, "no wire segments recorded with fabric obs on"
-
-    # 3. the incast scenario must produce an attributed hotspot
-    hot_params = dataclasses.replace(
-        pinned_params, hotspot_rank=0, hotspot_size=4096
-    )
-    hot = Telemetry(
-        tracing=False, timeline=True, health=True, lifecycle=True, fabric=True
-    )
-    run_halo(nic_preset("alpu128"), hot_params, telemetry=hot)
-    findings = [f.to_obj() for f in hot.health_findings()]
-    assert has_finding(findings, "hotspot_link"), findings
-    assert has_finding(findings, "link_contention"), findings
-
-    # 4. artifacts: JSON report, HTML heatmap, fabric CLI tables
-    report = hot.write_report(
-        os.path.join(artifact_dir, "congestion.report.json"),
-        benchmark="halo",
-        scenario="incast",
-        ranks=hot_params.ranks,
-        topology=hot_params.topology,
-        hotspot_rank=hot_params.hotspot_rank,
-    )
-    text = render_text(report)
-    assert "hottest link" in text, "heatmap report names no hotspot"
-    html = render_html(report)
-    hottest = max(report["fabric"]["links"], key=lambda l: l["utilization"])
-    assert html_mod.escape(hottest["name"]) in html, (
-        "HTML heatmap misses the hotspot link"
-    )
-    with open(
-        os.path.join(artifact_dir, "congestion.report.html"),
-        "w",
-        encoding="utf-8",
-    ) as handle:
-        handle.write(html)
-        handle.write("\n")
-    tables = format_fabric(
-        report["fabric"],
-        budgets=link_budgets(hot.lifecycle.lifecycles),
-        title="congestion smoke: halo incast on torus3d",
-    )
-    with open(
-        os.path.join(artifact_dir, "congestion.tables.txt"),
-        "w",
-        encoding="utf-8",
-    ) as handle:
-        handle.write(tables)
-        handle.write("\n")
-    print(tables)
-    print(
-        f"congestion smoke OK: {segments} wire segments telescoped, "
-        f"hotspot {hottest['name']} at {hottest['utilization']:.1%} utilization "
-        f"({len(findings)} finding(s)); artifacts in {artifact_dir}/"
-    )
-
-
-if __name__ == "__main__":
-    import sys
-
-    if "--congestion-smoke" in sys.argv[1:]:
-        _congestion_smoke()
-    elif "--smoke" in sys.argv[1:]:
-        _smoke()
-    else:
-        print(__doc__)

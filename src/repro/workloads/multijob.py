@@ -16,10 +16,6 @@ but FIFO traversal does not care).  The qdisc layer is the defence:
 ``host_priority`` services job A's postings ahead of job B's arrivals.
 The result quantifies the isolation: ping-pong latency with and without
 the hog, per discipline.
-
-Smoke::
-
-    PYTHONPATH=src python -m repro.workloads.multijob --smoke
 """
 
 from __future__ import annotations
@@ -174,48 +170,3 @@ def run_multijob(
         refused=node0.admission.refused if node0.admission is not None else 0,
         metrics=telemetry.snapshot() if telemetry is not None else None,
     )
-
-
-def _smoke() -> None:
-    """The qdisc layer must actually isolate job A from job B."""
-    import dataclasses as dc
-
-    from repro.nic.qdisc import QdiscConfig
-    from repro.nic.reliability import ReliabilityConfig
-
-    params = MultijobParams()
-    base = NicConfig.baseline()
-    exposed = run_multijob(base, params)
-    shielded = run_multijob(
-        dc.replace(
-            base,
-            qdisc=QdiscConfig(
-                discipline="sharded",
-                max_unexpected=32,
-                admission_policy="nack",
-                host_priority=True,
-            ),
-            reliability=ReliabilityConfig(enabled=True),
-        ),
-        params,
-    )
-    assert exposed.max_unexpected_depth > shielded.max_unexpected_depth
-    assert shielded.median_ns < exposed.median_ns, (
-        f"qdisc did not shield job A: {shielded.median_ns:.0f} ns vs "
-        f"{exposed.median_ns:.0f} ns exposed"
-    )
-    print(
-        f"multijob smoke OK: ping-pong median {exposed.median_ns:.0f} ns "
-        f"exposed (depth {exposed.max_unexpected_depth}) -> "
-        f"{shielded.median_ns:.0f} ns shielded "
-        f"(depth {shielded.max_unexpected_depth}, {shielded.refused} refused)"
-    )
-
-
-if __name__ == "__main__":
-    import sys
-
-    if "--smoke" in sys.argv[1:]:
-        _smoke()
-    else:
-        print(__doc__)

@@ -23,10 +23,6 @@ The measured sample is the *receive sojourn*: posting-to-completion time
 of the master's wildcard receives (every ``sample_every``-th), which
 includes the unexpected-queue search exactly like the Section V-A
 benchmark includes posting time.
-
-Smoke-run a scaled-down storm under sharded + admission::
-
-    PYTHONPATH=src python -m repro.workloads.storm --smoke
 """
 
 from __future__ import annotations
@@ -257,66 +253,3 @@ def run_storm(
         ),
         metrics=telemetry.snapshot() if telemetry is not None else None,
     )
-
-
-def _smoke() -> None:
-    """A scaled-down storm under sharded + admission (the CI tier-1 step).
-
-    Asserts the three tentpole behaviours end to end: the run completes,
-    the unexpected queue stays bounded at the admission threshold, and
-    the ``unexpected_admission_pressure`` watchdog fires.  A second run,
-    without telemetry, must repeat the samples, refusals and retransmits
-    exactly (the run is deterministic and telemetry does not perturb it).
-    """
-    import dataclasses as dc
-
-    from repro.nic.qdisc import QdiscConfig
-    from repro.nic.reliability import ReliabilityConfig
-    from repro.obs.health import has_finding
-    from repro.obs.telemetry import Telemetry
-
-    params = StormParams(
-        workers=4, messages_per_worker=200, window=8, service_ns=400.0
-    )
-    threshold = 32
-    nic = dc.replace(
-        NicConfig.baseline(),
-        qdisc=QdiscConfig(
-            discipline="sharded",
-            max_unexpected=threshold,
-            admission_policy="nack",
-            host_priority=True,
-        ),
-        reliability=ReliabilityConfig(enabled=True),
-    )
-    telemetry = Telemetry(tracing=False, timeline=True, health=True)
-    result = run_storm(nic, params, telemetry=telemetry)
-    again = run_storm(nic, params)
-    assert (again.latencies_ns, again.refused, again.retransmits) == (
-        result.latencies_ns, result.refused, result.retransmits
-    ), "two runs of one storm point differ"
-    assert result.total_messages == params.total_messages
-    # the reorder buffer shares the occupancy budget, so the queue itself
-    # may only overshoot by what was already in flight inside one window
-    assert result.max_unexpected_depth <= 2 * threshold, (
-        result.max_unexpected_depth
-    )
-    assert result.refused > 0, "flood never hit the admission threshold"
-    findings = telemetry.health_findings()
-    assert has_finding(findings, "unexpected_admission_pressure"), findings
-    print(
-        f"storm smoke OK: {result.total_messages} msgs in "
-        f"{result.duration_ns / 1000:.1f} us, median sojourn "
-        f"{result.median_ns:.0f} ns, max depth {result.max_unexpected_depth}, "
-        f"{result.refused} refused, {result.retransmits} retransmits "
-        "(admission watchdog fired; identical on a second run)"
-    )
-
-
-if __name__ == "__main__":
-    import sys
-
-    if "--smoke" in sys.argv[1:]:
-        _smoke()
-    else:
-        print(__doc__)

@@ -16,11 +16,6 @@ The three receiver presets of the paper's comparison live here too
 (:data:`PRESETS` / :func:`nic_preset`): the baseline NIC (embedded
 processor only, Red Storm-like), and the same NIC with 128- or
 256-entry ALPUs.
-
-Run a Figure-5, a halo and a storm grid through both execution modes as
-a smoke test::
-
-    PYTHONPATH=src python -m repro.workloads.sweep --smoke
 """
 
 from __future__ import annotations
@@ -446,43 +441,3 @@ def dump_telemetry(rows: Iterable[SweepRow], path: str, **meta: object) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(telemetry_report(rows, **meta), fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _smoke() -> None:
-    """A Figure-5 point, two halo points and a storm point, each run
-    serially and fanned out; the two must agree bit for bit."""
-    storm = SweepSpec(
-        benchmark="storm",
-        presets=("baseline",),
-        axes=(("workers", (2,)),),
-        fixed=(("messages_per_worker", 40), ("window", 8)),
-        qdisc=QdiscConfig(
-            discipline="sharded", max_unexpected=8, admission_policy="nack"
-        ),
-    )
-    specs = (
-        SweepSpec.preposted(("alpu128",), (8,), (1.0,), iterations=4, warmup=1),
-        SweepSpec.halo(
-            ("alpu128",), (8,), ("crossbar", "torus3d"), iterations=2, warmup=1
-        ),
-        storm,
-    )
-    for spec in specs:
-        serial = run_sweep(spec)
-        parallel = run_sweep(spec, workers=2)
-        assert serial == parallel, (serial, parallel)
-        for row in serial:
-            axes = {name: row.params[name] for name, _ in spec.axes}
-            print(
-                f"sweep smoke OK: {spec.benchmark} {row.preset} {axes} "
-                f"{row.extra} -> {row.latency_ns:.1f} ns (serial == parallel)"
-            )
-
-
-if __name__ == "__main__":
-    import sys
-
-    if "--smoke" in sys.argv[1:]:
-        _smoke()
-    else:
-        print(__doc__)

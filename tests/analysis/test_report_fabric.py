@@ -5,7 +5,8 @@ and a 2-rank crossbar -- through every output format and checks that the
 three renderings (JSON document, terminal text, HTML) agree on the
 fabric totals, that the heatmap names the hotspot, and that fabrics
 without a grid shape (crossbar) or without a snapshot at all (legacy
-reports) still render.
+reports) still render.  The incast report must also carry the link
+watchdogs' findings and per-hop wire segments that telescope.
 """
 
 import html as html_mod
@@ -13,6 +14,7 @@ import json
 
 import pytest
 
+from repro.analysis.attribution import wire_segments
 from repro.analysis.report import (
     ReportError,
     hottest_links,
@@ -21,6 +23,8 @@ from repro.analysis.report import (
     render_html,
     render_text,
 )
+from repro.obs.health import has_finding
+from repro.obs.lifecycle import MessageLifecycle
 from repro.obs.telemetry import Telemetry
 from repro.workloads.halo import HaloParams, run_halo
 from repro.workloads.sweep import dump_telemetry, nic_preset
@@ -41,7 +45,7 @@ def hotspot_report():
         ranks=16,
         topology="torus3d",
         message_size=512,
-        iterations=2,
+        iterations=3,
         warmup=1,
         hotspot_rank=0,
     )
@@ -53,6 +57,26 @@ def crossbar_report():
     return _run_report(
         ranks=2, topology="crossbar", message_size=256, iterations=2, warmup=1
     )
+
+
+class TestIncastDiagnosis:
+    def test_incast_trips_both_link_watchdogs(self, hotspot_report):
+        findings = hotspot_report["health"]["findings"]
+        assert has_finding(findings, "hotspot_link"), findings
+        assert has_finding(findings, "link_contention"), findings
+
+    def test_wire_segments_telescope(self, hotspot_report):
+        # wire_segments asserts, per traversal, that the per-hop budget
+        # sums exactly to the segment's span
+        lifecycles = [
+            MessageLifecycle.from_obj(obj) for obj in hotspot_report["lifecycles"]
+        ]
+        segments = sum(
+            len(wire_segments(lifecycle))
+            for lifecycle in lifecycles
+            if lifecycle.complete
+        )
+        assert segments > 0
 
 
 class TestHtmlHeatmap:

@@ -128,7 +128,7 @@ def test_update_never_exceeds_capacity():
     fill(queue, 12)
     assert run_gen(engine, driver.update()) == 8
     assert run_gen(engine, driver.update()) == 0  # full
-    assert len(queue.software_suffix()) == 4
+    assert len(queue.iter_fifo(suffix_only=True)) == 4
 
 
 def test_match_success_roundtrip_through_tags():

@@ -230,7 +230,7 @@ def test_queue_invariants_under_churn(config, ops):
         assert queue.max_length == peak
         # the mirrored prefix is the first `mirrored` model entries
         assert queue.alpu_count == mirrored
-        assert queue.software_suffix() == model[mirrored:]
+        assert queue.iter_fifo(suffix_only=True) == model[mirrored:]
         for k in (0, 1, 3):
             assert queue.peek_software_suffix(k) == model[mirrored:mirrored + k]
         # discipline candidates: same matching entries, same relative

@@ -44,7 +44,7 @@ def test_alpu_prefix_pointer_tracks_removals():
     # removing a suffix entry leaves the prefix alone
     queue.remove(entries[4])
     assert queue.alpu_count == 2
-    assert [e.bits for e in queue.software_suffix()] == [3]
+    assert [e.bits for e in queue.iter_fifo(suffix_only=True)] == [3]
 
 
 def test_software_suffix_view():
@@ -54,15 +54,7 @@ def test_software_suffix_view():
             queue.allocate_entry(EntryKind.POSTED_RECV, bits=i, mask=0, size=0)
         )
     queue.alpu_count = 2
-    assert [e.bits for e in queue.software_suffix()] == [2, 3]
-
-
-def test_find_by_uid():
-    queue = make_queue()
-    entry = queue.allocate_entry(EntryKind.SEND, bits=0, mask=0, size=8)
-    queue.append(entry)
-    assert queue.find_by_uid(entry.uid) is entry
-    assert queue.find_by_uid(10**9) is None
+    assert [e.bits for e in queue.iter_fifo(suffix_only=True)] == [2, 3]
 
 
 def test_uids_are_unique():

@@ -2,7 +2,7 @@
 
 Regenerates the three curves (baseline, 128-entry ALPU, 256-entry ALPU)
 of message latency -- including the time to post the measuring receive --
-against the number of unexpected messages queued ahead of it, and asserts
+against the number of unexpected messages queued ahead of it, and checks
 the paper's observations:
 
 * with short unexpected queues the ALPU shows a small loss (tens of ns);
@@ -11,47 +11,26 @@ the paper's observations:
 * the baseline shows the cache-exhaustion knee; the ALPU delays it.
 """
 
-import pytest
-
-
-
-from repro.analysis.curves import crossover_length, detect_knee
+from repro.analysis.curves import crossover_length, detect_knee, latency_series
 from repro.analysis.tables import format_curve
-from repro.workloads import nic_preset
-from repro.workloads.unexpected import UnexpectedParams, run_unexpected
-
-#: full Figure-6 unexpected-queue grid -- excluded from the tier-1 run
-pytestmark = pytest.mark.slow
+from repro.workloads.sweep import PRESETS, SweepSpec, run_sweep
 
 LENGTHS = [0, 5, 10, 20, 40, 70, 100, 150, 200, 256, 300]
-ITERS = dict(iterations=6, warmup=2)
 
 
-def sweep(preset):
-    series = []
-    for length in LENGTHS:
-        result = run_unexpected(
-            nic_preset(preset), UnexpectedParams(queue_length=length, **ITERS)
-        )
-        series.append(result.median_ns)
-    return series
-
-
-def regenerate():
-    return {preset: sweep(preset) for preset in ("baseline", "alpu128", "alpu256")}
-
-
-def test_fig6(benchmark, once):
-    curves = once(benchmark, regenerate)
+def test_fig6():
+    fig6 = latency_series(
+        run_sweep(SweepSpec.unexpected(PRESETS, LENGTHS, iterations=6, warmup=2))
+    )
     print()
     print("FIGURE 6 -- latency vs unexpected queue length (ns)")
     print("lengths   ", "  ".join(str(x) for x in LENGTHS))
-    for preset, series in curves.items():
+    for preset, series in fig6.items():
         print(format_curve(preset, LENGTHS, series))
 
-    baseline = curves["baseline"]
-    alpu128 = curves["alpu128"]
-    alpu256 = curves["alpu256"]
+    baseline = fig6["baseline"]
+    alpu128 = fig6["alpu128"]
+    alpu256 = fig6["alpu256"]
 
     short_loss_128 = alpu128[0] - baseline[0]
     short_loss_256 = alpu256[0] - baseline[0]

@@ -1,8 +1,8 @@
 """Smoke tests: the example scripts must run and report sane results.
 
 Examples are documentation that executes; these tests keep them honest.
-The slow sweep examples run in reduced form (their heavy variants are the
-benchmark suite's job).
+The slow sweep examples run in reduced form (the full figure grids are
+checked in ``tests/paper``).
 """
 
 import runpy

@@ -5,11 +5,20 @@ from repro.obs.health import has_finding, verdict_of
 from repro.workloads.faulty import (
     LOSS_RATES,
     STORM_LOSS_RATE,
-    _retransmits,
     faulty_spec,
     run_loss_sweep,
 )
 from repro.workloads.sweep import run_sweep
+
+
+def _retransmits(rows) -> int:
+    """Total reliability-layer retransmissions across a sweep's rows."""
+    total = 0
+    for row in rows:
+        for key, value in (row.metrics or {}).items():
+            if key.endswith(".rel/retransmits"):
+                total += int(value)
+    return total
 
 
 def test_loss_rates_are_the_figure_5_points():

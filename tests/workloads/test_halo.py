@@ -65,7 +65,8 @@ def test_halo_recovers_under_faults_with_clean_control():
 
 def test_16_rank_sweep_serial_vs_parallel_bit_identical():
     """A 16-rank topology sweep produces identical rows serially and
-    fanned out."""
+    fanned out, and its torus3d point, run directly with the watchdogs
+    on, is healthy, reduces to 16 * 17 / 2 and keeps the row's median."""
     spec = SweepSpec.halo(
         ("alpu128",),
         (16,),
@@ -77,6 +78,13 @@ def test_16_rank_sweep_serial_vs_parallel_bit_identical():
     fanned = run_sweep(spec, workers=2)
     assert serial == fanned
     assert [row.params["topology"] for row in serial] == ["crossbar", "torus3d"]
+    bundle = Telemetry(tracing=False, timeline=True, health=True)
+    torus = run_halo(
+        nic_preset("alpu128"), HaloParams(**serial[1].params), telemetry=bundle
+    )
+    assert bundle.health_verdict() == "healthy"
+    assert torus.allreduce_value == 136
+    assert torus.median_ns == serial[1].latency_ns
 
 
 def test_two_rank_benchmarks_accept_topology_override():

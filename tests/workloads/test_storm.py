@@ -61,13 +61,19 @@ def test_fifo_storm_completes_without_admission():
 def test_admission_bounds_the_storm_and_trips_the_watchdog():
     """The tier-1 scaled-down acceptance storm: sharded + admission
     completes an overload flood with a bounded queue and the
-    ``unexpected_admission_pressure`` finding raised."""
+    ``unexpected_admission_pressure`` finding raised.  A rerun without
+    telemetry repeats the samples, refusals and retransmits exactly: the
+    run is deterministic and telemetry does not perturb it."""
     threshold = 32
     params = StormParams(
         workers=4, messages_per_worker=200, window=8, service_ns=400.0
     )
     telemetry = Telemetry(tracing=False, timeline=True, health=True)
     result = run_storm(_admission_nic(threshold), params, telemetry=telemetry)
+    again = run_storm(_admission_nic(threshold), params)
+    assert (again.latencies_ns, again.refused, again.retransmits) == (
+        result.latencies_ns, result.refused, result.retransmits
+    )
     assert result.total_messages == 800
     # the reorder buffer shares the occupancy budget, so the queue may
     # overshoot the threshold only by one reorder-flush run

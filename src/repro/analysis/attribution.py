@@ -31,11 +31,7 @@ import statistics
 import sys
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.obs.lifecycle import (
-    MessageLifecycle,
-    TERMINAL_STAGE,
-    lifecycle_chrome_events,
-)
+from repro.obs.lifecycle import MessageLifecycle, lifecycle_chrome_events
 from repro.sim.units import ps_to_ns
 
 #: rendering order for known stages (unknown ones append in first-seen

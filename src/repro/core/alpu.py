@@ -209,6 +209,12 @@ class Alpu:
         #: every guard bit (bit w of each lane)
         self._high = self._comb << w
         self._stores_mask = config.kind is CellKind.POSTED_RECEIVE
+        # --------------------------------------- block-view constants (valid)
+        cells = (1 << config.total_cells) - 1
+        #: lowest cell of every block / highest cell / all the others
+        self._block_base = cells // ((1 << config.block_size) - 1)
+        self._block_top = self._block_base << config.block_size - 1
+        self._block_low = cells ^ self._block_top
         # ------------------------------------------------------ packed state
         self._bits = 0
         self._mask = 0
@@ -518,32 +524,58 @@ class Alpu:
         Each plan is a run of *moving* cells that shift up one lane: a
         FULL block moves all its cells (its top crossing into the next
         block's empty cell 0), a hole plan moves the cells below the
-        hole.  The changed region is the moving cells and their
-        destinations; a region cell whose younger neighbour does not move
-        reads zeros, exactly like cell 0 under a delete.
+        block's lowest hole that has valid data beneath it.  All blocks
+        are planned at once with whole-word arithmetic on ``_valid``,
+        with one base, top and low bit mask per block (``B``, ``T``,
+        ``L``); per block:
+
+        * ``((V & L) + L | V) & T`` -- the top bit flags a nonempty
+          block (adding ``L`` carries into the top iff a low cell is
+          valid, and never past it);
+        * ``fill = V | (V | empty bases) - B`` -- the cells below the
+          lowest valid cell read as valid (empty blocks stay empty, and
+          their forced base bit keeps the borrow inside the block);
+        * with ``x = fill & L``, ``x & ~(x + B)`` is ``fill``'s run of
+          trailing ones below the lowest hole: the hole plan.  A
+          hole-free block (carry into the top, top valid) plans nothing,
+          so its run is cancelled; a FULL block (nonempty, not the last,
+          next block's cell 0 empty) moves whole.
+
+        The changed region is the moving cells and their destinations; a
+        region cell whose younger neighbour does not move reads zeros,
+        exactly like cell 0 under a delete.  The lane masks are built
+        one maximal moving run at a time.
         """
-        size = self.config.block_size
-        count = self.config.num_blocks
-        s, t = self._s, self._t
-        block_full = (1 << size) - 1
         valid = self._valid
-        moving = moving_s = moving_t = 0
-        for index in range(count):
-            base = index * size
-            block_valid = valid >> base & block_full
-            if not block_valid:
-                continue
-            if index + 1 < count and not valid >> base + size & 1:
-                run = size
-            else:
-                run = self._lowest_hole_with_valid_below(block_valid)
-                if run >= size:
-                    continue
-            moving |= ((1 << run) - 1) << base
-            moving_s |= ((1 << run * s) - 1) << base * s
-            moving_t |= ((1 << run * t) - 1) << base * t
+        base = self._block_base
+        top = self._block_top
+        low = self._block_low
+        size = self.config.block_size
+        to_base = size - 1
+        nonempty = ((valid & low) + low | valid) & top
+        fill = valid | (valid | base & ~(nonempty >> to_base)) - base
+        x = fill & low
+        carried = x + base
+        hole_free = carried & fill & top
+        full = nonempty & ~(valid >> 1) & (top >> size)
+        moving = (
+            (x & ~carried) ^ (hole_free - (hole_free >> to_base))
+            | (full << 1) - (full >> to_base)
+        )
         if not moving:
             return False
+        s, t = self._s, self._t
+        moving_s = moving_t = 0
+        # run edges alternate end, start from the top: each maximal run
+        # [start, end) of moving cells is one lane-mask range per field
+        edges = moving ^ moving << 1
+        while edges:
+            end = edges.bit_length() - 1
+            edges ^= 1 << end
+            start = edges.bit_length() - 1
+            edges ^= 1 << start
+            moving_s |= (1 << end * s) - (1 << start * s)
+            moving_t |= (1 << end * t) - (1 << start * t)
         keep_s = ~(moving_s | moving_s << s)
         keep_t = ~(moving_t | moving_t << t)
         self._bits = self._bits & keep_s | (self._bits & moving_s) << s

@@ -116,7 +116,7 @@ class AlpuDevice(Component):
             self.command_fifo.push(command)
             self._kick.pulse()
 
-        self.engine.schedule(self.bus_latency_ps, deliver)
+        self.engine.schedule_call(self.bus_latency_ps, deliver)
         return self.bus_latency_ps
 
     def bus_write_delivery_enable(self, enabled: bool) -> int:
@@ -147,6 +147,9 @@ class AlpuDevice(Component):
         alpu = self.alpu
         command_fifo = self.command_fifo
         header_fifo = self.header_fifo
+        # the FIFOs' deques: an empty check is a C-level truth test
+        commands = command_fifo.items
+        headers = header_fifo.items
         result_push = self.result_fifo.push
         kick_wait = wait_on(self._kick)
         match_ps = self.timing.match_ps(alpu.config)
@@ -156,7 +159,7 @@ class AlpuDevice(Component):
                 # signal that is never pulsed.
                 yield wait_on(self._stall_hold)
                 continue
-            if len(command_fifo):
+            if commands:
                 command = command_fifo.pop()
                 if tracer.enabled:
                     tracer.begin(
@@ -169,7 +172,7 @@ class AlpuDevice(Component):
                     result_push(response)
                 if tracer.enabled:
                     tracer.end("alpu", f"{self.name}.command")
-            elif len(header_fifo):
+            elif headers:
                 request = header_fifo.pop()
                 if tracer.enabled:
                     tracer.begin("alpu", f"{self.name}.match")

@@ -97,8 +97,22 @@ class AlpuMatchBackend(MatchBackend):
         return entry
 
     # -------------------------------------------------------- maintenance
+    def needs_update(self) -> bool:
+        """Would either driver's ``update()`` do anything?"""
+        return (
+            self.posted_driver.needs_update()
+            or self.unexpected_driver.needs_update()
+        )
+
     def update(self):
-        """One "update the ALPU" step per driver (batched inserts)."""
-        moved = yield from self.posted_driver.update()
-        moved += yield from self.unexpected_driver.update()
+        """One "update the ALPU" step per driver (batched inserts).
+
+        A driver whose :meth:`~AlpuQueueDriver.needs_update` is False
+        would return 0 without yielding, so its generator is not built.
+        """
+        moved = 0
+        if self.posted_driver.needs_update():
+            moved += yield from self.posted_driver.update()
+        if self.unexpected_driver.needs_update():
+            moved += yield from self.unexpected_driver.update()
         return moved > 0

@@ -31,7 +31,9 @@ hook):
     Explicitly unlink an entry (cancellation and diagnostics).
 ``update()``
     One "update the engine" step of the firmware loop (the ALPU's batch
-    inserts live here).  Evaluates to True when it made progress.
+    inserts live here).  Evaluates to True when it made progress; the
+    firmware calls it only when ``has_update`` and ``needs_update()``
+    both hold.
 
 Backends are created through the registry
 (:func:`~repro.nic.backends.registry.register_backend`) and wired to one
@@ -97,6 +99,12 @@ class MatchBackend(abc.ABC):
         queue.remove(entry)
         return None
         yield  # pragma: no cover - makes this a generator
+
+    def needs_update(self) -> bool:
+        """Would :meth:`update` do anything now?  Only consulted when
+        :attr:`has_update` is True; False must mean that ``update()``
+        would evaluate to False without yielding."""
+        return True
 
     def update(self):
         """Per-loop maintenance; evaluates to True on progress (no-op)."""

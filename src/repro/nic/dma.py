@@ -71,7 +71,8 @@ class DmaEngine(Component):
         """
         if size_bytes < 0:
             raise ValueError(f"negative DMA size {size_bytes}")
-        begin = max(self.now, self._busy_until)
+        now = self.now
+        begin = max(now, self._busy_until)
         finish = begin + self.transfer_time_ps(size_bytes)
         self._busy_until = finish
         self.transfers += 1
@@ -81,5 +82,5 @@ class DmaEngine(Component):
             self.completed.append(cookie)
             self.done.pulse()
 
-        self.engine.schedule_at(finish, complete)
+        self.engine.schedule_call(finish - now, complete)
         return finish

@@ -186,6 +186,43 @@ class AlpuQueueDriver:
         return entry
 
     # -------------------------------------------------------------- update
+    def needs_update(self) -> bool:
+        """Would :meth:`update` do anything?
+
+        False exactly when ``update()`` would evaluate to 0 without
+        yielding: disengaged below the threshold, or engaged (and not
+        draining back) with nothing it may insert.  The firmware loop
+        tests this before building the ``update()`` generator, the way it
+        skips empty input sources.
+        """
+        if not self.device.hw_delivery_enabled:
+            return len(self.queue.entries) >= self.config.use_threshold
+        return self._drains_back() or self._can_insert()
+
+    def _drains_back(self) -> bool:
+        """Engaged, drained back below the threshold, nothing mirrored."""
+        threshold = self.config.use_threshold
+        return (
+            threshold > 1
+            and self.tracked_occupancy == 0
+            and len(self.queue.entries) < threshold
+        )
+
+    def _can_insert(self) -> bool:
+        """A software suffix exists and the ALPU, the tags and any parked
+        MATCH FAILURE allow an insert batch now."""
+        queue = self.queue
+        return (
+            len(queue.entries) > queue.alpu_count
+            and self.tracked_occupancy < self.device.alpu.capacity
+            and self.free_tag_count > 0
+            # an earlier drain parked MATCH FAILURE responses that the
+            # firmware has not handled yet; their software-suffix searches
+            # must run against the suffix as it stood, so no entry may
+            # move into the ALPU until they are consumed (Section IV-C/D)
+            and not any(isinstance(r, MatchFailure) for r in self._buffered)
+        )
+
     def update(self):
         """One "update the ALPU" step of the firmware loop.
 
@@ -198,28 +235,14 @@ class AlpuQueueDriver:
             # the queue got adequately long: turn header replication on
             # and start mirroring (a control-register write)
             yield delay(self.device.bus_write_delivery_enable(True))
-        elif (
-            self.config.use_threshold > 1
-            and self.tracked_occupancy == 0
-            and len(self.queue) < self.config.use_threshold
-        ):
+        elif self._drains_back():
             # drained back below the threshold with nothing mirrored:
             # disengage so short-queue traffic pays no ALPU overhead
             yield delay(self.device.bus_write_delivery_enable(False))
             return 0
+        if not self._can_insert():
+            return 0
         suffix_len = len(self.queue) - self.queue.alpu_count
-        if suffix_len == 0:
-            return 0
-        if self.tracked_occupancy >= self.device.alpu.capacity:
-            return 0
-        if not self.free_tag_count:
-            return 0
-        if any(isinstance(r, MatchFailure) for r in self._buffered):
-            # an earlier drain parked MATCH FAILURE responses that the
-            # firmware has not handled yet; their software-suffix searches
-            # must run against the suffix as it stood, so no entry may
-            # move into the ALPU until they are consumed (Section IV-C/D)
-            return 0
 
         # START INSERT, then drain the result FIFO until the acknowledge
         # arrives, buffering any match responses that precede it

@@ -168,11 +168,14 @@ class NicFirmware:
         Each action's generator is only entered when its input source is
         non-empty; an empty source is exactly the case where the action
         would have returned False without yielding, so skipping the call
-        changes no simulated behaviour, only Python overhead.
+        changes no simulated behaviour, only Python overhead.  The
+        backend's ``update()`` is skipped the same way whenever its
+        ``needs_update()`` predicate is False.
         """
         nic = self.nic
-        rx_fifo = nic.rx_fifo
-        cmd_fifo = nic.host_cmd_fifo
+        # the FIFOs' deques: an empty check is a C-level truth test
+        rx_items = nic.rx_fifo.items
+        cmd_items = nic.host_cmd_fifo.items
         tx_dma = nic.tx_dma
         rx_dma = nic.rx_dma
         kick = nic.kick
@@ -184,19 +187,19 @@ class NicFirmware:
         while True:
             self.loop_iterations += 1
             progress = False
-            if host_first and len(cmd_fifo):
+            if host_first and cmd_items:
                 yield from self._check_host()
                 progress = True
-            if len(rx_fifo):
+            if rx_items:
                 yield from self._check_network()
                 progress = True
-            if not host_first and len(cmd_fifo):
+            if not host_first and cmd_items:
                 yield from self._check_host()
                 progress = True
             if tx_dma.completed or rx_dma.completed:
                 progress |= yield from self._advance_active()
             backend = self.backend
-            if backend.has_update:
+            if backend.has_update and backend.needs_update():
                 try:
                     progress |= yield from backend.update()
                 except AlpuStallError as err:

@@ -13,7 +13,7 @@ The profiler measures **host** time only -- it reads no simulated state
 and schedules nothing, so simulated results are bit-identical with it on
 or off (the overhead is real wall-clock time, which is exactly what it
 is measuring).  It is opt-in: the engine's hook is ``None`` by default
-and ``step()`` takes the untimed branch.
+and the dispatch loop takes the untimed branch.
 
 The pinned grid (``tests/workloads/pinned_grid.json``) commits each
 point's events/sec with a tolerance band; its ``wallclock`` test (run

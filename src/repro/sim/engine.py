@@ -23,7 +23,7 @@ The split is exact, not approximate.  A slot entry's key is
 ``(now_at_schedule_time, 0, seq)``; because the clock never moves
 backwards and ``seq`` only grows, the slot deque is always sorted by key,
 and no *future* ``schedule`` call can create a key smaller than one
-already popped.  ``step`` therefore compares the slot head against the
+already popped.  Dispatch therefore compares the slot head against the
 heap head and pops whichever has the smaller ``(time, priority, seq)``
 key -- byte-identical event ordering to a single heap, measurably faster.
 (``tests/sim/test_engine.py`` pins the ordering cases: same-instant
@@ -73,9 +73,9 @@ class Engine:
         into.  Defaults to the shared no-op recorder
         (``engine.lifecycle.enabled`` is False).
     profiler:
-        A :class:`repro.obs.selfprof.SimProfiler`; when set, ``step``
-        times every event handler with the wall clock.  Never touches
-        simulated state.
+        A :class:`repro.obs.selfprof.SimProfiler`; when set, the
+        dispatch loop times every event handler with the wall clock.
+        Never touches simulated state.
     """
 
     def __init__(
@@ -94,7 +94,7 @@ class Engine:
         self._seq: int = 0
         self._fired: int = 0
         #: live (scheduled, not fired, not cancelled) events -- kept exact
-        #: by schedule/step/cancel so :attr:`pending` is O(1)
+        #: by schedule/dispatch/cancel so :attr:`pending` is O(1)
         self._live: int = 0
         self._stopped = False
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
@@ -215,43 +215,67 @@ class Engine:
         """Request that the current ``run`` call return after this event."""
         self._stopped = True
 
-    def _pop_next(self) -> Optional[list]:
-        """Pop the live entry with the smallest (time, priority, seq) key."""
+    def _dispatch(self, until: Optional[int], limit: Optional[int]) -> bool:
+        """Fire live events in ``(time, priority, seq)`` order.
+
+        The one dispatch loop behind :meth:`run` and :meth:`step`: each
+        pass skips cancelled tombstones at both queue heads, takes the
+        smaller key, and fires it -- no per-event method call.  Returns
+        when the queues drain, the next event lies after ``until``, an
+        event called :meth:`stop`, or ``limit`` events have fired.
+        Returns True only in the last case with a further event due.
+        """
         heap = self._heap
         slot = self._slot
-        while slot and slot[0][4]:
-            slot.popleft()
-        while heap and heap[0][4]:
-            heappop(heap)
-        if slot:
-            if heap and heap[0] < slot[0]:
-                return heappop(heap)
-            return slot.popleft()
-        if heap:
-            return heappop(heap)
-        return None
+        popleft = slot.popleft
+        profiler = self.profiler
+        executed = 0
+        while True:
+            while slot and slot[0][4]:
+                popleft()
+            while heap and heap[0][4]:
+                heappop(heap)
+            if slot:
+                entry = slot[0]
+                from_heap = heap and heap[0] < entry
+                if from_heap:
+                    entry = heap[0]
+            elif heap:
+                entry = heap[0]
+                from_heap = True
+            else:
+                return False
+            time = entry[0]
+            if until is not None and time > until:
+                return False
+            if executed == limit:
+                return True
+            if from_heap:
+                heappop(heap)
+            else:
+                popleft()
+            if time < self._now:  # pragma: no cover - queue invariant
+                raise SimulationError("event queue produced a past event")
+            self._now = time
+            self._fired += 1
+            entry[4] = 2
+            self._live -= 1
+            action = entry[3]
+            if profiler is None:
+                action()
+            else:
+                start = perf_counter()
+                action()
+                profiler.record(action, perf_counter() - start)
+            executed += 1
+            if self._stopped:
+                return False
 
     def step(self) -> bool:
         """Execute the next non-cancelled event.  Returns False if none."""
-        entry = self._pop_next()
-        if entry is None:
-            return False
-        time = entry[0]
-        if time < self._now:  # pragma: no cover - queue invariant
-            raise SimulationError("event queue produced a past event")
-        self._now = time
-        self._fired += 1
-        entry[4] = 2
-        self._live -= 1
-        action = entry[3]
-        profiler = self.profiler
-        if profiler is None:
-            action()
-        else:
-            start = perf_counter()
-            action()
-            profiler.record(action, perf_counter() - start)
-        return True
+        fired = self._fired
+        self._dispatch(None, 1)
+        return self._fired != fired
 
     def run(
         self,
@@ -277,32 +301,10 @@ class Engine:
             The simulated time at exit.
         """
         self._stopped = False
-        executed = 0
-        heap = self._heap
-        slot = self._slot
-        while not self._stopped:
-            while slot and slot[0][4]:
-                slot.popleft()
-            while heap and heap[0][4]:
-                heappop(heap)
-            if not slot and not heap:
-                break
-            if until is not None:
-                if slot:
-                    head_time = slot[0][0]
-                    if heap and heap[0][0] < head_time:
-                        head_time = heap[0][0]
-                else:
-                    head_time = heap[0][0]
-                if head_time > until:
-                    break
-            if max_events is not None and executed >= max_events:
-                raise SimulationError(
-                    f"exceeded max_events={max_events} at t={self._now} ps"
-                )
-            if not self.step():
-                break
-            executed += 1
+        if self._dispatch(until, max_events):
+            raise SimulationError(
+                f"exceeded max_events={max_events} at t={self._now} ps"
+            )
         if until is not None and not self._stopped and self._now < until:
             self._now = until
         return self._now

@@ -42,7 +42,10 @@ class Fifo(Generic[T]):
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
         self.name = name
-        self._items: Deque[T] = deque()
+        #: the queued items, oldest first.  Pollers may test its truth (a
+        #: C-level emptiness check, no ``__len__`` call) but must never
+        #: mutate it: only push/pop keep the signals in step.
+        self.items: Deque[T] = deque()
         #: pulses on every push (and its level tracks non-emptiness)
         self.not_empty = Signal(f"{name}.not_empty")
         #: pulses on every pop from full (level tracks non-fullness)
@@ -55,35 +58,35 @@ class Fifo(Generic[T]):
 
     # ------------------------------------------------------------- observers
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self.items)
 
     @property
     def empty(self) -> bool:
         """No items queued?"""
-        return not self._items
+        return not self.items
 
     @property
     def full(self) -> bool:
         """At capacity? (Never true for unbounded FIFOs.)"""
-        return self.capacity is not None and len(self._items) >= self.capacity
+        return self.capacity is not None and len(self.items) >= self.capacity
 
     @property
     def free_slots(self) -> Optional[int]:
         """Remaining capacity, or None when unbounded."""
         if self.capacity is None:
             return None
-        return self.capacity - len(self._items)
+        return self.capacity - len(self.items)
 
     def peek(self) -> T:
         """Return the head item without removing it."""
-        if not self._items:
+        if not self.items:
             raise FifoEmptyError(f"peek on empty fifo {self.name}")
-        return self._items[0]
+        return self.items[0]
 
     # ------------------------------------------------------------ operations
     def push(self, item: T) -> None:
         """Append ``item``; raises :class:`FifoFullError` when full."""
-        items = self._items
+        items = self.items
         capacity = self.capacity
         if capacity is not None and len(items) >= capacity:
             raise FifoFullError(f"push to full fifo {self.name}")
@@ -105,7 +108,7 @@ class Fifo(Generic[T]):
 
     def pop(self) -> T:
         """Remove and return the head item."""
-        items = self._items
+        items = self.items
         if not items:
             raise FifoEmptyError(f"pop from empty fifo {self.name}")
         item = items.popleft()
@@ -117,23 +120,23 @@ class Fifo(Generic[T]):
 
     def try_pop(self) -> Optional[T]:
         """Pop if non-empty, else return None."""
-        if not self._items:
+        if not self.items:
             return None
         return self.pop()
 
     def drain(self) -> list[T]:
         """Pop everything, in order."""
         out = []
-        while self._items:
+        while self.items:
             out.append(self.pop())
         return out
 
     def clear(self) -> None:
         """Discard all contents (models a hardware reset)."""
-        self._items.clear()
+        self.items.clear()
         self.not_empty.clear()
         self.not_full.set()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         cap = "inf" if self.capacity is None else self.capacity
-        return f"<Fifo {self.name!r} {len(self._items)}/{cap}>"
+        return f"<Fifo {self.name!r} {len(self.items)}/{cap}>"

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import dataclasses
 import statistics
-from typing import List, Optional
+from typing import List
 
 from repro.core import AlpuConfig, CellKind
 from repro.core.commands import (

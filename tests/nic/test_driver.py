@@ -19,10 +19,14 @@ from repro.sim.engine import Engine
 from repro.sim.process import Process
 
 
-def build(driver_config=DriverConfig(), total_cells=16, block_size=4):
+def build(driver_config=DriverConfig(), total_cells=16, block_size=4, tag_width=16):
     engine = Engine()
     device = AlpuDevice(
-        engine, "dev", AlpuConfig(total_cells=total_cells, block_size=block_size)
+        engine,
+        "dev",
+        AlpuConfig(
+            total_cells=total_cells, block_size=block_size, tag_width=tag_width
+        ),
     )
     queue = NicQueue("q", AddressAllocator())
     proc = Processor(engine, "nicproc", 500e6)
@@ -213,6 +217,161 @@ def test_software_removal_assertion_guards_prefix_consistency():
     prefix_entry = queue.entries[0]
     with pytest.raises(AssertionError):
         driver.forget_software_removal(prefix_entry)
+
+
+# ------------------------------------------------------ idle-update predicate
+def yields_before_finishing(generator):
+    """Advance ``generator`` once: True if it yields, False if it returns
+    (an idle ``update()`` evaluates to 0)."""
+    try:
+        next(generator)
+    except StopIteration as done:
+        assert done.value == 0
+        return False
+    generator.close()
+    return True
+
+
+def consume_results(engine, driver, queue, count):
+    def consume():
+        for _ in range(count):
+            response = yield from driver.read_result()
+            if isinstance(response, MatchSuccess):
+                queue.remove(driver.take_matched_entry(response))
+
+    run_gen(engine, consume())
+
+
+def disengaged_below_threshold():
+    engine, device, queue, driver = build(DriverConfig(use_threshold=3))
+    fill(queue, 2)
+    return driver
+
+
+def disengaged_at_threshold():
+    engine, device, queue, driver = build(DriverConfig(use_threshold=3))
+    fill(queue, 3)
+    return driver
+
+
+def engaged_drained_back():
+    engine, device, queue, driver = build(DriverConfig(use_threshold=3))
+    fill(queue, 3)
+    run_gen(engine, driver.update())
+    for bits in range(3):
+        device.hw_push_header(MatchRequest(bits=bits))
+    engine.run()
+    consume_results(engine, driver, queue, 3)
+    assert driver.engaged and driver.tracked_occupancy == 0 and not len(queue)
+    return driver
+
+
+def engaged_above_threshold_fully_mirrored():
+    engine, device, queue, driver = build(DriverConfig(use_threshold=3))
+    fill(queue, 4)
+    run_gen(engine, driver.update())
+    return driver
+
+
+def empty_queue():
+    return build()[3]
+
+
+def empty_suffix():
+    engine, device, queue, driver = build()
+    fill(queue, 3)
+    run_gen(engine, driver.update())
+    return driver
+
+
+def suffix_to_insert():
+    engine, device, queue, driver = build()
+    fill(queue, 3)
+    return driver
+
+
+def full_alpu():
+    engine, device, queue, driver = build(total_cells=8, block_size=4)
+    fill(queue, 12)
+    run_gen(engine, driver.update())
+    assert driver.tracked_occupancy == device.alpu.capacity
+    return driver
+
+
+def tags_exhausted():
+    engine, device, queue, driver = build(tag_width=2)
+    fill(queue, 6)
+    run_gen(engine, driver.update())
+    assert driver.free_tag_count == 0 and device.alpu.free_entries
+    return driver
+
+
+def failure_in_result_fifo():
+    """Not yet buffered: update yields START INSERT, then aborts."""
+    engine, device, queue, driver = build()
+    fill(queue, 2)
+    device.hw_push_header(MatchRequest(bits=999))
+    engine.run()
+    return driver
+
+
+def failure_parked():
+    engine, device, queue, driver = build()
+    fill(queue, 2)
+    device.hw_push_header(MatchRequest(bits=999))
+    engine.run()
+    assert run_gen(engine, driver.update()) == 0
+    assert any(isinstance(r, MatchFailure) for r in driver._buffered)
+    return driver
+
+
+def success_buffered():
+    engine, device, queue, driver = build()
+    fill(queue, 2, bits_base=50)
+    run_gen(engine, driver.update())
+    device.hw_push_header(MatchRequest(bits=50))
+    engine.run()
+    fill(queue, 1, bits_base=60)
+    assert run_gen(engine, driver.update()) == 1
+    fill(queue, 1, bits_base=70)
+    assert any(isinstance(r, MatchSuccess) for r in driver._buffered)
+    return driver
+
+
+@pytest.mark.parametrize(
+    "state, needed",
+    [
+        (disengaged_below_threshold, False),
+        (disengaged_at_threshold, True),
+        (engaged_drained_back, True),
+        (engaged_above_threshold_fully_mirrored, False),
+        (empty_queue, False),
+        (empty_suffix, False),
+        (suffix_to_insert, True),
+        (full_alpu, False),
+        (tags_exhausted, False),
+        (failure_in_result_fifo, True),
+        (failure_parked, False),
+        (success_buffered, True),
+    ],
+)
+def test_needs_update_iff_update_yields(state, needed):
+    """``needs_update()`` is False exactly when ``update()`` returns 0
+    without yielding, so the firmware may skip building the generator."""
+    driver = state()
+    assert driver.needs_update() is needed
+    assert yields_before_finishing(driver.update()) is needed
+
+
+def test_needs_update_tracks_a_suffix_appearing():
+    engine, device, queue, driver = build()
+    fill(queue, 3)
+    run_gen(engine, driver.update())
+    assert not driver.needs_update()
+    fill(queue, 1, bits_base=10)
+    assert driver.needs_update()
+    assert run_gen(engine, driver.update()) == 1
+    assert not driver.needs_update()
 
 
 # --------------------------------------------------------- stall detection

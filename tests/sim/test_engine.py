@@ -136,6 +136,51 @@ def test_max_events_guards_livelock():
         engine.run(max_events=100)
 
 
+def test_max_events_counts_only_events_that_would_run():
+    """The limit trips only with a live event still due: trailing
+    tombstones and events after ``until`` do not count, and the raise
+    leaves the next event queued and the clock where the last one ran."""
+    engine = Engine()
+    for delay in (1, 2, 3):
+        engine.schedule(delay, lambda: None)
+    engine.schedule(4, lambda: None).cancel()
+    engine.schedule(100, lambda: None)
+    assert engine.run(until=50, max_events=3) == 50
+    engine.schedule(1, lambda: None)
+    with pytest.raises(SimulationError, match="max_events=1"):
+        engine.run(max_events=1)
+    assert engine.now == 51
+    assert engine.pending == 1
+
+
+def test_step_fires_one_event_in_key_order():
+    """``step`` takes the same path as ``run``: one event per call, the
+    slot and heap merged by key, tombstones skipped."""
+    engine = Engine()
+    fired = []
+    engine.schedule(5, lambda: fired.append("t5"))
+    engine.schedule(0, lambda: fired.append("p1"), priority=1)
+    engine.schedule(0, lambda: fired.append("p0"))
+    engine.schedule(3, lambda: fired.append("dropped")).cancel()
+    order = []
+    while engine.step():
+        order.append((engine.now, list(fired)))
+    assert fired == ["p0", "p1", "t5"]
+    assert [time for time, _ in order] == [0, 0, 5]
+    assert engine.events_fired == 3
+    assert engine.step() is False
+
+
+def test_step_ignores_a_stop_left_by_run():
+    engine = Engine()
+    engine.schedule(1, engine.stop)
+    engine.schedule(2, lambda: None)
+    engine.run()
+    assert engine.now == 1
+    assert engine.step() is True
+    assert engine.now == 2
+
+
 def test_events_fired_counter():
     engine = Engine()
     for _ in range(5):

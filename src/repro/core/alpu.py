@@ -129,6 +129,12 @@ class CompactionReach(enum.Enum):
     GLOBAL = "global"
 
 
+# the modes as module globals: a load through the enum class is slow
+# (see repro.network.packet), and submit/drain test the mode per command
+_MATCH = AlpuMode.MATCH
+_INSERT = AlpuMode.INSERT
+
+
 @dataclasses.dataclass(frozen=True)
 class AlpuConfig:
     """ALPU geometry.
@@ -209,6 +215,7 @@ class Alpu:
         #: every guard bit (bit w of each lane)
         self._high = self._comb << w
         self._stores_mask = config.kind is CellKind.POSTED_RECEIVE
+        self._global_reach = config.compaction_reach is CompactionReach.GLOBAL
         # --------------------------------------- block-view constants (valid)
         cells = (1 << config.total_cells) - 1
         #: lowest cell of every block / highest cell / all the others
@@ -221,7 +228,7 @@ class Alpu:
         self._tags = 0
         self._valid = 0
         self._valid_guard = 0
-        self.mode = AlpuMode.MATCH
+        self.mode = _MATCH
         #: responses in result-FIFO order
         self.results: Deque[Response] = deque()
         #: header requests not yet resolved (held during insert mode)
@@ -307,7 +314,7 @@ class Alpu:
                 self._pending.popleft()
                 self.results.append(response)
                 emitted.append(response)
-            elif self.mode is AlpuMode.INSERT:
+            elif self.mode is _INSERT:
                 break  # held for retry; MATCH FAILURE may not be emitted now
             else:
                 self._pending.popleft()
@@ -380,12 +387,12 @@ class Alpu:
     # ============================================================== commands
     def submit(self, command: Command) -> List[Response]:
         """Feed one command from the command FIFO; returns new responses."""
-        if self.mode is AlpuMode.INSERT:
+        if self.mode is _INSERT:
             return self._submit_insert_mode(command)
         # MATCH mode -> Read Command transition (Fig. 3): only RESET and
         # START INSERT are valid; others are discarded (footnote 3).
         if isinstance(command, StartInsert):
-            self.mode = AlpuMode.INSERT
+            self.mode = _INSERT
             response = StartAcknowledge(free_entries=self.free_entries)
             self.results.append(response)
             return [response]
@@ -405,7 +412,7 @@ class Alpu:
                 self._m_held_retries.inc()
             return self._drain_pending()
         if isinstance(command, StopInsert):
-            self.mode = AlpuMode.MATCH
+            self.mode = _MATCH
             # resolve the backlog; failures may be emitted again now
             return self._drain_pending()
         if isinstance(command, Reset):
@@ -426,7 +433,7 @@ class Alpu:
         preserving one-response-per-header.
         """
         self._clear_valid()
-        self.mode = AlpuMode.MATCH
+        self.mode = _MATCH
         self.stats.resets += 1
         self._m_resets.inc()
         self._g_occupancy.set(0)
@@ -491,7 +498,7 @@ class Alpu:
         """
         self.stats.compaction_steps += 1
         self._m_compactions.inc()
-        if self.config.compaction_reach is CompactionReach.GLOBAL:
+        if self._global_reach:
             return self._compact_step_global()
         return self._compact_step_block()
 

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional
 
 from repro.core.match import ANY_SOURCE, ANY_TAG
 from repro.mpi.communicator import COLLECTIVE_CONTEXT, Communicator
-from repro.mpi.request import MpiRequest, MpiStatus, RequestKind
+from repro.mpi.request import RECV, SEND, MpiRequest, MpiStatus, RequestKind
 from repro.nic.host_interface import Completion, PostRecv, PostSend
 from repro.proc.costmodel import HostCostModel
 from repro.sim.process import delay, now, wait_on
@@ -111,7 +111,7 @@ class MpiProcess:
         comm.check_rank(dest)
         if tag < 0:
             raise MpiError(f"send tag must be non-negative, got {tag}")
-        request = self._new_request(RequestKind.SEND, dest, tag, comm, size)
+        request = self._new_request(SEND, dest, tag, comm, size)
         request.posted_at = yield now()
         rec = self._lifecycle
         if rec.enabled:
@@ -156,7 +156,7 @@ class MpiProcess:
             comm.check_rank(source)
         if tag < 0 and tag != ANY_TAG:
             raise MpiError(f"recv tag must be non-negative or ANY_TAG, got {tag}")
-        request = self._new_request(RequestKind.RECV, source, tag, comm, size)
+        request = self._new_request(RECV, source, tag, comm, size)
         request.posted_at = yield now()
         rec = self._lifecycle
         if rec.enabled:
@@ -496,9 +496,9 @@ class MpiProcess:
                     self.rank,
                     request.req_id,
                     request.completed_at,
-                    recv=request.kind is RequestKind.RECV,
+                    recv=request.kind is RECV,
                 )
-            if request.kind is RequestKind.RECV:
+            if request.kind is RECV:
                 request.status = MpiStatus(
                     source=completion.source,
                     tag=completion.tag,

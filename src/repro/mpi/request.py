@@ -19,6 +19,12 @@ class RequestKind(enum.Enum):
     RECV = "recv"
 
 
+# the members as module globals for per-call code (a load through the
+# enum class is slow; see repro.network.packet)
+SEND = RequestKind.SEND
+RECV = RequestKind.RECV
+
+
 @dataclasses.dataclass(frozen=True, slots=True)
 class MpiStatus:
     """The MPI_Status of a completed receive.

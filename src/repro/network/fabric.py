@@ -34,8 +34,8 @@ import dataclasses
 import functools
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.network.faults import FaultModel, Verdict
-from repro.network.packet import Packet, stamp
+from repro.network.faults import CORRUPT, DELAY, DELIVER, DROP, DUPLICATE, FaultModel
+from repro.network.packet import Packet
 from repro.network.topology import Topology, TopologyConfig
 from repro.proc.params import NETWORK_WIRE_LATENCY_PS
 from repro.sim.component import Component
@@ -125,7 +125,16 @@ class Fabric(Component):
                 bandwidth_bytes_per_ps=config.bandwidth_bytes_per_ps,
                 on_deliver=functools.partial(self._on_hop, dst),
             )
-        self._seq: Dict[tuple, int] = {}
+        #: ``[node][dst]`` -> the first channel of the route from
+        #: ``node``, for injection and store-and-forward alike
+        hop = self.topology.next_hop
+        nodes = range(num_nodes)
+        self._first_link: List[List[Link]] = [
+            [self._links[(node, hop(node, dst))] for dst in nodes] for node in nodes
+        ]
+        #: ``[src][dst]`` -> packets injected for that pair (the snapshot's
+        #: per-pair traffic matrix)
+        self._pair_packets: List[List[int]] = [[0] * num_nodes for _ in nodes]
         #: packets handed to :meth:`inject` (dropped ones included; a
         #: duplicated packet counts once -- it was injected once)
         self.packets_injected = 0
@@ -247,94 +256,102 @@ class Fabric(Component):
                 )
 
     def inject(self, packet: Packet) -> Packet:
-        """Send a packet; returns the (sequence-stamped) packet injected."""
-        if not 0 <= packet.src < self.num_nodes:
-            raise ValueError(f"bad source node {packet.src}")
-        if not 0 <= packet.dst < self.num_nodes:
-            raise ValueError(f"bad destination node {packet.dst}")
-        key = (packet.src, packet.dst)
-        seq = self._seq.get(key, 0)
-        self._seq[key] = seq + 1
-        stamped = stamp(packet, seq=seq)
+        """Send a packet; returns the one committed to the wire: ``packet``
+        itself (frozen, never copied), or a corrupt verdict's damaged copy."""
+        src = packet.src
+        dst = packet.dst
+        if not 0 <= src < self.num_nodes:
+            raise ValueError(f"bad source node {src}")
+        if not 0 <= dst < self.num_nodes:
+            raise ValueError(f"bad destination node {dst}")
+        self._pair_packets[src][dst] += 1
         self.packets_injected += 1
-        verdict = Verdict.DELIVER if self.faults is None else self.faults.judge(stamped)
-        link = self._links[(packet.src, self.topology.next_hop(packet.src, packet.dst))]
-        if verdict is Verdict.DROP:
-            # swallowed by the wire: no link traffic, no delivery.  The
-            # sender's reliability layer (if any) recovers via timeout.
+        self.in_flight += 1
+        sent = self._hop(self._first_link[src][dst], packet, None)
+        return packet if sent is None else sent
+
+    def _hop(self, link: Link, packet: Packet, at_hop: Optional[int]) -> Optional[Packet]:
+        """Put an in-flight packet onto ``link`` under the fault oracle.
+
+        ``at_hop`` is the forwarding node, or None at injection (which
+        alone marks ``wire`` and counts packets and bytes).  Returns the
+        packet committed (a corrupt verdict's damaged copy), or None when
+        the channel dropped it: the packet leaves ``in_flight`` and the
+        endpoints' reliability layer (if any) recovers via timeout.
+        """
+        faults = self.faults
+        verdict = DELIVER if faults is None else faults.judge(packet)
+        if verdict is DROP:
+            # swallowed by the wire: no link traffic, no delivery
+            self.in_flight -= 1
             self._fault(link, "dropped", self._m_dropped)
+            detail = {"kind": packet.kind.name, "rel_seq": packet.rel_seq}
+            where = {"kind": packet.kind.name, "src": packet.src, "dst": packet.dst}
+            if at_hop is not None:
+                detail["at_hop"] = where["at_hop"] = at_hop
             lifecycle = self.engine.lifecycle
             if lifecycle.enabled:
-                lifecycle.mark_uid(
-                    stamped.send_id,
-                    "wire_drop",
-                    detail={"kind": stamped.kind.name, "seq": stamped.seq},
-                )
+                lifecycle.mark_uid(packet.send_id, "wire_drop", detail=detail)
             tracer = self.engine.tracer
             if tracer.enabled:
-                tracer.instant(
-                    "network",
-                    f"{self.name}.fault_drop",
-                    {"kind": stamped.kind.name, "src": stamped.src, "dst": stamped.dst},
-                )
-            return stamped
-        if verdict is Verdict.CORRUPT:
+                tracer.instant("network", f"{self.name}.fault_drop", where)
+            return None
+        if verdict is CORRUPT:
             # flip match-header bits but leave the checksum stale so the
             # receiver's verification catches it and NACKs
-            stamped = dataclasses.replace(
-                stamped, match_bits=self.faults.corrupt_bits(stamped.match_bits)
+            packet = dataclasses.replace(
+                packet, match_bits=faults.corrupt_bits(packet.match_bits)
             )
             self._fault(link, "corrupted", self._m_corrupted)
-        wire_bytes = stamped.wire_bytes
+        wire_bytes = packet.wire_bytes
         # the wire mark lands *before* the hop marks: with fabric
         # observability on its residency collapses to zero and the hop
         # stages carry the decomposed budget (identical timestamp and
         # content either way)
         lifecycle = self.engine.lifecycle
-        if lifecycle.enabled:
+        if at_hop is None and lifecycle.enabled:
             lifecycle.mark_uid(
-                stamped.send_id,
+                packet.send_id,
                 "wire",
                 detail={
-                    "kind": stamped.kind.name,
-                    "src": stamped.src,
-                    "dst": stamped.dst,
-                    "bytes": wire_bytes,
-                },
-            )
-        if verdict is Verdict.DELAY:
-            # hold the packet back long enough for later traffic on the
-            # same pair to overtake it: a genuine reorder at the receiver
-            self._fault(link, "delayed", self._m_delayed)
-            delay_ps = self.faults.config.reorder_delay_ps
-            self._mark_fault_delay(link, stamped, delay_ps)
-            self.in_flight += 1
-            self.engine.schedule(
-                delay_ps,
-                functools.partial(self._send_hop, link, stamped, wire_bytes),
-            )
-        else:
-            self.in_flight += 1
-            self._send_hop(link, stamped, wire_bytes)
-            if verdict is Verdict.DUPLICATE:
-                self._fault(link, "duplicated", self._m_duplicated)
-                self.in_flight += 1
-                self._send_hop(link, stamped, wire_bytes)
-        self._m_packets.inc()
-        self._m_bytes.inc(wire_bytes)
-        tracer = self.engine.tracer
-        if tracer.enabled:
-            tracer.instant(
-                "network",
-                f"{self.name}.inject",
-                {
                     "kind": packet.kind.name,
                     "src": packet.src,
                     "dst": packet.dst,
                     "bytes": wire_bytes,
                 },
             )
-        return stamped
+        if verdict is DELAY:
+            # hold the packet back long enough for later traffic on the
+            # same pair to overtake it: a genuine reorder at the receiver
+            self._fault(link, "delayed", self._m_delayed)
+            delay_ps = faults.config.reorder_delay_ps
+            self._mark_fault_delay(link, packet, delay_ps)
+            self.engine.schedule(
+                delay_ps,
+                functools.partial(self._send_hop, link, packet, wire_bytes),
+            )
+        else:
+            self._send_hop(link, packet, wire_bytes)
+            if verdict is DUPLICATE:
+                self._fault(link, "duplicated", self._m_duplicated)
+                self.in_flight += 1
+                self._send_hop(link, packet, wire_bytes)
+        if at_hop is None:
+            self._m_packets.inc()
+            self._m_bytes.inc(wire_bytes)
+            tracer = self.engine.tracer
+            if tracer.enabled:
+                tracer.instant(
+                    "network",
+                    f"{self.name}.inject",
+                    {
+                        "kind": packet.kind.name,
+                        "src": packet.src,
+                        "dst": packet.dst,
+                        "bytes": wire_bytes,
+                    },
+                )
+        return packet
 
     # -------------------------------------------------------------- routing
     def _on_hop(self, node: int, packet: Packet) -> None:
@@ -360,57 +377,9 @@ class Fabric(Component):
         a drop here strands the packet mid-route -- recovered, as at
         injection, by the endpoints' reliability layer.
         """
-        link = self._links[(node, self.topology.next_hop(node, packet.dst))]
-        verdict = Verdict.DELIVER if self.faults is None else self.faults.judge(packet)
         self._m_forwards.inc()
         self.hops_forwarded += 1
-        if verdict is Verdict.DROP:
-            self.in_flight -= 1
-            self._fault(link, "dropped", self._m_dropped)
-            lifecycle = self.engine.lifecycle
-            if lifecycle.enabled:
-                lifecycle.mark_uid(
-                    packet.send_id,
-                    "wire_drop",
-                    detail={
-                        "kind": packet.kind.name,
-                        "seq": packet.seq,
-                        "at_hop": node,
-                    },
-                )
-            tracer = self.engine.tracer
-            if tracer.enabled:
-                tracer.instant(
-                    "network",
-                    f"{self.name}.fault_drop",
-                    {
-                        "kind": packet.kind.name,
-                        "src": packet.src,
-                        "dst": packet.dst,
-                        "at_hop": node,
-                    },
-                )
-            return
-        if verdict is Verdict.CORRUPT:
-            packet = dataclasses.replace(
-                packet, match_bits=self.faults.corrupt_bits(packet.match_bits)
-            )
-            self._fault(link, "corrupted", self._m_corrupted)
-        wire_bytes = packet.wire_bytes
-        if verdict is Verdict.DELAY:
-            self._fault(link, "delayed", self._m_delayed)
-            delay_ps = self.faults.config.reorder_delay_ps
-            self._mark_fault_delay(link, packet, delay_ps)
-            self.engine.schedule(
-                delay_ps,
-                functools.partial(self._send_hop, link, packet, wire_bytes),
-            )
-        else:
-            self._send_hop(link, packet, wire_bytes)
-            if verdict is Verdict.DUPLICATE:
-                self._fault(link, "duplicated", self._m_duplicated)
-                self.in_flight += 1
-                self._send_hop(link, packet, wire_bytes)
+        self._hop(self._first_link[node][packet.dst], packet, node)
 
     # -------------------------------------------------------------- surface
     @property
@@ -466,7 +435,9 @@ class Fabric(Component):
                 "hops": len(routes[(src, dst)]) if src != dst else 1,
                 "route": list(routes[(src, dst)]) if src != dst else [dst],
             }
-            for (src, dst), count in sorted(self._seq.items())
+            for src, row in enumerate(self._pair_packets)
+            for dst, count in enumerate(row)
+            if count
         ]
         topology = self.topology
         return {

@@ -76,6 +76,15 @@ class Verdict(enum.Enum):
     CORRUPT = "corrupt"
 
 
+# module globals for the per-hop path (see repro.network.packet: a load
+# through the enum class is several times slower)
+DELIVER = Verdict.DELIVER
+DROP = Verdict.DROP
+DUPLICATE = Verdict.DUPLICATE
+DELAY = Verdict.DELAY
+CORRUPT = Verdict.CORRUPT
+
+
 class FaultModel:
     """Seeded per-packet fault oracle; one verdict per :meth:`judge` call."""
 
@@ -97,25 +106,25 @@ class FaultModel:
         """
         config = self.config
         if not config.enabled:
-            return Verdict.DELIVER
+            return DELIVER
         draw = self._rng.random()
         threshold = config.drop_rate
         if draw < threshold:
             self.drops += 1
-            return Verdict.DROP
+            return DROP
         threshold += config.duplicate_rate
         if draw < threshold:
             self.duplicates += 1
-            return Verdict.DUPLICATE
+            return DUPLICATE
         threshold += config.reorder_rate
         if draw < threshold:
             self.delays += 1
-            return Verdict.DELAY
+            return DELAY
         threshold += config.corrupt_rate
         if draw < threshold:
             self.corruptions += 1
-            return Verdict.CORRUPT
-        return Verdict.DELIVER
+            return CORRUPT
+        return DELIVER
 
     def corrupt_bits(self, bits: int) -> int:
         """Flip at least one bit of a match header (deterministic per seed)."""

@@ -46,15 +46,34 @@ class PacketKind(enum.Enum):
         # one through the enum metaclass
         #: the payload travels with the header
         self.carries_payload = value in ("eager", "rndv_data")
+        #: the header carries match bits the receiver runs the MPI match on
+        self.carries_match = value in ("eager", "rndv_rts")
         #: FNV-1a state after the first header word, the value's bytes
         self.checksum_basis = (
             (0xCBF29CE484222325 ^ int.from_bytes(value.encode(), "little")) * _FNV_PRIME
         ) & _MASK64
 
 
+# The members as module globals, for the packet path: an enum class has a
+# metaclass ``__getattr__``, so ``PacketKind.ACK`` never gets a specialized
+# attribute load and costs several global loads (DESIGN.md section 11).
+EAGER = PacketKind.EAGER
+RNDV_RTS = PacketKind.RNDV_RTS
+RNDV_CTS = PacketKind.RNDV_CTS
+RNDV_DATA = PacketKind.RNDV_DATA
+ACK = PacketKind.ACK
+NACK = PacketKind.NACK
+NACK_BUSY = PacketKind.NACK_BUSY
+
+
 @dataclasses.dataclass(frozen=True)
 class Packet:
-    """One unit of network traffic."""
+    """One unit of network traffic.
+
+    Frozen, so one object can travel the wire many times: the fabric
+    injects the packet it is given, and a retransmission or a fabric
+    duplicate re-sends the same object.
+    """
 
     kind: PacketKind
     src: int
@@ -67,8 +86,6 @@ class Packet:
     send_id: int = 0
     #: receiver-side entry identifier (CTS and RNDV_DATA routing)
     recv_id: int = 0
-    #: per-(src, dst) monotone sequence number; lets tests assert ordering
-    seq: int = 0
     #: reliability-layer sequence number (per (src, dst), stamped by the
     #: NIC's reliability layer; -1 when the layer is off)
     rel_seq: int = -1
@@ -81,33 +98,29 @@ class Packet:
         return HEADER_BYTES + (self.payload_bytes if self.kind.carries_payload else 0)
 
 
-def stamp(packet: Packet, **fields) -> Packet:
-    """A copy of ``packet`` with ``fields`` overwritten: a ``__dict__``
-    clone, because ``dataclasses.replace`` re-runs the frozen ``__init__``
-    (Packet has no ``__post_init__`` for a clone to skip).
+def seal(packet: Packet, **fields) -> Packet:
+    """A copy of ``packet`` with ``fields`` overwritten and the checksum
+    set over the new header.
+
+    The copy is a ``__dict__`` clone, because ``dataclasses.replace``
+    re-runs the frozen ``__init__`` (Packet has no ``__post_init__`` for
+    a clone to skip).
     """
-    clone = object.__new__(Packet)
-    state = clone.__dict__
+    sealed = object.__new__(Packet)
+    state = sealed.__dict__
     state.update(packet.__dict__)
     state.update(fields)
-    return clone
-
-
-def seal(packet: Packet, **fields) -> Packet:
-    """:func:`stamp`, with the checksum set over the stamped header."""
-    sealed = stamp(packet, **fields)
-    sealed.__dict__["checksum"] = header_checksum(sealed)
+    state["checksum"] = header_checksum(sealed)
     return sealed
 
 
 def header_checksum(packet: Packet) -> int:
     """64-bit FNV-1a over the header fields the receiver acts on.
 
-    Deliberately excludes the fabric's ``seq`` stamp (re-assigned on every
-    injection, so a retransmitted copy would never verify) and the
-    ``checksum`` field itself.  FNV-1a masks to 64 bits after each step;
-    this one unrolled pass masks once at the end, with the same digest:
-    the low 64 bits of a product or an xor depend only on the operands'.
+    Excludes the ``checksum`` field itself.  FNV-1a masks to 64 bits
+    after each step; this one unrolled pass masks once at the end, with
+    the same digest: the low 64 bits of a product or an xor depend only
+    on the operands'.
     """
     digest = (packet.kind.checksum_basis ^ packet.src) * _FNV_PRIME
     digest = (digest ^ packet.dst) * _FNV_PRIME

@@ -24,15 +24,12 @@ import dataclasses
 from typing import Dict, Tuple
 
 from repro.core.match import MatchFormat, MatchRequest
-from repro.network.packet import Packet, PacketKind
+from repro.network.packet import EAGER, RNDV_CTS, RNDV_DATA, RNDV_RTS, Packet
 from repro.nic.backends import backend_spec, create_backend
 from repro.nic.driver import AlpuStallError
 from repro.nic.host_interface import Completion, PostRecv, PostSend
 from repro.nic.queues import (
-    ENTRY_BYTES,
-    EntryKind,
-    NicQueue,
-    QueueEntry,
+    ENTRY_BYTES, POSTED_RECV, SEND, UNEXPECTED_EAGER, UNEXPECTED_RNDV, NicQueue, QueueEntry
 )
 from repro.proc.costmodel import NicCostModel
 from repro.sim.process import delay, wait_on
@@ -220,11 +217,12 @@ class NicFirmware:
             self.lifecycle.mark_uid(
                 packet.send_id, "nic_rx", detail={"kind": packet.kind.name}
             )
-        if packet.kind in (PacketKind.EAGER, PacketKind.RNDV_RTS):
+        kind = packet.kind
+        if kind.carries_match:
             yield from self._handle_match_packet(packet)
-        elif packet.kind is PacketKind.RNDV_CTS:
+        elif kind is RNDV_CTS:
             yield from self._handle_cts(packet)
-        elif packet.kind is PacketKind.RNDV_DATA:
+        elif kind is RNDV_DATA:
             yield from self._handle_rndv_data(packet)
         return True
 
@@ -284,7 +282,7 @@ class NicFirmware:
         entry.matched_source = source
         entry.matched_tag = tag
         entry.matched_size = packet.payload_bytes
-        if packet.kind is PacketKind.EAGER:
+        if packet.kind is EAGER:
             yield from self._start_recv_payload(entry, packet.payload_bytes)
         else:  # RNDV_RTS: grant the sender a clear-to-send
             if self.lifecycle.enabled:
@@ -293,7 +291,7 @@ class NicFirmware:
             self.active_recv_q[entry.uid] = entry
             self.nic.inject(
                 Packet(
-                    kind=PacketKind.RNDV_CTS,
+                    kind=RNDV_CTS,
                     src=self.nic.node_id,
                     dst=packet.src,
                     match_bits=0,
@@ -341,11 +339,7 @@ class NicFirmware:
 
     def _enqueue_unexpected(self, packet: Packet):
         """No posted receive matched: park the header (Section V-C)."""
-        kind = (
-            EntryKind.UNEXPECTED_EAGER
-            if packet.kind is PacketKind.EAGER
-            else EntryKind.UNEXPECTED_RNDV
-        )
+        kind = UNEXPECTED_EAGER if packet.kind is EAGER else UNEXPECTED_RNDV
         if self.lifecycle.enabled:
             # post-append depth, matching the tracer instant below and
             # the posted_wait mark's convention (the entry being parked
@@ -388,7 +382,7 @@ class NicFirmware:
             self.lifecycle.mark_uid(entry.uid, "rndv_data_dma")
         yield delay(self.proc.compute(self.cost.dma_setup_cycles))
         data = Packet(
-            kind=PacketKind.RNDV_DATA,
+            kind=RNDV_DATA,
             src=self.nic.node_id,
             dst=dest,
             match_bits=0,
@@ -481,7 +475,7 @@ class NicFirmware:
             yield from self._consume_unexpected(command, unexpected)
             return
         entry = self.posted_recv_q.allocate_entry(
-            kind=EntryKind.POSTED_RECV,
+            kind=POSTED_RECV,
             bits=bits,
             mask=mask,
             size=command.size,
@@ -513,7 +507,7 @@ class NicFirmware:
         unexpected.matched_source = source
         unexpected.matched_tag = tag
         unexpected.matched_size = unexpected.size
-        if unexpected.kind is EntryKind.UNEXPECTED_EAGER:
+        if unexpected.kind is UNEXPECTED_EAGER:
             # payload is parked in NIC memory; move it to the host buffer
             yield from self._start_recv_payload(unexpected, unexpected.size)
         else:  # rendezvous: grant the sender a CTS now
@@ -523,7 +517,7 @@ class NicFirmware:
             self.active_recv_q[unexpected.uid] = unexpected
             self.nic.inject(
                 Packet(
-                    kind=PacketKind.RNDV_CTS,
+                    kind=RNDV_CTS,
                     src=self.nic.node_id,
                     dst=unexpected.src_node,
                     match_bits=0,
@@ -551,7 +545,7 @@ class NicFirmware:
         )
         dest_node = self.nic.node_of(command.dest)
         entry = self.send_q.allocate_entry(
-            kind=EntryKind.SEND,
+            kind=SEND,
             bits=bits,
             mask=0,
             size=command.size,
@@ -568,7 +562,7 @@ class NicFirmware:
         self.send_q.append(entry)
         if command.size <= self.cfg.eager_threshold:
             packet = Packet(
-                kind=PacketKind.EAGER,
+                kind=EAGER,
                 src=self.nic.node_id,
                 dst=dest_node,
                 match_bits=bits,
@@ -589,7 +583,7 @@ class NicFirmware:
             self.pending_rndv_sends[entry.uid] = (entry, dest_node)
             self.nic.inject(
                 Packet(
-                    kind=PacketKind.RNDV_RTS,
+                    kind=RNDV_RTS,
                     src=self.nic.node_id,
                     dst=dest_node,
                     match_bits=bits,

@@ -26,7 +26,7 @@ from repro.core.match import MatchRequest
 from repro.core.pipeline import AlpuTimingModel
 from repro.memory.layout import AddressAllocator
 from repro.network.fabric import Fabric
-from repro.network.packet import Packet, PacketKind
+from repro.network.packet import Packet
 from repro.nic.alpu_device import AlpuDevice, AlpuFaultConfig
 from repro.nic.dma import DmaConfig, DmaEngine
 from repro.nic.driver import AlpuQueueDriver, DriverConfig
@@ -304,11 +304,7 @@ class Nic(Component):
         if (
             self.posted_device is not None
             and not self.alpu_offline
-            and packet.kind
-            in (
-                PacketKind.EAGER,
-                PacketKind.RNDV_RTS,
-            )
+            and packet.kind.carries_match
         ):
             pushed = self.posted_device.hw_delivery_enabled
             if pushed:

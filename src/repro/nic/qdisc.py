@@ -47,7 +47,6 @@ import dataclasses
 from typing import Dict, Iterable, Iterator
 
 from repro.core.match import MatchFormat, MatchRequest
-from repro.network.packet import PacketKind
 from repro.nic.backends.registry import Registry
 from repro.nic.queues import QueueEntry
 
@@ -277,8 +276,7 @@ class AdmissionControl:
         has not yet classified).  Both are unbounded hiding places for
         the very flood the threshold is supposed to bound.
         """
-        kind = packet.kind
-        if kind is not PacketKind.EAGER and kind is not PacketKind.RNDV_RTS:
+        if not packet.kind.carries_match:
             return True
         occupancy = len(self.queue) + len(self.nic.rx_fifo)
         reliability = self.nic.reliability

@@ -47,6 +47,14 @@ class EntryKind(enum.Enum):
     SEND = "send"
 
 
+# the members as module globals, for the firmware's per-message path (a
+# load through the enum class is slow; see repro.network.packet)
+POSTED_RECV = EntryKind.POSTED_RECV
+UNEXPECTED_EAGER = EntryKind.UNEXPECTED_EAGER
+UNEXPECTED_RNDV = EntryKind.UNEXPECTED_RNDV
+SEND = EntryKind.SEND
+
+
 _entry_ids = itertools.count(1)
 
 

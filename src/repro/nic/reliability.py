@@ -23,16 +23,15 @@ packet through it, keeping the zero-fault benchmarks bit-identical.
 from __future__ import annotations
 
 import dataclasses
-import functools
 from typing import Dict, Optional, Tuple
 
-from repro.network.packet import Packet, PacketKind, header_checksum, seal
+from repro.network.packet import ACK, NACK, NACK_BUSY, Packet, PacketKind, header_checksum, seal
 from repro.sim.engine import SimulationError
-from repro.sim.timerwheel import TimerHandle, TimerWheel
+from repro.sim.timerwheel import Slot, TimerWheel
 from repro.sim.units import us
 
 #: every control packet is one seal() of this with kind, ends and rel_seq set
-_CONTROL = Packet(kind=PacketKind.ACK, src=0, dst=0, match_bits=0, payload_bytes=0)
+_CONTROL = Packet(kind=ACK, src=0, dst=0, match_bits=0, payload_bytes=0)
 
 
 class RetryExhaustedError(SimulationError):
@@ -71,7 +70,7 @@ class ReliabilityConfig:
 
 
 class _TxRecord:
-    """One unacknowledged packet awaiting its ACK."""
+    """One unacknowledged packet awaiting its ACK; also its own timer key."""
 
     __slots__ = ("packet", "retries", "timeout_ps", "timer")
 
@@ -79,7 +78,9 @@ class _TxRecord:
         self.packet = packet
         self.retries = 0
         self.timeout_ps = timeout_ps
-        self.timer: Optional[TimerHandle] = None
+        #: the wheel slot holding this record while its timer is armed;
+        #: ``timer.pop(record, None)`` cancels
+        self.timer: Optional[Slot] = None
 
 
 class ReliabilityLayer:
@@ -101,8 +102,9 @@ class ReliabilityLayer:
         #: retransmit timers -- a wheel, because nearly every timer is
         #: cancelled by its ACK before firing: wheel cancels are O(1)
         #: dict deletes that never leave tombstones in the engine heap,
-        #: and same-deadline bursts share one engine event
-        self._timers = TimerWheel(nic.engine)
+        #: and same-deadline bursts share one engine event.  The records
+        #: themselves are the timer keys.
+        self._timers = TimerWheel(nic.engine, self._on_timeout)
         registry = self.engine.metrics
         prefix = f"{nic.name}.rel"
         self._m_retransmits = registry.counter(f"{prefix}/retransmits")
@@ -148,21 +150,16 @@ class ReliabilityLayer:
         self._arm_timer(record)
 
     def _arm_timer(self, record: _TxRecord) -> None:
-        key = (record.packet.dst, record.packet.rel_seq)
-        record.timer = self._timers.schedule(
-            record.timeout_ps, functools.partial(self._on_timeout, key)
-        )
+        record.timer = self._timers.schedule(record.timeout_ps, record)
 
-    def _on_timeout(self, key: Tuple[int, int]) -> None:
-        record = self._unacked.get(key)
-        if record is None:  # ACKed between scheduling and firing
-            return
+    def _on_timeout(self, record: _TxRecord) -> None:
+        # every record still armed is unacknowledged: the ACK path
+        # cancels the timer when it retires the record
         self._retransmit(record, reason="timeout")
 
     def _retransmit(self, record: _TxRecord, reason: str) -> None:
         packet = record.packet
-        if record.timer is not None:
-            record.timer.cancel()
+        record.timer.pop(record, None)
         if record.retries >= self.config.max_retries:
             raise RetryExhaustedError(
                 f"{self.nic.name}: {packet.kind.name} rel_seq={packet.rel_seq} "
@@ -201,8 +198,7 @@ class ReliabilityLayer:
         multiplying the timeout, so a persistently full receiver sees an
         exponentially calmer sender instead of a wire-RTT ping-pong.
         """
-        if record.timer is not None:
-            record.timer.cancel()
+        record.timer.pop(record, None)
         record.retries = 0
         record.timeout_ps = min(
             round(record.timeout_ps * self.config.backoff),
@@ -231,21 +227,21 @@ class ReliabilityLayer:
             # rather than waiting out the sender's timeout.  A corrupt
             # ACK/NACK is just dropped -- the retransmit timer covers it.
             self._m_corrupt.inc()
-            if kind not in (PacketKind.ACK, PacketKind.NACK, PacketKind.NACK_BUSY):
-                self._send_control(PacketKind.NACK, packet)
+            if kind is not ACK and kind is not NACK and kind is not NACK_BUSY:
+                self._send_control(NACK, packet)
                 self._m_nacks.inc()
             return
-        if kind is PacketKind.ACK:
+        if kind is ACK:
             record = self._unacked.pop((packet.src, packet.rel_seq), None)
-            if record is not None and record.timer is not None:
-                record.timer.cancel()
+            if record is not None:
+                record.timer.pop(record, None)
             return
-        if kind is PacketKind.NACK:
+        if kind is NACK:
             record = self._unacked.get((packet.src, packet.rel_seq))
             if record is not None:
                 self._retransmit(record, reason="nack")
             return
-        if kind is PacketKind.NACK_BUSY:
+        if kind is NACK_BUSY:
             record = self._unacked.get((packet.src, packet.rel_seq))
             if record is not None:
                 self._defer_retransmit(record)
@@ -256,7 +252,7 @@ class ReliabilityLayer:
             # duplicate: our first ACK was lost, so the re-ACK is the
             # recovery (duplicates bypass admission -- the original was
             # already accepted and delivered)
-            self._send_control(PacketKind.ACK, packet)
+            self._send_control(ACK, packet)
             self._m_acks.inc()
             self._m_duplicates.inc()
             return
@@ -268,13 +264,13 @@ class ReliabilityLayer:
             # The packet is not parked in the reorder buffer either; a
             # flood must not hide there.
             if admission.policy == "nack":
-                self._send_control(PacketKind.NACK_BUSY, packet)
+                self._send_control(NACK_BUSY, packet)
                 self._m_nacks.inc()
                 admission.note_refused(packet, nacked=True)
             else:
                 admission.note_refused(packet, nacked=False)
             return
-        self._send_control(PacketKind.ACK, packet)
+        self._send_control(ACK, packet)
         self._m_acks.inc()
         if packet.rel_seq > expected:
             # early: hold until the gap fills so the firmware still sees

@@ -108,6 +108,7 @@ class ProcessState(enum.Enum):
     FAILED = "failed"
 
 
+_CREATED = ProcessState.CREATED
 _RUNNING = ProcessState.RUNNING
 _WAITING = ProcessState.WAITING
 _FINISHED = ProcessState.FINISHED
@@ -157,7 +158,7 @@ class Process:
         self.engine = engine
         self.name = name
         self._body = body
-        self.state = ProcessState.CREATED
+        self.state = _CREATED
         self.result: Any = None
         self.error: Optional[BaseException] = None
         #: pulsed exactly once, when the process finishes or fails
@@ -184,7 +185,7 @@ class Process:
 
     def start(self) -> None:
         """Start a process created with ``start=False``."""
-        if self.state is not ProcessState.CREATED:
+        if self.state is not _CREATED:
             raise SimulationError(f"process {self.name} already started")
         self.engine.post(self._resume_none)
 

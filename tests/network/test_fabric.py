@@ -35,22 +35,40 @@ def test_per_pair_ordering_with_mixed_sizes():
     """A small packet sent after a large one must not overtake it."""
     engine = Engine()
     fabric = Fabric(engine, 2)
-    fabric.inject(packet(payload=4096))
-    fabric.inject(packet(payload=0))
+    fabric.inject(packet(payload=4096, send_id=1))
+    fabric.inject(packet(payload=0, send_id=2))
     engine.run()
     first = fabric.rx_fifo(1).pop()
     second = fabric.rx_fifo(1).pop()
+    assert (first.send_id, second.send_id) == (1, 2)
     assert first.payload_bytes == 4096
-    assert (first.seq, second.seq) == (0, 1)
 
 
-def test_sequence_numbers_are_per_pair():
+def test_pair_packet_counts_are_per_pair():
     engine = Engine()
     fabric = Fabric(engine, 3)
-    a = fabric.inject(packet(src=0, dst=1))
-    b = fabric.inject(packet(src=0, dst=2))
-    c = fabric.inject(packet(src=0, dst=1))
-    assert (a.seq, b.seq, c.seq) == (0, 0, 1)
+    fabric.inject(packet(src=0, dst=1))
+    fabric.inject(packet(src=0, dst=2))
+    fabric.inject(packet(src=0, dst=1))
+    fabric.inject(packet(src=2, dst=0))
+    counts = {
+        (pair["src"], pair["dst"]): pair["packets"]
+        for pair in fabric.snapshot()["pairs"]
+    }
+    # only pairs that carried traffic appear, in (src, dst) order
+    assert counts == {(0, 1): 2, (0, 2): 1, (2, 0): 1}
+    assert list(counts) == sorted(counts)
+
+
+def test_inject_sends_the_packet_itself():
+    """Packets are frozen, so the fabric commits the caller's object to
+    the wire instead of a copy."""
+    engine = Engine()
+    fabric = Fabric(engine, 2)
+    sent = packet(send_id=7)
+    assert fabric.inject(sent) is sent
+    engine.run()
+    assert fabric.rx_fifo(1).pop() is sent
 
 
 def test_different_sources_can_overlap():

@@ -108,24 +108,24 @@ def test_delayed_packet_is_overtaken():
     engine = Engine()
     model = FaultModel(config)
     fabric = Fabric(engine, 2, faults=model)
-    first = fabric.inject(packet())
+    fabric.inject(packet(send_id=1))
     # disarm the model so the second packet sails through untouched
     fabric.faults = None
-    second = fabric.inject(packet())
+    fabric.inject(packet(send_id=2))
     engine.run()
     assert model.delays == 1
     arrivals = [fabric.rx_fifo(1).pop(), fabric.rx_fifo(1).pop()]
-    assert [p.seq for p in arrivals] == [second.seq, first.seq]
+    assert [p.send_id for p in arrivals] == [2, 1]
 
 
 def test_corruption_flips_match_bits_and_stales_the_checksum():
     engine, fabric = fabric_with(FaultConfig(seed=0, corrupt_rate=1.0))
-    stamped = fabric.inject(packet(match_bits=0b1010))
+    sent = fabric.inject(packet(match_bits=0b1010))
     engine.run()
     delivered = fabric.rx_fifo(1).pop()
     assert delivered.match_bits != 0b1010
     assert header_checksum(delivered) != delivered.checksum
-    assert stamped.match_bits == delivered.match_bits
+    assert sent.match_bits == delivered.match_bits
 
 
 def test_no_model_is_the_historical_path():

@@ -18,13 +18,14 @@ from repro.network.topology import (
 from repro.sim.engine import Engine
 
 
-def packet(src=0, dst=1, payload=0):
+def packet(src=0, dst=1, payload=0, send_id=0):
     return Packet(
         kind=PacketKind.EAGER,
         src=src,
         dst=dst,
         match_bits=0,
         payload_bytes=payload,
+        send_id=send_id,
     )
 
 
@@ -137,21 +138,24 @@ def test_per_pair_ordering_holds_on_every_preset(preset):
         for dst in range(num_nodes)
         if src != dst
     ]
-    # bursts of mixed sizes, staggered so injections interleave in time
+    # bursts of mixed sizes, staggered so injections interleave in time;
+    # send_id is the burst number, i.e. the pair's injection order
     for burst, size in enumerate((4096, 0, 512)):
         for index, (src, dst) in enumerate(pairs):
             engine.schedule(
                 burst * 50_000 + (index % 7) * 1_000,
-                lambda s=src, d=dst, z=size: fabric.inject(packet(s, d, z)),
+                lambda s=src, d=dst, z=size, b=burst: fabric.inject(
+                    packet(s, d, z, send_id=b)
+                ),
             )
     engine.run()
     assert fabric.packets_delivered == len(pairs) * 3
     for dst, packets in arrivals.items():
         by_src = {}
         for pkt in packets:
-            by_src.setdefault(pkt.src, []).append(pkt.seq)
-        for src, seqs in by_src.items():
-            assert seqs == sorted(seqs), (preset, src, dst, seqs)
+            by_src.setdefault(pkt.src, []).append(pkt.send_id)
+        for src, order in by_src.items():
+            assert order == [0, 1, 2], (preset, src, dst, order)
 
 
 def test_multi_hop_latency_is_per_hop():

@@ -2,16 +2,23 @@
 exhaustion, and mid-run degradation off a stalled ALPU."""
 
 import dataclasses
+from types import SimpleNamespace
 
 import pytest
 
+from repro.network.fabric import Fabric
 from repro.network.faults import FaultConfig
+from repro.network.packet import EAGER, Packet
 from repro.nic.alpu_device import AlpuFaultConfig
 from repro.nic.driver import DriverConfig
 from repro.nic.nic import NicConfig
-from repro.nic.reliability import ReliabilityConfig, RetryExhaustedError
+from repro.nic.reliability import (
+    ReliabilityConfig,
+    ReliabilityLayer,
+    RetryExhaustedError,
+)
 from repro.obs import Telemetry
-from repro.sim.engine import SimulationError
+from repro.sim.engine import Engine, SimulationError
 from repro.sim.units import us
 from repro.workloads.preposted import PrepostedParams, run_preposted
 
@@ -100,6 +107,43 @@ def test_retransmitted_messages_keep_a_monotone_lifecycle():
     # dropped-then-retransmitted pings still complete
     pings = [lc for lc in lifecycles if lc.label == "ping"]
     assert pings and all(lc.complete for lc in pings)
+
+
+# ----------------------------------------------------------- ACK vs timer
+def two_layers(ack_timeout_ps):
+    """Two bare reliability layers joined by a two-node crossbar."""
+    engine = Engine()
+    fabric = Fabric(engine, 2)
+    config = ReliabilityConfig(enabled=True, ack_timeout_ps=ack_timeout_ps)
+    layers, accepted = [], []
+    for node in range(2):
+        nic = SimpleNamespace(
+            engine=engine,
+            name=f"nic{node}",
+            fabric=fabric,
+            node_id=node,
+            admission=None,
+            accept_packet=accepted.append,
+        )
+        layer = ReliabilityLayer(nic, config)
+        fabric.bind_receiver(node, layer.on_wire_arrival)
+        layers.append(layer)
+    return engine, layers, accepted
+
+
+@pytest.mark.parametrize("ack_timeout_ps, retransmits", [(us(2), 0), (300_000, 1)])
+def test_ack_before_the_deadline_means_no_retransmit(ack_timeout_ps, retransmits):
+    """The one-hop round trip takes about 430 ns: a 2 us timer is
+    cancelled by the ACK and never resends; a 300 ns one fires once, and
+    the ACK of the first copy cancels the re-armed (600 ns) timer."""
+    engine, (sender, receiver), accepted = two_layers(ack_timeout_ps)
+    sender.send(Packet(EAGER, 0, 1, match_bits=5, payload_bytes=0, send_id=1))
+    engine.run()
+    assert engine.now >= ack_timeout_ps  # the clock reached the deadline
+    assert sender.retransmits == retransmits
+    assert sender.unacked_count == 0
+    assert sender._timers.armed == 0
+    assert [p.send_id for p in accepted] == [1]
 
 
 # ------------------------------------------------------------ retry budget

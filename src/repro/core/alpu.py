@@ -229,8 +229,6 @@ class Alpu:
         self._valid = 0
         self._valid_guard = 0
         self.mode = _MATCH
-        #: responses in result-FIFO order
-        self.results: Deque[Response] = deque()
         #: header requests not yet resolved (held during insert mode)
         self._pending: Deque[MatchRequest] = deque()
         self.stats = AlpuStats()
@@ -310,16 +308,10 @@ class Alpu:
         while self._pending:
             head = self._pending[0]
             matched, response = self._match_and_delete(head)
-            if matched:
-                self._pending.popleft()
-                self.results.append(response)
-                emitted.append(response)
-            elif self.mode is _INSERT:
+            if not matched and self.mode is _INSERT:
                 break  # held for retry; MATCH FAILURE may not be emitted now
-            else:
-                self._pending.popleft()
-                self.results.append(response)
-                emitted.append(response)
+            self._pending.popleft()
+            emitted.append(response)
         return emitted
 
     def _match_and_delete(self, request: MatchRequest):
@@ -393,9 +385,7 @@ class Alpu:
         # START INSERT are valid; others are discarded (footnote 3).
         if isinstance(command, StartInsert):
             self.mode = _INSERT
-            response = StartAcknowledge(free_entries=self.free_entries)
-            self.results.append(response)
-            return [response]
+            return [StartAcknowledge(free_entries=self.free_entries)]
         if isinstance(command, Reset):
             return self._reset()
         self.stats.commands_discarded += 1
@@ -419,9 +409,7 @@ class Alpu:
             return self._reset()
         if isinstance(command, StartInsert):
             # redundant START INSERT: re-acknowledge with current free count
-            response = StartAcknowledge(free_entries=self.free_entries)
-            self.results.append(response)
-            return [response]
+            return [StartAcknowledge(free_entries=self.free_entries)]
         self.stats.commands_discarded += 1
         self._m_discarded.inc()
         return []

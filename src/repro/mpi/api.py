@@ -503,5 +503,6 @@ class MpiProcess:
                     source=completion.source,
                     tag=completion.tag,
                     count=completion.size,
+                    send_id=completion.send_id,
                 )
         return drained

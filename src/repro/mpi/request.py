@@ -30,12 +30,15 @@ class MpiStatus:
     """The MPI_Status of a completed receive.
 
     Wildcard receives learn the actual source and tag of the message they
-    matched from here; ``count`` is the received payload length in bytes.
+    matched from here; ``count`` is the received payload length in bytes
+    and ``send_id`` names the matched message (the sender NIC's send-entry
+    uid), so each receive holds its own pairing.
     """
 
     source: int
     tag: int
     count: int
+    send_id: int
 
 
 @dataclasses.dataclass(slots=True)

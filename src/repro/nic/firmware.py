@@ -105,9 +105,6 @@ class NicFirmware:
         registry.register_collector(
             f"{prefix}/loop_iterations", lambda: self.loop_iterations
         )
-        #: (recv host_req_id, sender send uid) in pairing order -- the
-        #: observable record tests compare against the matching oracle
-        self.pairings: list = []
         #: the pluggable matching engine this firmware dispatches to
         self.backend = create_backend(self.cfg.matching)
         self.backend.attach(self)
@@ -255,7 +252,6 @@ class NicFirmware:
         if entry is not None:
             self.headers_matched += 1
             self._m_headers_matched.inc()
-            self.pairings.append((entry.host_req_id, packet.send_id))
             if rec.enabled:
                 # the receive-side entry now carries the message through
                 # delivery/DMA/completion; its host receive's completion
@@ -282,6 +278,7 @@ class NicFirmware:
         entry.matched_source = source
         entry.matched_tag = tag
         entry.matched_size = packet.payload_bytes
+        entry.peer_send_id = packet.send_id
         if packet.kind is EAGER:
             yield from self._start_recv_payload(entry, packet.payload_bytes)
         else:  # RNDV_RTS: grant the sender a clear-to-send
@@ -329,6 +326,7 @@ class NicFirmware:
                 source=entry.matched_source,
                 tag=entry.matched_tag,
                 size=entry.matched_size,
+                send_id=entry.peer_send_id,
             )
         )
 
@@ -450,7 +448,6 @@ class NicFirmware:
             )
             rec.annotate_request(command.rank, command.req_id, **search_facts)
         if unexpected is not None:
-            self.pairings.append((command.req_id, unexpected.peer_send_id))
             if rec.enabled:
                 rec.mark_request(
                     command.rank,

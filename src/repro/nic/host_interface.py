@@ -63,10 +63,10 @@ HostCommand = Union[PostRecv, PostSend]
 class Completion:
     """NIC tells the host a request finished.
 
-    For receives the NIC fills in the matched message's envelope and
-    payload length -- the wire format behind ``MPI_Status`` (a wildcard
-    receive cannot otherwise learn who it matched).  Sends leave the
-    status fields at their defaults.
+    For receives the NIC fills in the matched message's envelope, payload
+    length and send id -- the wire format behind ``MPI_Status`` (a
+    wildcard receive cannot otherwise learn who it matched).  Sends leave
+    the status fields at their defaults.
     """
 
     req_id: int
@@ -76,3 +76,6 @@ class Completion:
     tag: int = -1
     #: matched message's payload length in bytes
     size: int = 0
+    #: matched message's send id, the sender NIC's send-entry uid
+    #: (receives; -1 for sends)
+    send_id: int = -1

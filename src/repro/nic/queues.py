@@ -81,7 +81,9 @@ class QueueEntry:
     #: global rank that owns this request (completion routing when
     #: several processes share the NIC)
     owner_rank: int = 0
-    #: peer's send id (unexpected entries: needed for the rendezvous CTS)
+    #: the matched message's send id: set on arrival for unexpected
+    #: entries (the rendezvous CTS needs it), at pairing for posted
+    #: receives; a receive's completion reports it
     peer_send_id: int = 0
     #: source node of an unexpected message
     src_node: int = 0

@@ -227,13 +227,14 @@ def test_requests_behind_a_held_failure_wait_in_order():
     assert responses == [MatchFailure(), MatchSuccess(tag=1)]
 
 
-def test_results_fifo_accumulates_in_order():
+def test_results_come_back_in_header_order():
     alpu = make()
     insert_many(alpu, [(1, 0, 10), (2, 0, 20)])
-    alpu.present_header(MatchRequest(bits=2))
-    alpu.present_header(MatchRequest(bits=1))
-    alpu.present_header(MatchRequest(bits=3))
-    match_results = [r for r in alpu.results if not isinstance(r, StartAcknowledge)]
+    match_results = [
+        response
+        for bits in (2, 1, 3)
+        for response in alpu.present_header(MatchRequest(bits=bits))
+    ]
     assert match_results == [MatchSuccess(20), MatchSuccess(10), MatchFailure()]
 
 

@@ -1,8 +1,9 @@
 """End-to-end MPI matching semantics, differentially against the oracle.
 
 These tests run full simulations (hosts, NICs, wire) and compare the
-receiver NIC's observed pairings -- (recv request, sender message) -- with
-the pure :class:`MatchingOracle` fed the same traffic in the same order.
+observed pairings -- (recv request, sender message), read from each
+receive's status -- with the pure :class:`MatchingOracle` fed the same
+traffic in the same order.
 The same traffic runs on the baseline NIC and on ALPU NICs; all three
 must pair identically.
 """
@@ -54,13 +55,15 @@ def test_same_tag_messages_pair_in_send_order(nic):
             requests.append(req)
         yield from mpi.waitall(requests)
         yield from mpi.finalize()
-        return [r.req_id for r in requests]
+        return [(r.completed_at, r.req_id, r.status.send_id) for r in requests]
 
-    world, results = run_pair(sender, receiver, nic)
-    pairings = world.nics[1].firmware.pairings
-    recv_ids = [recv_id for recv_id, _ in pairings]
-    send_ids = [send_id for _, send_id in pairings]
-    # receives consumed oldest-first, messages in send (uid) order
+    _, results = run_pair(sender, receiver, nic)
+    # in completion order: receives consumed oldest-first, messages in
+    # send (uid) order
+    pairings = sorted(results[1], key=lambda record: record[0])
+    recv_ids = [recv_id for _, recv_id, _ in pairings]
+    send_ids = [send_id for _, _, send_id in pairings]
+    assert len(set(send_ids)) == count
     assert recv_ids == sorted(recv_ids)
     assert send_ids == sorted(send_ids)
 
@@ -124,13 +127,11 @@ def test_random_traffic_pairs_in_strict_arrival_order(nic):
             requests.append(req)
         yield from mpi.waitall(requests)
         yield from mpi.finalize()
-        return [r.req_id for r in requests]
+        return [r.status.send_id for r in requests]
 
-    world, results = run_pair(sender, receiver, nic)
-    recv_ids = results[1]
-    pairings = dict(world.nics[1].firmware.pairings)
-    assert len(pairings) == len(sends)
-    paired_send_uids = [pairings[r] for r in recv_ids]
+    _, results = run_pair(sender, receiver, nic)
+    paired_send_uids = results[1]
+    assert len(set(paired_send_uids)) == len(sends)
     # order-preserving: i-th receive <- i-th message
     assert paired_send_uids == sorted(paired_send_uids)
 
@@ -159,16 +160,15 @@ def test_context_separation_via_comm_dup(nic):
         dup_req = yield from mpi.irecv(source=0, tag=9, size=0, comm=duplicated)
         yield from mpi.waitall([world_req, dup_req])
         yield from mpi.finalize()
-        return (world_req.req_id, dup_req.req_id)
+        return world_req.status.send_id, dup_req.status.send_id
 
-    world, results = run_pair(sender, receiver, nic)
-    world_req_id, dup_req_id = results[1]
-    pairings = dict(world.nics[1].firmware.pairings)
-    assert len(pairings) == 2
+    _, results = run_pair(sender, receiver, nic)
+    world_send_id, dup_send_id = results[1]
+    assert world_send_id != dup_send_id
     # the dup-context message was sent first (lower send uid) and must
     # have paired with the dup-context receive, not the world receive --
     # even though the world receive was posted first
-    assert pairings[dup_req_id] < pairings[world_req_id]
+    assert dup_send_id < world_send_id
 
 
 def test_identical_pairings_across_all_presets():
@@ -196,12 +196,13 @@ def test_identical_pairings_across_all_presets():
             requests.append(req)
         yield from mpi.waitall(requests)
         yield from mpi.finalize()
+        return [(r.req_id, r.status.send_id) for r in requests]
 
     observed = []
     for nic in PRESETS:
-        world, _ = run_pair(sender, receiver, nic)
+        _, results = run_pair(sender, receiver, nic)
         # normalize uids to ordinals (raw uids differ across runs)
-        pairs = world.nics[1].firmware.pairings
+        pairs = results[1]
         order = {send: i for i, send in enumerate(sorted({s for _, s in pairs}))}
         recv_order = {r: i for i, r in enumerate(sorted({r for r, _ in pairs}))}
         observed.append(sorted((recv_order[r], order[s]) for r, s in pairs))

@@ -97,7 +97,8 @@ def _comm_for(context: int):
 
 
 def simulate(case: TrafficCase, nic: NicConfig):
-    """Run the case on a simulated system; returns (world, recv req_ids)."""
+    """Run the case on a simulated system; returns (world, the traffic
+    receives' (req_id, matched send id) pairs)."""
     _, drains = oracle_run(case)
 
     def sender(mpi):
@@ -131,7 +132,7 @@ def simulate(case: TrafficCase, nic: NicConfig):
         yield from mpi.send(dest=0, tag=_POSTED, size=0, comm=CTRL_COMM)
         yield from mpi.waitall(requests)
         yield from mpi.finalize()
-        return [r.req_id for r in requests]
+        return [(r.req_id, r.status.send_id) for r in requests]
 
     world = MpiWorld(WorldConfig(num_ranks=2, nic=nic))
     results = world.run({0: sender, 1: receiver}, deadline_us=500_000)
@@ -148,13 +149,9 @@ def normalized_pairings(pairs) -> List[Tuple[int, int]]:
 def check_backend_against_oracle(case: TrafficCase, nic: NicConfig) -> None:
     """The differential assertion every registered backend must pass."""
     oracle, _ = oracle_run(case)
-    world, recv_ids = simulate(case, nic)
-
-    # keep only traffic pairings (drop the control-plane markers)
-    traffic = set(recv_ids)
-    sim_pairs = [
-        (r, s) for r, s in world.nics[1].firmware.pairings if r in traffic
-    ]
+    # each traffic receive's status names the message it matched (the
+    # control-plane markers are not among them)
+    world, sim_pairs = simulate(case, nic)
     assert normalized_pairings(sim_pairs) == normalized_pairings(oracle.pairings)
     # unmatched messages sit in the unexpected queue, same count as oracle
     assert len(world.nics[1].unexpected_q) == len(oracle.unexpected)

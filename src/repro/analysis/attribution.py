@@ -31,7 +31,8 @@ import statistics
 import sys
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.obs.lifecycle import MessageLifecycle, lifecycle_chrome_events
+from repro.obs.chrome import lifecycle_chrome_events
+from repro.obs.lifecycle import MessageLifecycle
 from repro.sim.units import ps_to_ns
 
 #: rendering order for known stages (unknown ones append in first-seen

@@ -114,7 +114,7 @@ def load_report(path: str) -> Dict[str, object]:
 
 # ------------------------------------------------------------ sweep rows
 # Snapshot value shapes (see :meth:`repro.obs.MetricsRegistry.snapshot`):
-# counters flatten to a number; gauges to ``{"value", "high_water"}``;
+# counts are numbers; levels are ``{"value", "high_water"}``;
 # histograms to ``{"count", "sum", "min", "max", "mean", "buckets"}``.
 def row_verdict(row: Dict[str, object]) -> str:
     """The watchdog verdict of one row (``"healthy"`` when none rode)."""
@@ -152,8 +152,8 @@ def rows_with_finding(
 def metric_value(snapshot: Optional[Dict[str, object]], name: str):
     """One metric from a snapshot; None when absent or telemetry was off.
 
-    Counters and collectors come back as plain numbers, gauges as their
-    current value, histograms as their mean.
+    Counts come back as plain numbers, levels as their current value,
+    histograms as their mean.
     """
     if not snapshot:
         return None

@@ -300,11 +300,6 @@ class MpiWorld:
         )
         return probe
 
-    def reset_queue_stats(self) -> None:
-        """Re-arm every NIC queue's high-water mark (between phases)."""
-        for nic in self.nics:
-            nic.reset_queue_stats()
-
     # ----------------------------------------------------------------- run
     def run(
         self,

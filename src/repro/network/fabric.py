@@ -143,8 +143,11 @@ class Fabric(Component):
         self.packets_delivered = 0
         #: store-and-forward handoffs (multi-hop presets only)
         self.hops_forwarded = 0
-        #: fabric-scope fault tallies (plain ints; the metrics counters
-        #: mirror them when a registry is enabled)
+        #: packets and wire bytes that reached their first channel
+        #: (injection-time drops excluded, a duplicate counted once)
+        self.packets_sent = 0
+        self.bytes_sent = 0
+        #: fabric-scope fault tallies
         self.fault_totals: Dict[str, int] = {
             "dropped": 0, "duplicated": 0, "delayed": 0, "corrupted": 0
         }
@@ -157,18 +160,17 @@ class Fabric(Component):
         #: counter kept exact by inject/forward/delivery, probed by the
         #: timeline
         self.in_flight = 0
-        # telemetry: totals as counters, per-channel traffic/utilization
-        # as snapshot-time collectors over the Link objects' own tallies
+        # telemetry: snapshot-time collectors over the totals above and
+        # over the Link objects' own per-channel traffic tallies
         registry = engine.metrics
-        self._m_packets = registry.counter(f"{name}/packets")
-        self._m_delivered = registry.counter(f"{name}/packets_delivered")
-        self._m_bytes = registry.counter(f"{name}/bytes")
-        self._m_forwards = registry.counter(f"{name}/hops_forwarded")
-        self._m_dropped = registry.counter(f"{name}/faults_dropped")
-        self._m_duplicated = registry.counter(f"{name}/faults_duplicated")
-        self._m_delayed = registry.counter(f"{name}/faults_delayed")
-        self._m_corrupted = registry.counter(f"{name}/faults_corrupted")
         if registry.enabled:
+            registry.register_collector(f"{name}/packets", lambda: self.packets_sent)
+            registry.register_collector(f"{name}/bytes", lambda: self.bytes_sent)
+            registry.register_tallies(name, self, "packets_delivered", "hops_forwarded")
+            for kind in self.fault_totals:
+                registry.register_collector(
+                    f"{name}/faults_{kind}", lambda kind=kind: self.fault_totals[kind]
+                )
             for link in self._links.values():
                 registry.register_collector(
                     f"{link.name}/bytes", lambda lnk=link: lnk.bytes_sent
@@ -191,9 +193,8 @@ class Fabric(Component):
                         )
 
     # ------------------------------------------------------------ injection
-    def _fault(self, link: Link, kind: str, counter) -> None:
+    def _fault(self, link: Link, kind: str) -> None:
         """Count one fault verdict at fabric scope and against ``link``."""
-        counter.inc()
         self.fault_totals[kind] += 1
         per_link = self.link_faults.get(link.name)
         if per_link is None:
@@ -284,7 +285,7 @@ class Fabric(Component):
         if verdict is DROP:
             # swallowed by the wire: no link traffic, no delivery
             self.in_flight -= 1
-            self._fault(link, "dropped", self._m_dropped)
+            self._fault(link, "dropped")
             detail = {"kind": packet.kind.name, "rel_seq": packet.rel_seq}
             where = {"kind": packet.kind.name, "src": packet.src, "dst": packet.dst}
             if at_hop is not None:
@@ -302,7 +303,7 @@ class Fabric(Component):
             packet = dataclasses.replace(
                 packet, match_bits=faults.corrupt_bits(packet.match_bits)
             )
-            self._fault(link, "corrupted", self._m_corrupted)
+            self._fault(link, "corrupted")
         wire_bytes = packet.wire_bytes
         # the wire mark lands *before* the hop marks: with fabric
         # observability on its residency collapses to zero and the hop
@@ -323,7 +324,7 @@ class Fabric(Component):
         if verdict is DELAY:
             # hold the packet back long enough for later traffic on the
             # same pair to overtake it: a genuine reorder at the receiver
-            self._fault(link, "delayed", self._m_delayed)
+            self._fault(link, "delayed")
             delay_ps = faults.config.reorder_delay_ps
             self._mark_fault_delay(link, packet, delay_ps)
             self.engine.schedule(
@@ -333,12 +334,12 @@ class Fabric(Component):
         else:
             self._send_hop(link, packet, wire_bytes)
             if verdict is DUPLICATE:
-                self._fault(link, "duplicated", self._m_duplicated)
+                self._fault(link, "duplicated")
                 self.in_flight += 1
                 self._send_hop(link, packet, wire_bytes)
         if at_hop is None:
-            self._m_packets.inc()
-            self._m_bytes.inc(wire_bytes)
+            self.packets_sent += 1
+            self.bytes_sent += wire_bytes
             tracer = self.engine.tracer
             if tracer.enabled:
                 tracer.instant(
@@ -359,7 +360,6 @@ class Fabric(Component):
         if node == packet.dst:
             self.in_flight -= 1
             self.packets_delivered += 1
-            self._m_delivered.inc()
             receiver = self._receivers[node]
             if receiver is not None:
                 receiver(packet)
@@ -377,7 +377,6 @@ class Fabric(Component):
         a drop here strands the packet mid-route -- recovered, as at
         injection, by the endpoints' reliability layer.
         """
-        self._m_forwards.inc()
         self.hops_forwarded += 1
         self._hop(self._first_link[node][packet.dst], packet, node)
 

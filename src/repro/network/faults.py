@@ -91,7 +91,8 @@ class FaultModel:
     def __init__(self, config: Optional[FaultConfig] = None) -> None:
         self.config = config if config is not None else FaultConfig()
         self._rng = random.Random(self.config.seed)
-        # tallies (also mirrored into fabric counters when metrics are on)
+        # per-verdict tallies (a fabric's ``fault_totals`` also counts
+        # them, per hop and per link)
         self.drops = 0
         self.duplicates = 0
         self.delays = 0

@@ -104,9 +104,9 @@ class AlpuQueueDriver:
         self.aborted_batches = 0
         #: total result-read timeout expiries (healthy devices: 0)
         self.result_timeouts = 0
-        self._m_result_timeouts = device.engine.metrics.counter(
-            f"{device.name}/result_timeouts"
-        )
+        registry = device.engine.metrics
+        if registry.enabled:
+            registry.register_tallies(device.name, self, "result_timeouts")
         # with a threshold above 1, the driver starts disengaged: header
         # replication stays off so short queues pay zero ALPU overhead
         # (Section IV-C's delivery disable)
@@ -163,7 +163,6 @@ class AlpuQueueDriver:
                 continue
             expiries += 1
             self.result_timeouts += 1
-            self._m_result_timeouts.inc()
             engine = self.device.engine
             if engine.tracer.enabled:
                 engine.tracer.instant(

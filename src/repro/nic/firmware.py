@@ -85,8 +85,8 @@ class NicFirmware:
         #: progress series -- flat while the engine stays busy means a
         #: livelocked protocol
         self.completions_sent = 0
-        # telemetry: the same tallies mirrored into the shared registry
-        # (no-ops by default), a per-search traversal-length histogram,
+        # telemetry: collectors over the tallies above (registered only
+        # when metrics are on), a per-search traversal-length histogram,
         # and the tracer for search spans / queue events
         registry = nic.engine.metrics
         self.tracer = nic.engine.tracer
@@ -94,28 +94,28 @@ class NicFirmware:
         #: are plain calls and never charge simulated time
         self.lifecycle = nic.engine.lifecycle
         prefix = f"{nic.name}.fw"
-        self._m_headers_matched = registry.counter(f"{prefix}/headers_matched")
-        self._m_headers_unexpected = registry.counter(
-            f"{prefix}/headers_unexpected"
-        )
-        self._m_entries_traversed = registry.counter(
-            f"{prefix}/entries_traversed"
-        )
         self._h_traversal = registry.histogram(f"{prefix}/traversal_length")
-        registry.register_collector(
-            f"{prefix}/loop_iterations", lambda: self.loop_iterations
-        )
         #: the pluggable matching engine this firmware dispatches to
         self.backend = create_backend(self.cfg.matching)
         self.backend.attach(self)
         #: True once a stalled ALPU forced the fall-back to software
         self.degraded = False
-        self._m_backend_degraded = registry.counter(f"{prefix}/backend_degraded")
+        if registry.enabled:
+            registry.register_tallies(
+                prefix,
+                self,
+                "headers_matched",
+                "headers_unexpected",
+                "entries_traversed",
+                "loop_iterations",
+            )
+            registry.register_collector(
+                f"{prefix}/backend_degraded", lambda: int(self.degraded)
+            )
 
     def record_traversal(self, visited: int) -> None:
         """Backends report per-search traversal work through this hook."""
         self.entries_traversed += visited
-        self._m_entries_traversed.inc(visited)
         self._h_traversal.record(visited)
 
     # -------------------------------------------------- graceful degradation
@@ -145,7 +145,6 @@ class NicFirmware:
         self.unexpected_q.alpu_count = 0
         self.backend = create_backend("list")
         self.backend.attach(self)
-        self._m_backend_degraded.inc()
         if self.tracer.enabled:
             self.tracer.instant(
                 "nic", f"{nic.name}.backend_degraded", {"error": str(err)}
@@ -251,7 +250,6 @@ class NicFirmware:
             )
         if entry is not None:
             self.headers_matched += 1
-            self._m_headers_matched.inc()
             if rec.enabled:
                 # the receive-side entry now carries the message through
                 # delivery/DMA/completion; its host receive's completion
@@ -269,7 +267,6 @@ class NicFirmware:
             yield from self._deliver_to_receive(packet, entry)
         else:
             self.headers_unexpected += 1
-            self._m_headers_unexpected.inc()
             yield from self._enqueue_unexpected(packet)
 
     def _deliver_to_receive(self, packet: Packet, entry: QueueEntry):

@@ -165,12 +165,12 @@ class Nic(Component):
         self.send_q = NicQueue(f"{self.name}.sendQ", self.allocator)
         if engine.metrics.enabled:
             for queue in (self.posted_recv_q, self.unexpected_q, self.send_q):
-                queue.attach_depth_gauge(
-                    engine.metrics.gauge(f"{queue.name}/depth")
-                )
-                # high-water marks ride every telemetry snapshot
                 engine.metrics.register_collector(
-                    f"{queue.name}/max_depth", (lambda q=queue: q.max_length)
+                    f"{queue.name}/depth",
+                    lambda q=queue: {"value": len(q), "high_water": q.max_length},
+                )
+                engine.metrics.register_collector(
+                    f"{queue.name}/max_depth", lambda q=queue: q.max_length
                 )
         #: buffer-occupancy admission control (None = everything admitted);
         #: consulted by the reliability layer's receive path
@@ -275,16 +275,6 @@ class Nic(Component):
             for device in (self.posted_device, self.unexpected_device)
             if device is not None
         )
-
-    def reset_queue_stats(self) -> None:
-        """Re-arm every queue's high-water mark at its current depth.
-
-        Call between measurement phases (e.g. after a warmup) so the
-        ``<queue>/max_depth`` telemetry reflects only the phase under
-        study rather than the whole process lifetime.
-        """
-        for queue in (self.posted_recv_q, self.unexpected_q, self.send_q):
-            queue.reset_stats()
 
     # -------------------------------------------------------- hardware hooks
     def accept_packet(self, packet: Packet) -> None:

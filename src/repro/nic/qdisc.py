@@ -33,7 +33,7 @@ arriving match packets (EAGER / RNDV_RTS) are refused *before* the
 reliability layer acknowledges them -- either silently dropped (the
 sender's retransmit timer recovers) or answered with a ``NACK_BUSY``
 that schedules a backed-off retransmit without burning retry budget.
-Refusals feed the ``<nic>.adm/*`` counters, an ``admission_refused``
+Refusals feed the ``<nic>.adm/*`` metrics, an ``admission_refused``
 lifecycle mark, and the ``unexpected_admission_pressure`` health
 watchdog.
 
@@ -259,11 +259,15 @@ class AdmissionControl:
         self.queue = nic.unexpected_q
         #: total refusals (the probe's ``<nic>.adm/refused`` series)
         self.refused = 0
+        #: the refusals answered with a NACK_BUSY (the rest were dropped)
+        self.nacked = 0
         registry = nic.engine.metrics
-        prefix = f"{nic.name}.adm"
-        self._m_refused = registry.counter(f"{prefix}/refused")
-        self._m_dropped = registry.counter(f"{prefix}/dropped")
-        self._m_nacked = registry.counter(f"{prefix}/nacked")
+        if registry.enabled:
+            prefix = f"{nic.name}.adm"
+            registry.register_tallies(prefix, self, "refused", "nacked")
+            registry.register_collector(
+                f"{prefix}/dropped", lambda: self.refused - self.nacked
+            )
 
     def admits(self, packet) -> bool:
         """May this wire arrival proceed into the NIC?
@@ -297,11 +301,8 @@ class AdmissionControl:
     def note_refused(self, packet, *, nacked: bool) -> None:
         """Account one refusal (metrics + lifecycle + trace)."""
         self.refused += 1
-        self._m_refused.inc()
         if nacked:
-            self._m_nacked.inc()
-        else:
-            self._m_dropped.inc()
+            self.nacked += 1
         engine = self.nic.engine
         if engine.lifecycle.enabled:
             engine.lifecycle.mark_uid(

@@ -35,7 +35,6 @@ from typing import Iterable, Iterator, List
 
 from repro.core.match import MatchRequest
 from repro.memory.layout import AddressAllocator
-from repro.obs.metrics import NULL_GAUGE
 
 
 class EntryKind(enum.Enum):
@@ -139,9 +138,8 @@ class NicQueue:
         #: firmware's degrade path resets it to 0)
         self.alpu_count = 0
         self._next_seq = 0
+        #: the deepest the queue has ever been
         self.max_length = 0
-        #: telemetry depth gauge (no-op unless the NIC attaches a real one)
-        self._depth_gauge = NULL_GAUGE
         if discipline is None:
             from repro.nic.qdisc import FifoDiscipline
 
@@ -149,11 +147,6 @@ class NicQueue:
         #: the pluggable search/ordering policy (repro.nic.qdisc)
         self.discipline = discipline
         discipline.attach(self)
-
-    def attach_depth_gauge(self, gauge) -> None:
-        """Mirror this queue's length into a registry gauge on mutation."""
-        self._depth_gauge = gauge
-        gauge.set(len(self.entries))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -203,7 +196,6 @@ class NicQueue:
         depth = len(self.entries)
         if depth > self.max_length:
             self.max_length = depth
-        self._depth_gauge.set(depth)
         self.discipline.on_append(entry)
 
     def remove(self, entry: QueueEntry) -> None:
@@ -219,16 +211,11 @@ class NicQueue:
             self.masked -= 1
         if pos < self.alpu_count:
             self.alpu_count -= 1
-        self._depth_gauge.set(len(entries))
         self.discipline.on_remove(entry)
 
     def release(self, entry: QueueEntry) -> None:
         """Return the entry's block to the allocator free list."""
         self.allocator.free(entry.addr, ENTRY_BYTES)
-
-    def reset_stats(self) -> None:
-        """Zero the high-water mark (between benchmark phases/runs)."""
-        self.max_length = len(self.entries)
 
     # ------------------------------------------------------------- lookups
     def search_candidates(

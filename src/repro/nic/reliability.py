@@ -105,17 +105,28 @@ class ReliabilityLayer:
         #: and same-deadline bursts share one engine event.  The records
         #: themselves are the timer keys.
         self._timers = TimerWheel(nic.engine, self._on_timeout)
-        registry = self.engine.metrics
-        prefix = f"{nic.name}.rel"
-        self._m_retransmits = registry.counter(f"{prefix}/retransmits")
-        self._m_duplicates = registry.counter(f"{prefix}/duplicates_dropped")
-        self._m_corrupt = registry.counter(f"{prefix}/corrupt_dropped")
-        self._m_acks = registry.counter(f"{prefix}/acks_sent")
-        self._m_nacks = registry.counter(f"{prefix}/nacks_sent")
-        self._m_buffered = registry.counter(f"{prefix}/reordered_held")
-        self._m_busy = registry.counter(f"{prefix}/busy_deferrals")
         self.retransmits = 0
         self.busy_deferrals = 0
+        self.acks_sent = 0
+        #: NACKs and NACK_BUSYs
+        self.nacks_sent = 0
+        self.duplicates_dropped = 0
+        self.corrupt_dropped = 0
+        #: early arrivals parked in the reorder buffer, ever
+        self.reordered_held = 0
+        registry = self.engine.metrics
+        if registry.enabled:
+            registry.register_tallies(
+                f"{nic.name}.rel",
+                self,
+                "retransmits",
+                "busy_deferrals",
+                "acks_sent",
+                "nacks_sent",
+                "duplicates_dropped",
+                "corrupt_dropped",
+                "reordered_held",
+            )
 
     # ------------------------------------------------------- probe surface
     @property
@@ -169,7 +180,6 @@ class ReliabilityLayer:
         record.retries += 1
         record.timeout_ps = round(record.timeout_ps * self.config.backoff)
         self.retransmits += 1
-        self._m_retransmits.inc()
         lifecycle = self.engine.lifecycle
         if lifecycle.enabled:
             lifecycle.mark_uid(
@@ -205,7 +215,6 @@ class ReliabilityLayer:
             self.config.busy_backoff_cap_ps,
         )
         self.busy_deferrals += 1
-        self._m_busy.inc()
         if self.engine.tracer.enabled:
             self.engine.tracer.instant(
                 "network",
@@ -226,10 +235,9 @@ class ReliabilityLayer:
             # corrupt header: drop it and (for data) ask for a resend now
             # rather than waiting out the sender's timeout.  A corrupt
             # ACK/NACK is just dropped -- the retransmit timer covers it.
-            self._m_corrupt.inc()
+            self.corrupt_dropped += 1
             if kind is not ACK and kind is not NACK and kind is not NACK_BUSY:
                 self._send_control(NACK, packet)
-                self._m_nacks.inc()
             return
         if kind is ACK:
             record = self._unacked.pop((packet.src, packet.rel_seq), None)
@@ -253,8 +261,7 @@ class ReliabilityLayer:
             # recovery (duplicates bypass admission -- the original was
             # already accepted and delivered)
             self._send_control(ACK, packet)
-            self._m_acks.inc()
-            self._m_duplicates.inc()
+            self.duplicates_dropped += 1
             return
         admission = self.nic.admission
         if admission is not None and not admission.admits(packet):
@@ -265,18 +272,16 @@ class ReliabilityLayer:
             # flood must not hide there.
             if admission.policy == "nack":
                 self._send_control(NACK_BUSY, packet)
-                self._m_nacks.inc()
                 admission.note_refused(packet, nacked=True)
             else:
                 admission.note_refused(packet, nacked=False)
             return
         self._send_control(ACK, packet)
-        self._m_acks.inc()
         if packet.rel_seq > expected:
             # early: hold until the gap fills so the firmware still sees
             # per-pair in-order delivery
             self._reorder[(packet.src, packet.rel_seq)] = packet
-            self._m_buffered.inc()
+            self.reordered_held += 1
             return
         self.nic.accept_packet(packet)
         expected += 1
@@ -287,6 +292,10 @@ class ReliabilityLayer:
 
     def _send_control(self, kind: PacketKind, about: Packet) -> None:
         """Inject a link-level ACK/NACK (no processor involvement)."""
+        if kind is ACK:
+            self.acks_sent += 1
+        else:
+            self.nacks_sent += 1
         self.nic.fabric.inject(
             seal(
                 _CONTROL,

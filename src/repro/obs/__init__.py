@@ -5,8 +5,9 @@ traversal lengths, ALPU occupancy, unexpected-queue growth -- not just on
 end-point latency rows.  This subpackage is the cross-layer telemetry
 that makes those quantities visible:
 
-* :mod:`repro.obs.metrics` -- a :class:`MetricsRegistry` of named
-  counters, gauges and log-scale histograms, plus pull-style collectors;
+* :mod:`repro.obs.metrics` -- a :class:`MetricsRegistry` of pull-style
+  collectors over the tallies components already keep, plus log-scale
+  histograms;
 * :mod:`repro.obs.tracer` -- typed trace records ``(time_ps, category,
   name, kind, args)`` with spans, instants and counter samples;
 * :mod:`repro.obs.chrome` -- export to Chrome trace-event JSON, loadable
@@ -29,7 +30,8 @@ that makes those quantities visible:
 * :mod:`repro.obs.telemetry` -- the per-run bundle workloads accept.
 
 Telemetry is opt-in and zero-perturbation: disabled (the default) it
-costs one no-op call per event site, and enabled it never charges
+registers nothing and costs one no-op call per histogram, trace or
+lifecycle site, and enabled it never charges
 simulated time, so latencies are bit-identical either way (pinned by
 ``tests/obs/test_zero_perturbation.py``).
 
@@ -37,7 +39,7 @@ This package depends on nothing else in :mod:`repro` (the sim engine
 imports *it*), so any layer may use it without cycles.
 """
 
-from repro.obs.chrome import chrome_trace_events, to_chrome, write_chrome_trace
+from repro.obs.chrome import chrome_trace_events, lifecycle_chrome_events, to_chrome
 from repro.obs.health import (
     DerivativeWatchdog,
     HealthFinding,
@@ -61,8 +63,6 @@ from repro.obs.lifecycle import (
     TERMINAL_STAGE,
 )
 from repro.obs.metrics import (
-    Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     NullRegistry,
@@ -97,8 +97,6 @@ __all__ = [
     "NULL_LIFECYCLE",
     "TERMINAL_STAGE",
     "SimProfiler",
-    "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "NullRegistry",
@@ -111,6 +109,6 @@ __all__ = [
     "DEFAULT_INTERVAL_PS",
     "Telemetry",
     "chrome_trace_events",
+    "lifecycle_chrome_events",
     "to_chrome",
-    "write_chrome_trace",
 ]

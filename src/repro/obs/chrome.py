@@ -1,9 +1,10 @@
 """Chrome trace-event export.
 
-Converts a :class:`~repro.obs.tracer.Tracer`'s records into the Chrome
-trace-event JSON format (the "JSON Array Format" with a ``traceEvents``
-envelope), loadable in Perfetto (https://ui.perfetto.dev) or
-``chrome://tracing``.
+Converts a :class:`~repro.obs.tracer.Tracer`'s records, and the flight
+recorder's message lifecycles, into the Chrome trace-event JSON format
+(the "JSON Array Format" with a ``traceEvents`` envelope), loadable in
+Perfetto (https://ui.perfetto.dev) or ``chrome://tracing``.  The one
+writer is :meth:`repro.obs.telemetry.Telemetry.write_chrome_trace`.
 
 Mapping:
 
@@ -18,14 +19,15 @@ counters share one "thread" per category, while every distinct span name
 gets its own track (named via ``thread_name`` metadata events) -- B/E
 events nest by time order within a tid, so concurrent spans from
 different components (the two ALPU devices, two NICs' firmware) must not
-share one.
+share one.  Lifecycles render in a second "process", one track per
+message, each stage a B/E pair spanning its residency.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Dict, Iterable, List
 
+from repro.obs.lifecycle import TERMINAL_STAGE
 from repro.obs.tracer import (
     KIND_BEGIN,
     KIND_COUNTER,
@@ -43,6 +45,19 @@ _PHASES = {
 
 #: exported process id (one simulated system = one "process")
 PID = 1
+#: lifecycles render in their own "process"
+LIFECYCLE_PID = 2
+
+
+def _thread_name(pid: int, tid: int, label: str) -> dict:
+    """The metadata event that names track ``tid`` of process ``pid``."""
+    return {
+        "name": "thread_name",
+        "ph": "M",
+        "pid": pid,
+        "tid": tid,
+        "args": {"name": label},
+    }
 
 
 def chrome_trace_events(records: Iterable[TraceRecord]) -> List[dict]:
@@ -62,15 +77,7 @@ def chrome_trace_events(records: Iterable[TraceRecord]) -> List[dict]:
         if tid is None:
             tid = len(tids) + 1
             tids[key] = tid
-            events.append(
-                {
-                    "name": "thread_name",
-                    "ph": "M",
-                    "pid": PID,
-                    "tid": tid,
-                    "args": {"name": label},
-                }
-            )
+            events.append(_thread_name(PID, tid, label))
         event = {
             "name": record.name,
             "cat": record.category,
@@ -95,10 +102,46 @@ def to_chrome(records: Iterable[TraceRecord]) -> dict:
     }
 
 
-def write_chrome_trace(path, records: Iterable[TraceRecord]) -> dict:
-    """Write the trace JSON to ``path``; returns the document written."""
-    document = to_chrome(records)
-    with open(path, "w") as handle:
-        json.dump(document, handle, indent=1)
-        handle.write("\n")
-    return document
+def lifecycle_chrome_events(lifecycles) -> List[dict]:
+    """Per-message-track Chrome events for an iterable of lifecycles.
+
+    The terminal stage closes the last span; an incomplete lifecycle's
+    last span stays open.
+    """
+    events: List[dict] = []
+    for tid, lifecycle in enumerate(lifecycles, start=1):
+        label = lifecycle.label or lifecycle.kind
+        events.append(
+            _thread_name(
+                LIFECYCLE_PID,
+                tid,
+                f"{label} r{lifecycle.rank}#{lifecycle.req_id} ({lifecycle.kind})",
+            )
+        )
+        marks = lifecycle.marks
+        for index, mark in enumerate(marks):
+            if mark.stage == TERMINAL_STAGE:
+                continue
+            event = {
+                "name": mark.stage,
+                "cat": "lifecycle",
+                "ph": "B",
+                "ts": mark.time_ps / 1_000_000,
+                "pid": LIFECYCLE_PID,
+                "tid": tid,
+            }
+            if mark.detail:
+                event["args"] = dict(mark.detail)
+            events.append(event)
+            if index + 1 < len(marks):
+                events.append(
+                    {
+                        "name": mark.stage,
+                        "cat": "lifecycle",
+                        "ph": "E",
+                        "ts": marks[index + 1].time_ps / 1_000_000,
+                        "pid": LIFECYCLE_PID,
+                        "tid": tid,
+                    }
+                )
+    return events

@@ -405,8 +405,8 @@ class MetricWatchdog(Watchdog):
 
     For events that are structural rather than temporal (a backend
     degradation either happened or did not) or too rare to need a
-    series.  Counter/collector values compare directly; gauge dicts
-    compare their ``value``.
+    series.  Numeric values compare directly; level dicts
+    (``{"value", "high_water"}``) compare their ``value``.
     """
 
     def __init__(

@@ -369,68 +369,6 @@ class LifecycleRecorder:
             "lifecycles": [lc.to_obj() for lc in self.lifecycles],
         }
 
-    def chrome_events(self) -> List[Dict[str, object]]:
-        """Chrome trace events with one track (tid) per message.
-
-        Each stage renders as a B/E pair spanning its residency; the
-        terminal stage closes the last span.  Loadable in Perfetto next
-        to (or instead of) the component-level trace.
-        """
-        return lifecycle_chrome_events(self.lifecycles)
-
-
-#: Chrome export: lifecycles render in their own "process"
-LIFECYCLE_PID = 2
-
-
-def lifecycle_chrome_events(lifecycles) -> List[Dict[str, object]]:
-    """Per-message-track Chrome events for an iterable of lifecycles."""
-    events: List[Dict[str, object]] = []
-    for tid, lifecycle in enumerate(lifecycles, start=1):
-        label = lifecycle.label or lifecycle.kind
-        events.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": LIFECYCLE_PID,
-                "tid": tid,
-                "args": {
-                    "name": (
-                        f"{label} r{lifecycle.rank}#{lifecycle.req_id} "
-                        f"({lifecycle.kind})"
-                    )
-                },
-            }
-        )
-        marks = lifecycle.marks
-        for index, mark in enumerate(marks):
-            if mark.stage == TERMINAL_STAGE:
-                continue
-            end = marks[index + 1].time_ps if index + 1 < len(marks) else None
-            event = {
-                "name": mark.stage,
-                "cat": "lifecycle",
-                "ph": "B",
-                "ts": mark.time_ps / 1_000_000,
-                "pid": LIFECYCLE_PID,
-                "tid": tid,
-            }
-            if mark.detail:
-                event["args"] = dict(mark.detail)
-            events.append(event)
-            if end is not None:
-                events.append(
-                    {
-                        "name": mark.stage,
-                        "cat": "lifecycle",
-                        "ph": "E",
-                        "ts": end / 1_000_000,
-                        "pid": LIFECYCLE_PID,
-                        "tid": tid,
-                    }
-                )
-    return events
-
 
 class NullLifecycleRecorder:
     """The disabled recorder: every method is a no-op.
@@ -489,9 +427,6 @@ class NullLifecycleRecorder:
 
     def to_obj(self):
         return {"lifecycles": []}
-
-    def chrome_events(self):
-        return []
 
 
 NULL_LIFECYCLE = NullLifecycleRecorder()

@@ -1,22 +1,23 @@
-"""The metrics registry: named counters, gauges and log-scale histograms.
+"""The metrics registry: snapshot-time collectors and log-scale histograms.
 
-Components obtain instruments from a shared :class:`MetricsRegistry`
-handle (``engine.metrics``); the registry owns the namespace and produces
-a JSON-serializable :meth:`~MetricsRegistry.snapshot` at the end of a run.
-Instrument names use ``/`` to separate the owning component from the
+Components publish into a shared :class:`MetricsRegistry` handle
+(``engine.metrics``); the registry owns the namespace and produces a
+JSON-serializable :meth:`~MetricsRegistry.snapshot` at the end of a run.
+Metric names use ``/`` to separate the owning component from the
 quantity (``nic1.alpu.posted/match_successes``).
 
-Telemetry is **off by default**: every engine starts with the module
-singleton :data:`NULL_REGISTRY`, whose instruments are shared no-op
-objects.  The disabled path must stay cheap enough to leave timing-
-sensitive tier-1 tests untouched -- one attribute lookup plus an empty
-method call per event, which ``tests/obs/test_metrics.py`` pins down by
-inspecting the no-op bytecode.
+Counts and levels are *collectors*: callables over a tally the component
+keeps anyway (``AlpuStats``, the firmware's header counts, a queue's
+length and high-water mark), sampled only at snapshot time.  A
+component registers them only when ``registry.enabled``, so a hot path
+records each fact exactly once, in a plain attribute, and the metrics
+channel never touches it.  Only distributions are pushed: a
+:class:`Histogram` records one sample per call.
 
-Besides push-style instruments the registry accepts pull-style
-*collectors*: callables sampled at snapshot time, used to surface
-counters that components already keep (cache hits, DRAM page states,
-link utilization) without touching their hot paths.
+Telemetry is **off by default**: every engine starts with the module
+singleton :data:`NULL_REGISTRY`, which registers nothing and hands out
+one shared no-op histogram whose ``record`` is an empty method
+(``tests/obs/test_metrics.py`` pins its bytecode).
 
 This module is dependency-free (it must be importable from every layer,
 including :mod:`repro.core`, without creating cycles).
@@ -24,43 +25,11 @@ including :mod:`repro.core`, without creating cycles).
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Dict, List, Optional, Union
 
 Number = Union[int, float]
-
-
-class Counter:
-    """A monotonically increasing count."""
-
-    __slots__ = ("name", "value")
-    enabled = True
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0
-
-    def inc(self, amount: Number = 1) -> None:
-        """Add ``amount`` (default 1)."""
-        self.value += amount
-
-
-class Gauge:
-    """A point-in-time value with a high-water mark."""
-
-    __slots__ = ("name", "value", "high_water")
-    enabled = True
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value: Number = 0
-        self.high_water: Number = 0
-
-    def set(self, value: Number) -> None:
-        """Record the current value (tracks the maximum ever seen)."""
-        self.value = value
-        if value > self.high_water:
-            self.high_water = value
 
 
 class Histogram:
@@ -73,7 +42,6 @@ class Histogram:
     """
 
     __slots__ = ("name", "count", "total", "min", "max", "buckets")
-    enabled = True
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -102,32 +70,8 @@ class Histogram:
         return self.total / self.count if self.count else 0.0
 
 
-class _NullCounter:
-    """Shared no-op counter handed out by the disabled registry."""
-
-    __slots__ = ()
-    enabled = False
-    name = ""
-    value = 0
-
-    def inc(self, amount: Number = 1) -> None:
-        pass
-
-
-class _NullGauge:
-    __slots__ = ()
-    enabled = False
-    name = ""
-    value = 0
-    high_water = 0
-
-    def set(self, value: Number) -> None:
-        pass
-
-
 class _NullHistogram:
     __slots__ = ()
-    enabled = False
     name = ""
     count = 0
     total = 0
@@ -139,81 +83,59 @@ class _NullHistogram:
         pass
 
 
-NULL_COUNTER = _NullCounter()
-NULL_GAUGE = _NullGauge()
 NULL_HISTOGRAM = _NullHistogram()
 
 
 class MetricsRegistry:
-    """Shared namespace of instruments plus snapshot-time collectors."""
+    """Shared namespace of histograms plus snapshot-time collectors."""
 
     enabled = True
 
     def __init__(self) -> None:
-        self._instruments: Dict[str, object] = {}
-        self._collectors: Dict[str, Callable[[], Number]] = {}
-
-    # ---------------------------------------------------------- instruments
-    def _get(self, name: str, cls):
-        instrument = self._instruments.get(name)
-        if instrument is None:
-            instrument = cls(name)
-            self._instruments[name] = instrument
-        elif type(instrument) is not cls:
-            raise TypeError(
-                f"metric {name!r} already registered as "
-                f"{type(instrument).__name__}, requested {cls.__name__}"
-            )
-        return instrument
-
-    def counter(self, name: str) -> Counter:
-        """Get or create the counter called ``name``."""
-        return self._get(name, Counter)
-
-    def gauge(self, name: str) -> Gauge:
-        """Get or create the gauge called ``name``."""
-        return self._get(name, Gauge)
+        self._histograms: Dict[str, Histogram] = {}
+        self._collectors: Dict[str, Callable[[], object]] = {}
 
     def histogram(self, name: str) -> Histogram:
         """Get or create the histogram called ``name``."""
-        return self._get(name, Histogram)
+        histogram = self._histograms.get(name)
+        if histogram is None:
+            histogram = self._histograms[name] = Histogram(name)
+        return histogram
 
-    def register_collector(self, name: str, fn: Callable[[], Number]) -> None:
+    def register_collector(self, name: str, fn: Callable[[], object]) -> None:
         """Register a pull-style metric sampled at snapshot time.
 
-        Re-registering a name replaces the previous collector (a fresh
-        world built on a reused registry wins over a dead one).
+        ``fn`` returns a number, or a small dict such as a level's
+        ``{"value": ..., "high_water": ...}``.  Re-registering a name
+        replaces the previous collector (a fresh world built on a reused
+        registry wins over a dead one).
         """
         self._collectors[name] = fn
+
+    def register_tallies(self, prefix: str, owner, *names: str) -> None:
+        """A collector ``prefix/<name>`` over ``owner.<name>`` per name."""
+        for name in names:
+            self.register_collector(
+                f"{prefix}/{name}", functools.partial(getattr, owner, name)
+            )
 
     # ------------------------------------------------------------- snapshot
     def snapshot(self) -> Dict[str, object]:
         """All metrics as a name-sorted, JSON-serializable dict.
 
-        Counters flatten to their value; gauges and histograms become
-        small dicts.  Collector values are sampled now.
+        Histograms become small dicts; collector values are sampled now.
         """
-        out: Dict[str, object] = {}
-        for name, instrument in self._instruments.items():
-            if isinstance(instrument, Counter):
-                out[name] = instrument.value
-            elif isinstance(instrument, Gauge):
-                out[name] = {
-                    "value": instrument.value,
-                    "high_water": instrument.high_water,
-                }
-            else:
-                hist: Histogram = instrument  # type: ignore[assignment]
-                out[name] = {
-                    "count": hist.count,
-                    "sum": hist.total,
-                    "min": hist.min,
-                    "max": hist.max,
-                    "mean": hist.mean,
-                    "buckets": {
-                        str(b): n for b, n in sorted(hist.buckets.items())
-                    },
-                }
+        out: Dict[str, object] = {
+            name: {
+                "count": hist.count,
+                "sum": hist.total,
+                "min": hist.min,
+                "max": hist.max,
+                "mean": hist.mean,
+                "buckets": {str(b): n for b, n in sorted(hist.buckets.items())},
+            }
+            for name, hist in self._histograms.items()
+        }
         for name, fn in self._collectors.items():
             value = fn()
             if isinstance(value, float) and not math.isfinite(value):
@@ -222,30 +144,22 @@ class MetricsRegistry:
         return dict(sorted(out.items()))
 
     def names(self) -> List[str]:
-        """Registered instrument and collector names, sorted."""
-        return sorted(set(self._instruments) | set(self._collectors))
+        """Registered histogram and collector names, sorted."""
+        return sorted(set(self._histograms) | set(self._collectors))
 
 
 class NullRegistry:
-    """The disabled registry: hands out shared no-op instruments.
+    """The disabled registry: hands out the shared no-op histogram.
 
     Never allocates per call site, never retains state; ``snapshot()`` is
-    always empty.  This is the default on every :class:`Engine`.
+    always empty.  It takes no collectors: components register them only
+    when ``enabled``.  This is the default on every :class:`Engine`.
     """
 
     enabled = False
 
-    def counter(self, name: str) -> _NullCounter:
-        return NULL_COUNTER
-
-    def gauge(self, name: str) -> _NullGauge:
-        return NULL_GAUGE
-
     def histogram(self, name: str) -> _NullHistogram:
         return NULL_HISTOGRAM
-
-    def register_collector(self, name: str, fn: Callable[[], Number]) -> None:
-        pass
 
     def snapshot(self) -> Dict[str, object]:
         return {}

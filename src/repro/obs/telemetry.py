@@ -14,10 +14,11 @@ With ``timeline=True`` the bundle also carries a
 :func:`~repro.obs.health.default_watchdogs` battery turns that timeline
 (plus the metrics snapshot) into structured findings at end of run.
 
-A Telemetry object is **per run**: registries accumulate forever and
-collectors bind to the components of one world, so reuse across runs
-mixes numbers.  The sweep executor (:func:`repro.workloads.sweep.run_point`)
-creates one per point for exactly this reason.
+A Telemetry object is **per run**: histograms, traces and lifecycles
+accumulate forever while collectors bind to the components of the last
+world built, so reuse across runs mixes numbers.  The sweep executor
+(:func:`repro.workloads.sweep.run_point`) creates one per point for
+exactly this reason.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional
 
-from repro.obs.chrome import to_chrome
+from repro.obs.chrome import lifecycle_chrome_events, to_chrome
 from repro.obs.health import HealthFinding, HealthMonitor
 from repro.obs.lifecycle import LifecycleRecorder
 from repro.obs.metrics import MetricsRegistry
@@ -108,7 +109,9 @@ class Telemetry:
         records = self.tracer.records if self.tracer is not None else ()
         document = to_chrome(records)
         if self.lifecycle is not None:
-            document["traceEvents"].extend(self.lifecycle.chrome_events())
+            document["traceEvents"].extend(
+                lifecycle_chrome_events(self.lifecycle.lifecycles)
+            )
         return document
 
     def lifecycles(self) -> list:

@@ -157,14 +157,6 @@ def test_sharded_removal_updates_shards():
 
 
 # ------------------------------------------------ the property run
-class _RecordingGauge:
-    def __init__(self):
-        self.value = None
-
-    def set(self, value):
-        self.value = value
-
-
 _ops = st.lists(
     st.one_of(
         # (op, source, tag): append with source in 1..3, tag in 0..2,
@@ -194,12 +186,10 @@ _ops = st.lists(
 @settings(max_examples=40)
 @given(ops=_ops)
 def test_queue_invariants_under_churn(config, ops):
-    """Flat lists, mirrored prefix, depth gauge and candidate order vs a
-    model list plus a model prefix count."""
+    """Flat lists, mirrored prefix, depth, high-water mark and candidate
+    order vs a model list plus a model prefix count."""
     assert config.discipline in DISCIPLINES
     queue = make_queue(config)
-    gauge = _RecordingGauge()
-    queue.attach_depth_gauge(gauge)
     model = []
     mirrored = 0
     peak = 0
@@ -226,7 +216,7 @@ def test_queue_invariants_under_churn(config, ops):
         assert queue.bits == [e.bits for e in model]
         assert queue.addrs == [e.addr for e in model]
         assert queue.masked == sum(1 for e in model if e.mask)
-        assert len(queue) == len(model) == gauge.value
+        assert len(queue) == len(model)
         assert queue.max_length == peak
         # the mirrored prefix is the first `mirrored` model entries
         assert queue.alpu_count == mirrored
@@ -254,8 +244,6 @@ def test_queue_invariants_under_churn(config, ops):
                 assert ranks == sorted(ranks)
                 if suffix_only:
                     assert all(rank >= mirrored for rank in ranks)
-    queue.reset_stats()
-    assert queue.max_length == len(model)
 
 
 # --------------------------------------------- the differential gate

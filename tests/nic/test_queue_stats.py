@@ -6,25 +6,16 @@ Two queue-churn regressions pinned here:
   ``<nic>.unexpected_enqueue`` instant once disagreed by one (pre- vs
   post-append depth); both now report the post-append depth, and the
   first test fails if either side drifts again;
-* ``NicQueue.max_length`` was tracked but never surfaced nor reset --
-  it now feeds the ``<nic>.<queue>/max_depth`` snapshot collectors, the
-  run-report "queue high-water marks" section, and re-arms through
-  ``reset_stats`` / ``Nic.reset_queue_stats`` / ``MpiWorld.reset_queue_stats``.
+* ``NicQueue.max_length`` was tracked but never surfaced -- it now
+  feeds the ``<nic>.<queue>/max_depth`` and ``<nic>.<queue>/depth``
+  snapshot collectors and the run-report "queue high-water marks"
+  section.  It is a lifetime mark: nothing re-arms it.
 """
 
-import dataclasses
-
 from repro.analysis.report import queue_high_water, render_text
-from repro.core.match import MatchFormat
-from repro.memory.layout import AddressAllocator
-from repro.mpi.world import MpiWorld, WorldConfig
 from repro.nic.nic import NicConfig
-from repro.nic.qdisc import QdiscConfig, create_discipline
-from repro.nic.queues import EntryKind, NicQueue
 from repro.obs import Telemetry
 from repro.workloads.unexpected import UnexpectedParams, run_unexpected
-
-FMT = MatchFormat()
 
 
 def _run_with_telemetry(**telemetry_kwargs):
@@ -67,6 +58,9 @@ def test_snapshot_surfaces_queue_high_water_marks():
     assert snapshot["nic1.unexpectedQ/max_depth"] >= 12
     assert "nic1.postedRecvQ/max_depth" in snapshot
     assert "nic0.sendQ/max_depth" in snapshot
+    # the depth level and the high-water mark read the same tally
+    for name in ("nic1.unexpectedQ", "nic1.postedRecvQ", "nic0.sendQ"):
+        assert snapshot[f"{name}/depth"]["high_water"] == snapshot[f"{name}/max_depth"]
 
 
 def test_report_renders_high_water_section():
@@ -79,60 +73,3 @@ def test_report_renders_high_water_section():
     text = render_text(document)
     assert "queue high-water marks" in text
     assert "nic1.unexpectedQ" in text
-
-
-def _append(queue, tag):
-    bits, mask = FMT.pack_receive(0, 1, tag)
-    entry = queue.allocate_entry(EntryKind.POSTED_RECV, bits=bits, mask=mask, size=0)
-    queue.append(entry)
-    return entry
-
-
-def test_queue_reset_stats_rearms_at_current_depth():
-    queue = NicQueue(
-        "q",
-        AddressAllocator(base=0x1000),
-        discipline=create_discipline(QdiscConfig(), FMT),
-    )
-    entries = [_append(queue, tag) for tag in range(8)]
-    for entry in entries[:6]:
-        queue.remove(entry)
-    assert queue.max_length == 8
-    queue.reset_stats()
-    # re-armed at the *current* depth, not zero -- the two survivors are
-    # still resident and must count against the next phase's peak
-    assert queue.max_length == 2
-    _append(queue, 100)
-    assert queue.max_length == 3
-
-
-def test_world_reset_queue_stats_covers_every_nic_queue():
-    """``MpiWorld.reset_queue_stats`` re-arms marks between phases."""
-    nic = dataclasses.replace(NicConfig.baseline())
-
-    def flooder(mpi):
-        yield from mpi.init()
-        sends = []
-        for _ in range(16):
-            sends.append((yield from mpi.isend(1, 7, 0)))
-        yield from mpi.waitall(sends)
-        yield from mpi.finalize()
-
-    def sink(mpi):
-        yield from mpi.init()
-        for _ in range(16):
-            yield from mpi.recv(0, 7, 0)
-        yield from mpi.finalize()
-
-    world = MpiWorld(WorldConfig(num_ranks=2, nic=nic))
-    world.run({0: flooder, 1: sink}, deadline_us=500_000)
-
-    receiver = world.nics[1]
-    assert receiver.unexpected_q.max_length > 0
-    peak_send = world.nics[0].send_q.max_length
-    assert peak_send > 0
-
-    world.reset_queue_stats()
-    for nic_obj in world.nics:
-        for queue in (nic_obj.posted_recv_q, nic_obj.unexpected_q, nic_obj.send_q):
-            assert queue.max_length == len(queue)

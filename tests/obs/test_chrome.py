@@ -1,8 +1,8 @@
-"""Chrome trace-event export: schema, track assignment, file round-trip."""
+"""Chrome trace-event export: schema and track assignment."""
 
 import json
 
-from repro.obs.chrome import PID, chrome_trace_events, to_chrome, write_chrome_trace
+from repro.obs.chrome import PID, chrome_trace_events, to_chrome
 from repro.obs.tracer import Tracer
 
 
@@ -81,11 +81,3 @@ def test_points_share_category_track_with_metadata_name():
     assert meta[counter["tid"]] == "nic"
     span = next(e for e in events if e["ph"] == "B")
     assert meta[span["tid"]] == "alpu: dev0.match"
-
-
-def test_write_round_trips_through_json(tmp_path):
-    path = tmp_path / "out.trace.json"
-    written = write_chrome_trace(path, build_tracer().records)
-    loaded = json.loads(path.read_text())
-    assert loaded == written
-    assert loaded["traceEvents"]

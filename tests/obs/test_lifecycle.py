@@ -11,12 +11,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.obs import Telemetry
+from repro.obs.chrome import lifecycle_chrome_events
 from repro.obs.lifecycle import (
     LifecycleRecorder,
     MessageLifecycle,
     NULL_LIFECYCLE,
     TERMINAL_STAGE,
-    lifecycle_chrome_events,
 )
 from repro.workloads.preposted import PrepostedParams, run_preposted
 from repro.workloads import nic_preset
@@ -109,7 +109,6 @@ class TestRecorderUnit:
         NULL_LIFECYCLE.complete_request(0, 1, recv=True)
         assert len(NULL_LIFECYCLE) == 0
         assert NULL_LIFECYCLE.lifecycles == ()
-        assert NULL_LIFECYCLE.chrome_events() == []
 
     def test_dump_round_trip(self):
         recorder = LifecycleRecorder()

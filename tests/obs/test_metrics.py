@@ -6,38 +6,13 @@ import math
 import pytest
 
 from repro.obs.metrics import (
-    Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
-    NULL_COUNTER,
-    NULL_GAUGE,
     NULL_HISTOGRAM,
     NULL_REGISTRY,
     NullRegistry,
-    _NullCounter,
-    _NullGauge,
     _NullHistogram,
 )
-
-
-class TestCounter:
-    def test_starts_at_zero_and_increments(self):
-        c = Counter("x")
-        assert c.value == 0
-        c.inc()
-        c.inc(5)
-        assert c.value == 6
-
-
-class TestGauge:
-    def test_tracks_high_water(self):
-        g = Gauge("depth")
-        g.set(3)
-        g.set(7)
-        g.set(2)
-        assert g.value == 2
-        assert g.high_water == 7
 
 
 class TestHistogram:
@@ -60,22 +35,13 @@ class TestHistogram:
 
 
 class TestRegistry:
-    def test_get_or_create_returns_same_instrument(self):
+    def test_get_or_create_returns_same_histogram(self):
         reg = MetricsRegistry()
-        assert reg.counter("a") is reg.counter("a")
-        assert reg.gauge("g") is reg.gauge("g")
         assert reg.histogram("h") is reg.histogram("h")
-
-    def test_type_conflict_raises(self):
-        reg = MetricsRegistry()
-        reg.counter("a")
-        with pytest.raises(TypeError, match="already registered"):
-            reg.gauge("a")
 
     def test_snapshot_shapes_and_sorting(self):
         reg = MetricsRegistry()
-        reg.counter("z/count").inc(3)
-        reg.gauge("a/depth").set(4)
+        reg.register_collector("z/count", lambda: 3)
         h = reg.histogram("m/lens")
         h.record(2)
         h.record(5)
@@ -83,7 +49,6 @@ class TestRegistry:
         snap = reg.snapshot()
         assert list(snap) == sorted(snap)
         assert snap["z/count"] == 3
-        assert snap["a/depth"] == {"value": 4, "high_water": 4}
         assert snap["m/lens"] == {
             "count": 2,
             "sum": 7,
@@ -94,6 +59,18 @@ class TestRegistry:
         }
         assert snap["k/pull"] == 42
         json.dumps(snap)  # must be JSON-serializable as-is
+
+    def test_collector_may_return_a_level(self):
+        # a level is published as its current value and high-water mark,
+        # both read from the component's own tallies at snapshot time
+        reg = MetricsRegistry()
+        depth, peak = [4], [7]
+        reg.register_collector(
+            "a/depth", lambda: {"value": depth[0], "high_water": peak[0]}
+        )
+        assert reg.snapshot()["a/depth"] == {"value": 4, "high_water": 7}
+        depth[0] = peak[0] = 9
+        assert reg.snapshot()["a/depth"] == {"value": 9, "high_water": 9}
 
     def test_collector_last_registration_wins(self):
         reg = MetricsRegistry()
@@ -109,9 +86,9 @@ class TestRegistry:
         assert snap["bad"] is None and snap["worse"] is None
         json.dumps(snap)
 
-    def test_names_lists_instruments_and_collectors(self):
+    def test_names_lists_histograms_and_collectors(self):
         reg = MetricsRegistry()
-        reg.counter("b")
+        reg.histogram("b")
         reg.register_collector("a", lambda: 0)
         assert reg.names() == ["a", "b"]
 
@@ -119,37 +96,31 @@ class TestRegistry:
 class TestDisabledPath:
     """The default (disabled) registry must cost ~nothing per event."""
 
-    def test_null_registry_hands_out_shared_singletons(self):
-        assert NULL_REGISTRY.counter("anything") is NULL_COUNTER
-        assert NULL_REGISTRY.counter("other") is NULL_COUNTER
-        assert NULL_REGISTRY.gauge("g") is NULL_GAUGE
-        assert NULL_REGISTRY.histogram("h") is NULL_HISTOGRAM
+    def test_null_registry_hands_out_a_shared_histogram(self):
+        assert NULL_REGISTRY.histogram("anything") is NULL_HISTOGRAM
+        assert NULL_REGISTRY.histogram("other") is NULL_HISTOGRAM
 
-    def test_null_instruments_retain_nothing(self):
-        NULL_COUNTER.inc(10)
-        NULL_GAUGE.set(99)
+    def test_null_registry_retains_nothing(self):
         NULL_HISTOGRAM.record(7)
-        NULL_REGISTRY.register_collector("x", lambda: 1)
-        assert NULL_COUNTER.value == 0
-        assert NULL_GAUGE.value == 0 and NULL_GAUGE.high_water == 0
         assert NULL_HISTOGRAM.count == 0
         assert NULL_REGISTRY.snapshot() == {}
         assert NULL_REGISTRY.names() == []
 
-    def test_enabled_flags(self):
+    def test_null_registry_takes_no_collectors(self):
+        # components register collectors only when the registry is
+        # enabled, so the disabled one has nothing to accept them with
         assert not NULL_REGISTRY.enabled
-        assert not NULL_COUNTER.enabled
         assert MetricsRegistry().enabled
-        assert Counter("c").enabled
+        assert not hasattr(NULL_REGISTRY, "register_collector")
 
-    def test_disabled_event_cost_is_a_trivial_method(self):
-        # The contract: a disabled inc/set/record compiles to an empty
-        # function body (no allocation, no branching, no dict writes) --
-        # i.e. the per-event overhead is one attribute lookup plus a
-        # no-op call.  Pin it by inspecting the bytecode size.
-        for method in (_NullCounter.inc, _NullGauge.set, _NullHistogram.record):
-            assert len(method.__code__.co_code) <= 16
-            assert method.__code__.co_consts == (None,)
+    def test_disabled_record_is_a_trivial_method(self):
+        # The contract: a disabled record compiles to an empty function
+        # body (no allocation, no branching, no dict writes) -- i.e. the
+        # per-sample overhead is one attribute lookup plus a no-op call.
+        # Pin it by inspecting the bytecode size.
+        method = _NullHistogram.record
+        assert len(method.__code__.co_code) <= 16
+        assert method.__code__.co_consts == (None,)
 
     def test_null_registry_is_module_singleton(self):
         assert isinstance(NULL_REGISTRY, NullRegistry)

@@ -234,8 +234,9 @@ class TestChromeExportEndToEnd:
     def test_written_trace_is_valid_and_covers_layers(self, tmp_path):
         _, telemetry = run_traced_pingpong()
         path = tmp_path / "pp.trace.json"
-        telemetry.write_chrome_trace(str(path))
+        written = telemetry.write_chrome_trace(str(path))
         doc = json.loads(path.read_text())
+        assert doc == written
         events = doc["traceEvents"]
         assert events
         categories = {e["cat"] for e in events if "cat" in e}

@@ -301,26 +301,11 @@ class MemorySystem:
         if self.l2 is not None:
             levels.append(("l2", self.l2))
         for label, cache in levels:
-            registry.register_collector(
-                f"{prefix}/{label}/hits", lambda c=cache: c.hits
+            registry.register_tallies(
+                f"{prefix}/{label}", cache, "hits", "misses", "writebacks", "hit_rate"
             )
-            registry.register_collector(
-                f"{prefix}/{label}/misses", lambda c=cache: c.misses
-            )
-            registry.register_collector(
-                f"{prefix}/{label}/writebacks", lambda c=cache: c.writebacks
-            )
-            registry.register_collector(
-                f"{prefix}/{label}/hit_rate", lambda c=cache: c.hit_rate
-            )
-        registry.register_collector(
-            f"{prefix}/dram/page_hits", lambda: self.dram.page_hits
-        )
-        registry.register_collector(
-            f"{prefix}/dram/page_misses", lambda: self.dram.page_misses
-        )
-        registry.register_collector(
-            f"{prefix}/dram/page_conflicts", lambda: self.dram.page_conflicts
+        registry.register_tallies(
+            f"{prefix}/dram", self.dram, "page_hits", "page_misses", "page_conflicts"
         )
         registry.register_collector(
             f"{prefix}/stall_ps", lambda: self.total_stall_ps

@@ -33,10 +33,7 @@ class Processor(ClockedComponent):
         self.stall_ps = 0
         registry = engine.metrics
         if registry.enabled:
-            registry.register_collector(f"{name}/busy_ps", lambda: self.busy_ps)
-            registry.register_collector(
-                f"{name}/stall_ps", lambda: self.stall_ps
-            )
+            registry.register_tallies(name, self, "busy_ps", "stall_ps")
             if memory is not None:
                 memory.register_collectors(registry, prefix=f"{name}.mem")
 

@@ -29,7 +29,7 @@ def main(out_path: str = "pingpong.trace.json") -> None:
     print("zero-byte ping-pong, NIC + 256-entry ALPUs, telemetry on")
     print(f"  half-RTT mean: {result.mean_ns:7.1f} ns")
 
-    snapshot = result.metrics
+    snapshot = telemetry.snapshot()
     print("\nheadline metrics (receiver NIC):")
     for key in (
         "nic1.alpu.posted/matches_attempted",

@@ -26,6 +26,7 @@ dump instead of running the simulator).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import statistics
 import sys
@@ -446,13 +447,17 @@ def _load_lifecycles(path: str) -> List[MessageLifecycle]:
     return [MessageLifecycle.from_obj(obj) for obj in payload["lifecycles"]]
 
 
-def _run_benchmark(args) -> "object":
-    """Run one benchmark point with the recorder on; returns Telemetry."""
+def run_benchmark(args, telemetry, **params):
+    """Run ``--benchmark`` on the ``--backend`` NIC; returns its result.
+
+    The one runner of this CLI and :mod:`repro.analysis.report`.  The
+    point takes ``--queue-length``/``--iterations``/``--warmup`` and
+    ``params``; a name the benchmark's params class lacks is ignored
+    (``--fraction`` means nothing to ``unexpected``).
+    """
     # workloads import repro.analysis consumers; keep the dependency lazy
     from repro.nic.nic import NicConfig
-    from repro.obs.telemetry import Telemetry
-    from repro.workloads.preposted import PrepostedParams, run_preposted
-    from repro.workloads.unexpected import UnexpectedParams, run_unexpected
+    from repro.workloads.sweep import BENCHMARKS
 
     if args.backend == "alpu":
         nic = NicConfig.with_alpu(total_cells=args.alpu_cells)
@@ -460,31 +465,15 @@ def _run_benchmark(args) -> "object":
         nic = NicConfig.baseline()
     else:
         nic = NicConfig.with_backend(args.backend)
-    telemetry = Telemetry(tracing=False, lifecycle=True)
-    if args.benchmark == "preposted":
-        run_preposted(
-            nic,
-            PrepostedParams(
-                queue_length=args.queue_length,
-                traverse_fraction=args.fraction,
-                message_size=args.size,
-                iterations=args.iterations,
-                warmup=args.warmup,
-            ),
-            telemetry=telemetry,
-        )
-    else:
-        run_unexpected(
-            nic,
-            UnexpectedParams(
-                queue_length=args.queue_length,
-                message_size=args.size,
-                iterations=args.iterations,
-                warmup=args.warmup,
-            ),
-            telemetry=telemetry,
-        )
-    return telemetry
+    bench = BENCHMARKS[args.benchmark]
+    params.update(
+        queue_length=args.queue_length,
+        iterations=args.iterations,
+        warmup=args.warmup,
+    )
+    fields = {field.name for field in dataclasses.fields(bench.params_cls)}
+    point = bench.params_cls(**{k: v for k, v in params.items() if k in fields})
+    return bench.runner(nic, point, telemetry=telemetry)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -543,7 +532,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         lifecycles = _load_lifecycles(args.input)
         title = f"attribution of {args.input}"
     else:
-        telemetry = _run_benchmark(args)
+        from repro.obs.telemetry import Telemetry
+
+        telemetry = Telemetry(tracing=False, lifecycle=True)
+        run_benchmark(
+            args, telemetry, traverse_fraction=args.fraction, message_size=args.size
+        )
         lifecycles = telemetry.lifecycles()
         title = (
             f"{args.benchmark} / {args.backend} backend, "

@@ -35,6 +35,7 @@ from repro.analysis.attribution import (
     AttributionError,
     attribute_run,
     format_report,
+    run_benchmark,
 )
 from repro.obs.health import has_finding, verdict_of
 from repro.obs.lifecycle import MessageLifecycle
@@ -813,48 +814,19 @@ def render_json(document: Dict[str, object]) -> str:
 # --------------------------------------------------------------- the CLI
 def _run_benchmark(args) -> Dict[str, object]:
     """One benchmark point with every collector on; returns the report."""
-    from repro.nic.nic import NicConfig
     from repro.obs.telemetry import Telemetry
-    from repro.workloads.preposted import PrepostedParams, run_preposted
-    from repro.workloads.unexpected import UnexpectedParams, run_unexpected
 
-    if args.backend == "alpu":
-        nic = NicConfig.with_alpu(total_cells=args.alpu_cells)
-    elif args.backend == "list":
-        nic = NicConfig.baseline()
-    else:
-        nic = NicConfig.with_backend(args.backend)
     telemetry = Telemetry(
         tracing=False, lifecycle=True, timeline=True, health=True, profile=True
     )
-    meta: Dict[str, object] = {
-        "benchmark": args.benchmark,
-        "backend": args.backend,
-        "queue_length": args.queue_length,
-        "iterations": args.iterations,
-    }
-    if args.benchmark == "preposted":
-        result = run_preposted(
-            nic,
-            PrepostedParams(
-                queue_length=args.queue_length,
-                iterations=args.iterations,
-                warmup=args.warmup,
-            ),
-            telemetry=telemetry,
-        )
-    else:
-        result = run_unexpected(
-            nic,
-            UnexpectedParams(
-                queue_length=args.queue_length,
-                iterations=args.iterations,
-                warmup=args.warmup,
-            ),
-            telemetry=telemetry,
-        )
-    meta["mean_latency_ns"] = round(result.mean_ns, 3)
-    return telemetry.report(**meta)
+    result = run_benchmark(args, telemetry)
+    return telemetry.report(
+        benchmark=args.benchmark,
+        backend=args.backend,
+        queue_length=args.queue_length,
+        iterations=args.iterations,
+        mean_latency_ns=round(result.mean_ns, 3),
+    )
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -4,8 +4,9 @@
 system-assigned message tag provides a safe message passing context so
 that messages from one context do not interfere with messages from other
 contexts" (Section II).  MPI_COMM_WORLD is the only *group* the paper's
-prototype supports; we additionally allow duplication (new context, same
-group), which exercises the context-matching path without adding groups.
+prototype supports.  A communicator over the world group with another
+context id (``Communicator(context=..., size=...)``) exercises the
+context-matching path without adding groups.
 
 Context 0 is reserved for library-internal traffic (the Barrier
 implementation), so user point-to-point traffic can never collide with
@@ -15,8 +16,6 @@ collective traffic -- the standard trick.
 from __future__ import annotations
 
 import dataclasses
-import itertools
-from typing import ClassVar
 
 #: context id reserved for library collectives (Barrier)
 COLLECTIVE_CONTEXT = 0
@@ -31,8 +30,6 @@ class Communicator:
     context: int
     size: int
 
-    _next_context: ClassVar[itertools.count] = itertools.count(2)
-
     def __post_init__(self) -> None:
         if self.size <= 0:
             raise ValueError(f"communicator needs at least one rank: {self}")
@@ -45,10 +42,6 @@ class Communicator:
             raise ValueError(
                 f"rank {rank} out of range for communicator of size {self.size}"
             )
-
-    def dup(self) -> "Communicator":
-        """MPI_Comm_dup: same group, fresh context."""
-        return Communicator(context=next(self._next_context), size=self.size)
 
 
 def world(size: int) -> Communicator:

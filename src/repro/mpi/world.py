@@ -127,8 +127,8 @@ class MpiWorld:
             self.engine = Engine(
                 tracer=telemetry.tracer,
                 metrics=telemetry.metrics,
-                lifecycle=getattr(telemetry, "lifecycle", None),
-                profiler=getattr(telemetry, "profiler", None),
+                lifecycle=telemetry.lifecycle,
+                profiler=telemetry.profiler,
             )
         else:
             self.engine = Engine()
@@ -141,9 +141,9 @@ class MpiWorld:
             num_nodes,
             config.fabric,
             faults=self.fault_model,
-            observe_hops=getattr(telemetry, "fabric_obs", False),
+            observe_hops=telemetry is not None and telemetry.fabric_obs,
         )
-        if telemetry is not None and hasattr(telemetry, "attach_fabric_source"):
+        if telemetry is not None:
             telemetry.attach_fabric_source(self.fabric.snapshot)
         self.comm_world: Communicator = make_world_comm(config.num_ranks)
         self.nics: List[Nic] = []
@@ -183,7 +183,7 @@ class MpiWorld:
             self.engine,
             telemetry.probe_interval_ps,
             tracer=telemetry.tracer if telemetry.tracer is not None else NULL_TRACER,
-            timeline=getattr(telemetry, "timeline", None),
+            timeline=telemetry.timeline,
         )
 
         def hist(name):
@@ -264,7 +264,6 @@ class MpiWorld:
             # the congestion signal worth windowing; the crossbar's
             # dedicated wires skip this (and keep its pinned telemetry
             # documents bit-identical to the pre-topology fabric)
-            fabric_obs = getattr(telemetry, "fabric_obs", False)
             for link in self.fabric.links:
                 probe.add(
                     "network",
@@ -272,7 +271,7 @@ class MpiWorld:
                     (lambda lnk=link: lnk.utilization()),
                     series=f"{link.name}/util",
                 )
-                if fabric_obs:
+                if telemetry.fabric_obs:
                     # congestion substrate for the fabric watchdogs:
                     # instantaneous backlog and cumulative contention
                     # wait per channel (opt-in with fabric observability

@@ -86,17 +86,15 @@ CORRUPT = Verdict.CORRUPT
 
 
 class FaultModel:
-    """Seeded per-packet fault oracle; one verdict per :meth:`judge` call."""
+    """Seeded per-packet fault oracle; one verdict per :meth:`judge` call.
+
+    The model keeps no tallies: the fabric counts the verdicts it acts on
+    (``Fabric.fault_totals``, fabric-wide and per link).
+    """
 
     def __init__(self, config: Optional[FaultConfig] = None) -> None:
         self.config = config if config is not None else FaultConfig()
         self._rng = random.Random(self.config.seed)
-        # per-verdict tallies (a fabric's ``fault_totals`` also counts
-        # them, per hop and per link)
-        self.drops = 0
-        self.duplicates = 0
-        self.delays = 0
-        self.corruptions = 0
 
     def judge(self, packet: Packet) -> Verdict:
         """Decide the fate of ``packet``.
@@ -111,19 +109,15 @@ class FaultModel:
         draw = self._rng.random()
         threshold = config.drop_rate
         if draw < threshold:
-            self.drops += 1
             return DROP
         threshold += config.duplicate_rate
         if draw < threshold:
-            self.duplicates += 1
             return DUPLICATE
         threshold += config.reorder_rate
         if draw < threshold:
-            self.delays += 1
             return DELAY
         threshold += config.corrupt_rate
         if draw < threshold:
-            self.corruptions += 1
             return CORRUPT
         return DELIVER
 

@@ -4,7 +4,7 @@ One :class:`Telemetry` object packages a fresh metrics registry, a fresh
 tracer and the probe period, ready to hand to a world or a workload:
 
     telemetry = Telemetry()
-    result = run_pingpong(NicConfig.with_alpu(256, 16), telemetry=telemetry)
+    run_pingpong(NicConfig.with_alpu(256, 16), PingPongParams(), telemetry=telemetry)
     telemetry.write_chrome_trace("pingpong.trace.json")
     print(telemetry.snapshot()["nic1.alpu.posted/match_successes"])
 

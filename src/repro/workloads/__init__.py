@@ -1,5 +1,17 @@
 """The benchmarks of Section V-A and the harness that runs them.
 
+Every MPI workload runs through one seam, :func:`repro.workloads.runner.run`.
+A workload module supplies only a plan function ``plan(params) -> Plan``:
+its rank programs ``{rank: program}``, a ``summarize(world, results)``
+that returns its result (a :class:`~repro.workloads.runner.Samples`,
+or a subclass: ``latencies_ns``, ``mean_ns``, ``median_ns``), and the world
+facts that differ (ranks per node, topology preset, deadline).  The
+runner builds the simulated world, runs it and returns the summary;
+it is the only code here that builds a world.
+Each public ``run_x(nic, params, *, telemetry=None, faults=None)`` is
+the runner bound to one plan.  A caller that passes ``telemetry`` reads
+the run's metrics with ``telemetry.snapshot()``.
+
 * :mod:`repro.workloads.pingpong` -- classic ping-pong latency/bandwidth
   (sanity check and quickstart example).
 * :mod:`repro.workloads.preposted` -- the posted-receive-queue benchmark
@@ -11,6 +23,13 @@
 * :mod:`repro.workloads.halo` -- many-rank nearest-neighbour halo
   exchange plus a per-iteration allreduce, the workload that exercises
   the routed topologies (ring/mesh2d/torus3d) beyond two ranks.
+* :mod:`repro.workloads.storm`, :mod:`repro.workloads.alltoall` and
+  :mod:`repro.workloads.multijob` -- the deep-queue workloads of the
+  queue disciplines (wildcard storm, sparse all-to-all, a latency job
+  beside an unexpected-queue hog).
+* :mod:`repro.workloads.alpucore` -- the ALPU core-op microbenchmark;
+  it drives one ALPU device without a world, so it stays outside the
+  runner.
 * :mod:`repro.workloads.sweep` -- the generic grid-sweep executor:
   declarative :class:`~repro.workloads.sweep.SweepSpec` grids, optional
   process fan-out, one :class:`~repro.workloads.sweep.SweepRow` per

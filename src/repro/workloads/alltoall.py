@@ -18,16 +18,13 @@ e.g. 64 ranks x 16 peers x 1000 rounds.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import random
-import statistics
-from typing import Dict, List, Optional
+from typing import List
 
-from repro.mpi.world import MpiWorld, WorldConfig
-from repro.network.fabric import FabricConfig
-from repro.network.faults import FaultConfig
-from repro.nic.nic import NicConfig
 from repro.sim.process import now
 from repro.sim.units import ps_to_ns
+from repro.workloads.runner import Plan, Samples, run
 
 
 @dataclasses.dataclass(frozen=True)
@@ -67,38 +64,14 @@ class AlltoallParams:
 
 
 @dataclasses.dataclass
-class AlltoallResult:
-    """Per-round completion times, as seen from rank 0."""
+class AlltoallResult(Samples):
+    """Rank 0's per-round wall time (sends fired to all receives done)."""
 
-    params: AlltoallParams
-    #: rank 0's per-round wall time (sends fired to all receives done)
-    round_ns: List[float]
     total_messages: int
-    metrics: Optional[Dict[str, object]] = None
-
-    @property
-    def mean_ns(self) -> float:
-        return statistics.fmean(self.round_ns)
-
-    @property
-    def median_ns(self) -> float:
-        return statistics.median(self.round_ns)
 
 
-def run_alltoall(
-    nic: NicConfig,
-    params: AlltoallParams,
-    *,
-    telemetry=None,
-    faults: Optional[FaultConfig] = None,
-    topology: Optional[str] = None,
-) -> AlltoallResult:
-    """Run ``params.rounds`` sparse exchange rounds.
-
-    ``telemetry`` / ``faults`` / ``topology``: as in the other workloads
-    (see :func:`repro.workloads.unexpected.run_unexpected`).
-    """
-
+def _plan(params: AlltoallParams) -> Plan:
+    """``params.rounds`` sparse exchange rounds on ``params.num_ranks`` ranks."""
     out_peers = params.peer_sets()
     in_peers: List[List[int]] = [[] for _ in range(params.num_ranks)]
     for rank, peers in enumerate(out_peers):
@@ -134,21 +107,14 @@ def run_alltoall(
 
         return program
 
-    world = MpiWorld(
-        WorldConfig(
-            num_ranks=params.num_ranks,
-            nic=nic,
-            fabric=FabricConfig.with_topology(topology),
-            faults=faults,
+    return Plan(
+        programs={r: make_program(r) for r in range(params.num_ranks)},
+        summarize=lambda world, results: AlltoallResult(
+            latencies_ns=results[0],
+            total_messages=params.total_messages,
         ),
-        telemetry=telemetry,
+        deadline_us=max(1_000_000.0, params.total_messages * 10.0),
     )
-    programs = {r: make_program(r) for r in range(params.num_ranks)}
-    deadline_us = max(1_000_000.0, params.total_messages * 10.0)
-    results = world.run(programs, deadline_us=deadline_us)
-    return AlltoallResult(
-        params=params,
-        round_ns=results[0],
-        total_messages=params.total_messages,
-        metrics=telemetry.snapshot() if telemetry is not None else None,
-    )
+
+
+run_alltoall = functools.partial(run, _plan)

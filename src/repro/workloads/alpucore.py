@@ -26,6 +26,9 @@ Python cost of the core model almost 1:1, which makes this the point
 where the SWAR layout of :mod:`repro.core.alpu` is visible
 undiluted: the historical before/after table in EXPERIMENTS.md is
 anchored here.
+
+It drives the device without a simulated world (no hosts, NICs or
+fabric), so it stays outside the run seam of :mod:`repro.workloads.runner`.
 """
 
 from __future__ import annotations
@@ -98,7 +101,7 @@ def run_alpucore(
         engine = Engine(
             tracer=telemetry.tracer,
             metrics=telemetry.metrics,
-            profiler=getattr(telemetry, "profiler", None),
+            profiler=telemetry.profiler,
         )
     else:
         engine = Engine()

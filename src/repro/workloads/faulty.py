@@ -15,6 +15,7 @@ eyeballing retransmit counters.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import List, Sequence, Tuple
 
 from repro.network.faults import FaultConfig
@@ -48,14 +49,16 @@ def faulty_spec(
     :func:`~repro.workloads.sweep.run_point` enables the NICs'
     reliability layer on every point.
     """
-    return SweepSpec.preposted(
+    spec = SweepSpec.preposted(
         presets,
         queue_lengths,
         fractions,
         iterations=iterations,
         warmup=warmup,
         telemetry=telemetry,
-        faults=FaultConfig(seed=seed, drop_rate=loss_rate),
+    )
+    return dataclasses.replace(
+        spec, faults=FaultConfig(seed=seed, drop_rate=loss_rate)
     )
 
 

@@ -23,16 +23,13 @@ must see ``P * (P + 1) / 2``.
 from __future__ import annotations
 
 import dataclasses
-import statistics
-from typing import Dict, List, Optional
+import functools
+from typing import List, Optional
 
-from repro.mpi.world import MpiWorld, WorldConfig
-from repro.network.fabric import FabricConfig
-from repro.network.faults import FaultConfig
-from repro.network.topology import TOPOLOGY_PRESETS, TopologyConfig, balanced_dims
-from repro.nic.nic import NicConfig
+from repro.network.topology import TOPOLOGY_PRESETS, balanced_dims
 from repro.sim.process import now
 from repro.sim.units import ps_to_ns
+from repro.workloads.runner import Plan, Samples, run
 
 
 @dataclasses.dataclass(frozen=True)
@@ -76,12 +73,9 @@ class HaloParams:
 
 
 @dataclasses.dataclass
-class HaloResult:
-    """Samples for one parameter point."""
+class HaloResult(Samples):
+    """Per-iteration wall time at rank 0, timed iterations only."""
 
-    params: HaloParams
-    #: per-iteration wall time at rank 0, timed iterations only
-    latencies_ns: List[float]
     #: the physical topology actually built (``describe()`` string)
     topology: str
     #: the allreduce result every rank agreed on (P*(P+1)/2)
@@ -89,16 +83,6 @@ class HaloResult:
     #: total link-level retransmissions across all NICs (0 without the
     #: reliability layer; > 0 proves recovery did the work under faults)
     retransmits: int = 0
-    #: metrics snapshot when the run carried a telemetry bundle
-    metrics: Optional[Dict[str, object]] = None
-
-    @property
-    def mean_ns(self) -> float:
-        return statistics.fmean(self.latencies_ns)
-
-    @property
-    def median_ns(self) -> float:
-        return statistics.median(self.latencies_ns)
 
 
 def _neighbors(rank: int, dims) -> List[int]:
@@ -126,26 +110,8 @@ def _neighbors(rank: int, dims) -> List[int]:
     return neighbors
 
 
-def run_halo(
-    nic: NicConfig,
-    params: HaloParams,
-    *,
-    telemetry=None,
-    faults: Optional[FaultConfig] = None,
-    topology: Optional[str] = None,
-) -> HaloResult:
-    """Run one halo-exchange point on a ``params.ranks``-rank system.
-
-    ``telemetry``: optional :class:`repro.obs.Telemetry`; the result's
-    ``metrics`` field then carries the run's snapshot.
-
-    ``faults``: optional seeded fabric fault injection (per hop on
-    routed presets); pair it with a reliability-enabled ``nic``.
-
-    ``topology``: preset override (sweep plumbing); defaults to
-    ``params.topology``.
-    """
-    preset = topology if topology is not None else params.topology
+def _plan(params: HaloParams) -> Plan:
+    """One halo-exchange point, built on ``params.topology``."""
     dims = balanced_dims(params.ranks, 3)
     total = params.warmup + params.iterations
     samples: List[float] = []
@@ -229,27 +195,25 @@ def run_halo(
         yield from mpi.finalize()
         return reduced
 
-    world = MpiWorld(
-        WorldConfig(
-            num_ranks=params.ranks,
-            nic=nic,
-            fabric=FabricConfig(topology=TopologyConfig(preset=preset)),
-            faults=faults,
-        ),
-        telemetry=telemetry,
+    def summarize(world, results):
+        assert set(results.values()) == {expected}
+        assert not world.collective_board, "collective board left residue"
+        return HaloResult(
+            latencies_ns=samples,
+            topology=world.fabric.topology.describe(),
+            allreduce_value=expected,
+            retransmits=sum(
+                n.reliability.retransmits
+                for n in world.nics
+                if n.reliability is not None
+            ),
+        )
+
+    return Plan(
+        programs={rank: program for rank in range(params.ranks)},
+        summarize=summarize,
+        topology=params.topology,
     )
-    results = world.run({rank: program for rank in range(params.ranks)})
-    assert set(results.values()) == {expected}
-    assert not world.collective_board, "collective board left residue"
-    return HaloResult(
-        params=params,
-        latencies_ns=samples,
-        topology=world.fabric.topology.describe(),
-        allreduce_value=expected,
-        retransmits=sum(
-            n.reliability.retransmits
-            for n in world.nics
-            if n.reliability is not None
-        ),
-        metrics=telemetry.snapshot() if telemetry is not None else None,
-    )
+
+
+run_halo = functools.partial(run, _plan)

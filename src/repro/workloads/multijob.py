@@ -21,15 +21,12 @@ the hog, per discipline.
 from __future__ import annotations
 
 import dataclasses
-import statistics
-from typing import Dict, List, Optional
+import functools
+from typing import List
 
-from repro.mpi.world import MpiWorld, WorldConfig
-from repro.network.fabric import FabricConfig
-from repro.network.faults import FaultConfig
-from repro.nic.nic import NicConfig
 from repro.sim.process import delay, now
 from repro.sim.units import ns, ps_to_ns
+from repro.workloads.runner import Plan, Samples, run
 
 #: job A's ping/pong tags; job B floods on a disjoint tag
 _PING_TAG = 1
@@ -62,41 +59,17 @@ class MultijobParams:
 
 
 @dataclasses.dataclass
-class MultijobResult:
-    """Job A's latencies plus job B's queue damage."""
+class MultijobResult(Samples):
+    """Job A's round-trip latencies (post-warmup) plus job B's queue damage."""
 
-    params: MultijobParams
-    #: job A round-trip latencies (post-warmup)
-    latencies_ns: List[float]
     #: node-0 NIC unexpected-queue high-water mark (job B's backlog)
     max_unexpected_depth: int
     #: admission refusals at node 0 (0 without admission control)
     refused: int
-    metrics: Optional[Dict[str, object]] = None
-
-    @property
-    def mean_ns(self) -> float:
-        return statistics.fmean(self.latencies_ns)
-
-    @property
-    def median_ns(self) -> float:
-        return statistics.median(self.latencies_ns)
 
 
-def run_multijob(
-    nic: NicConfig,
-    params: MultijobParams,
-    *,
-    telemetry=None,
-    faults: Optional[FaultConfig] = None,
-    topology: Optional[str] = None,
-) -> MultijobResult:
-    """Run the two jobs side by side; ranks 0/1 on node 0, 2/3 on node 1.
-
-    ``telemetry`` / ``faults`` / ``topology``: as in the other workloads
-    (see :func:`repro.workloads.unexpected.run_unexpected`).
-    """
-
+def _plan(params: MultijobParams) -> Plan:
+    """The two jobs side by side; ranks 0/1 on node 0, 2/3 on node 1."""
     total_iters = params.warmup + params.iterations
 
     def pinger(mpi):  # rank 0, node 0
@@ -145,28 +118,24 @@ def run_multijob(
         yield from mpi.finalize()
         return None
 
-    world = MpiWorld(
-        WorldConfig(
-            num_ranks=4,
-            ranks_per_node=2,
-            nic=nic,
-            fabric=FabricConfig.with_topology(topology),
-            faults=faults,
+    def summarize(world, results):
+        node0 = world.nics[0]
+        return MultijobResult(
+            latencies_ns=results[0],
+            max_unexpected_depth=node0.unexpected_q.max_length,
+            refused=node0.admission.refused if node0.admission is not None else 0,
+        )
+
+    return Plan(
+        programs={0: pinger, 1: hog_sink, 2: ponger, 3: hog_source},
+        summarize=summarize,
+        ranks_per_node=2,
+        deadline_us=max(
+            1_000_000.0,
+            (params.hog_messages * (params.hog_service_ns + 1_000.0)
+             + total_iters * 10_000.0) / 1_000.0,
         ),
-        telemetry=telemetry,
     )
-    programs = {0: pinger, 1: hog_sink, 2: ponger, 3: hog_source}
-    deadline_us = max(
-        1_000_000.0,
-        (params.hog_messages * (params.hog_service_ns + 1_000.0)
-         + total_iters * 10_000.0) / 1_000.0,
-    )
-    results = world.run(programs, deadline_us=deadline_us)
-    node0 = world.nics[0]
-    return MultijobResult(
-        params=params,
-        latencies_ns=results[0],
-        max_unexpected_depth=node0.unexpected_q.max_length,
-        refused=node0.admission.refused if node0.admission is not None else 0,
-        metrics=telemetry.snapshot() if telemetry is not None else None,
-    )
+
+
+run_multijob = functools.partial(run, _plan)

@@ -8,13 +8,12 @@ paper says hash-table schemes regress (Section II).
 from __future__ import annotations
 
 import dataclasses
-import statistics
-from typing import Dict, List, Optional
+import functools
+from typing import List
 
-from repro.mpi.world import MpiWorld, WorldConfig
-from repro.nic.nic import NicConfig
 from repro.sim.process import now
 from repro.sim.units import ps_to_ns
+from repro.workloads.runner import Plan, Samples, run
 
 
 @dataclasses.dataclass(frozen=True)
@@ -26,37 +25,8 @@ class PingPongParams:
     warmup: int = 5
 
 
-@dataclasses.dataclass
-class PingPongResult:
-    """Half-round-trip latencies, in nanoseconds."""
-
-    latencies_ns: List[float]
-    #: metrics snapshot when the run carried a telemetry bundle
-    metrics: Optional[Dict[str, object]] = None
-
-    @property
-    def mean_ns(self) -> float:
-        """Mean half-round-trip latency."""
-        return statistics.fmean(self.latencies_ns)
-
-    @property
-    def min_ns(self) -> float:
-        """Best-case half-round-trip latency."""
-        return min(self.latencies_ns)
-
-
-def run_pingpong(
-    nic: NicConfig,
-    params: Optional[PingPongParams] = None,
-    *,
-    telemetry=None,
-) -> PingPongResult:
-    """Run a 2-rank ping-pong; returns per-iteration half-RTT.
-
-    ``telemetry``: optional :class:`repro.obs.Telemetry`; enables metrics
-    and tracing for the run without perturbing its simulated latencies.
-    """
-    params = params if params is not None else PingPongParams()
+def _plan(params: PingPongParams) -> Plan:
+    """A 2-rank ping-pong; rank 0 samples each iteration's half-RTT."""
     total = params.warmup + params.iterations
 
     def rank0(mpi):
@@ -80,9 +50,10 @@ def run_pingpong(
             yield from mpi.send(dest=0, tag=i, size=params.message_size)
         yield from mpi.finalize()
 
-    world = MpiWorld(WorldConfig(num_ranks=2, nic=nic), telemetry=telemetry)
-    results = world.run({0: rank0, 1: rank1})
-    return PingPongResult(
-        latencies_ns=results[0],
-        metrics=telemetry.snapshot() if telemetry is not None else None,
+    return Plan(
+        programs={0: rank0, 1: rank1},
+        summarize=lambda world, results: Samples(latencies_ns=results[0]),
     )
+
+
+run_pingpong = functools.partial(run, _plan)

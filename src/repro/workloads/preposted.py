@@ -31,16 +31,13 @@ software.  That is exactly the contrast of Figure 5.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
-import statistics
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.mpi.world import MpiWorld, WorldConfig
-from repro.network.fabric import FabricConfig
-from repro.network.faults import FaultConfig
-from repro.nic.nic import NicConfig
 from repro.sim.process import now
 from repro.sim.units import ps_to_ns
+from repro.workloads.runner import Plan, Samples, run
 
 
 @dataclasses.dataclass(frozen=True)
@@ -68,47 +65,15 @@ class PrepostedParams:
 
 
 @dataclasses.dataclass
-class PrepostedResult:
+class PrepostedResult(Samples):
     """Samples for one parameter point."""
 
-    params: PrepostedParams
-    latencies_ns: List[float]
     #: receiver-NIC software entries traversed over the timed iterations
     entries_traversed: int
-    #: metrics snapshot when the run carried a telemetry bundle
-    metrics: Optional[Dict[str, object]] = None
-
-    @property
-    def mean_ns(self) -> float:
-        return statistics.fmean(self.latencies_ns)
-
-    @property
-    def median_ns(self) -> float:
-        return statistics.median(self.latencies_ns)
 
 
-def run_preposted(
-    nic: NicConfig,
-    params: PrepostedParams,
-    *,
-    telemetry=None,
-    faults: Optional[FaultConfig] = None,
-    topology: Optional[str] = None,
-) -> PrepostedResult:
-    """Run one (queue length, fraction, size) point on a 2-rank system.
-
-    ``telemetry``: optional :class:`repro.obs.Telemetry`; the result's
-    ``metrics`` field then carries the run's snapshot.  Telemetry never
-    perturbs the measured latencies (pinned by regression test).
-
-    ``faults``: optional seeded fabric fault injection; pair it with a
-    reliability-enabled ``nic`` so dropped packets are retransmitted.
-
-    ``topology``: fabric preset name (default ``crossbar``); on two
-    nodes every preset routes in one hop, so this is a plumbing check
-    more than a performance axis.
-    """
-
+def _plan(params: PrepostedParams) -> Plan:
+    """One (queue length, fraction, size) point on a 2-rank system."""
     total_iters = params.warmup + params.iterations
     depth = params.match_depth
     tag_stream = itertools.count(0)
@@ -185,20 +150,11 @@ def run_preposted(
         yield from mpi.finalize()
         return None
 
-    world = MpiWorld(
-        WorldConfig(
-            num_ranks=2,
-            nic=nic,
-            fabric=FabricConfig.with_topology(topology),
-            faults=faults,
-        ),
-        telemetry=telemetry,
-    )
-    results = world.run({0: sender_program, 1: receiver})
-    samples, traversed = results[1]
-    return PrepostedResult(
-        params=params,
-        latencies_ns=samples,
-        entries_traversed=traversed,
-        metrics=telemetry.snapshot() if telemetry is not None else None,
-    )
+    def summarize(world, results):
+        samples, traversed = results[1]
+        return PrepostedResult(latencies_ns=samples, entries_traversed=traversed)
+
+    return Plan(programs={0: sender_program, 1: receiver}, summarize=summarize)
+
+
+run_preposted = functools.partial(run, _plan)

@@ -28,17 +28,14 @@ benchmark includes posting time.
 from __future__ import annotations
 
 import dataclasses
-import statistics
+import functools
 from collections import deque
-from typing import Dict, List, Optional
+from typing import List
 
 from repro.core.match import ANY_SOURCE
-from repro.mpi.world import MpiWorld, WorldConfig
-from repro.network.fabric import FabricConfig
-from repro.network.faults import FaultConfig
-from repro.nic.nic import NicConfig
 from repro.sim.process import delay, now
 from repro.sim.units import ns, ps_to_ns
+from repro.workloads.runner import Plan, Samples, run
 
 #: the one service tag every worker sends on
 _STORM_TAG = 7
@@ -113,12 +110,10 @@ class StormParams:
 
 
 @dataclasses.dataclass
-class StormResult:
-    """Samples and tallies for one storm point."""
+class StormResult(Samples):
+    """Sampled posting-to-completion sojourns of the master's receives,
+    plus the point's tallies."""
 
-    params: StormParams
-    #: sampled posting-to-completion sojourns of the master's receives
-    latencies_ns: List[float]
     total_messages: int
     #: simulated span of the service loop (first post to last completion)
     duration_ns: float
@@ -128,36 +123,10 @@ class StormResult:
     refused: int
     #: retransmissions across all NICs (0 without the reliability layer)
     retransmits: int
-    metrics: Optional[Dict[str, object]] = None
-
-    @property
-    def mean_ns(self) -> float:
-        return statistics.fmean(self.latencies_ns)
-
-    @property
-    def median_ns(self) -> float:
-        return statistics.median(self.latencies_ns)
-
-    @property
-    def messages_per_us(self) -> float:
-        """Simulated service throughput of the master."""
-        return self.total_messages / (self.duration_ns / 1_000.0)
 
 
-def run_storm(
-    nic: NicConfig,
-    params: StormParams,
-    *,
-    telemetry=None,
-    faults: Optional[FaultConfig] = None,
-    topology: Optional[str] = None,
-) -> StormResult:
-    """Run one storm point on ``workers + 1`` ranks.
-
-    ``telemetry`` / ``faults`` / ``topology``: as in the other workloads
-    (see :func:`repro.workloads.unexpected.run_unexpected`).
-    """
-
+def _plan(params: StormParams) -> Plan:
+    """One storm point on ``workers + 1`` ranks."""
     total = params.total_messages
     span = {"start": 0, "end": 0}
 
@@ -221,35 +190,31 @@ def run_storm(
         yield from mpi.finalize()
         return None
 
-    world = MpiWorld(
-        WorldConfig(
-            num_ranks=params.workers + 1,
-            nic=nic,
-            fabric=FabricConfig.with_topology(topology),
-            faults=faults,
-        ),
-        telemetry=telemetry,
+    def summarize(world, results):
+        master_nic = world.nics[0]
+        return StormResult(
+            latencies_ns=results[0],
+            total_messages=total,
+            duration_ns=ps_to_ns(span["end"] - span["start"]),
+            max_unexpected_depth=master_nic.unexpected_q.max_length,
+            refused=(
+                master_nic.admission.refused
+                if master_nic.admission is not None
+                else 0
+            ),
+            retransmits=sum(
+                n.reliability.retransmits
+                for n in world.nics
+                if n.reliability is not None
+            ),
+        )
+
+    programs = {rank: worker for rank in range(1, params.workers + 1)}
+    return Plan(
+        programs={0: master, **programs},
+        summarize=summarize,
+        deadline_us=params.effective_deadline_us,
     )
-    programs = {0: master}
-    for rank in range(1, params.workers + 1):
-        programs[rank] = worker
-    results = world.run(programs, deadline_us=params.effective_deadline_us)
-    master_nic = world.nics[0]
-    return StormResult(
-        params=params,
-        latencies_ns=results[0],
-        total_messages=total,
-        duration_ns=ps_to_ns(span["end"] - span["start"]),
-        max_unexpected_depth=master_nic.unexpected_q.max_length,
-        refused=(
-            master_nic.admission.refused
-            if master_nic.admission is not None
-            else 0
-        ),
-        retransmits=sum(
-            n.reliability.retransmits
-            for n in world.nics
-            if n.reliability is not None
-        ),
-        metrics=telemetry.snapshot() if telemetry is not None else None,
-    )
+
+
+run_storm = functools.partial(run, _plan)

@@ -90,7 +90,7 @@ class SweepRow:
 
 @dataclasses.dataclass(frozen=True)
 class _Benchmark:
-    """How one benchmark plugs into the generic executor."""
+    """How one workload plugs into the sweep executor and the CLIs."""
 
     params_cls: type
     runner: Callable
@@ -98,7 +98,9 @@ class _Benchmark:
     row_extra: Optional[Callable] = None
 
 
-#: every row's ``latency_ns`` is its runner's ``median_ns``: message
+#: the one name-to-workload table: :func:`run_point`, the pinned grid and
+#: the analysis CLIs all dispatch through it.  Every row's
+#: ``latency_ns`` is its runner's ``median_ns``: message
 #: latency for preposted/unexpected/halo, the master's wildcard-receive
 #: sojourn for storm, rank 0's per-round completion for alltoall, and
 #: job A's ping-pong round trip beside the hog for multijob
@@ -156,11 +158,6 @@ class SweepSpec:
     #: seeded fabric fault injection; setting it also enables the NIC
     #: reliability layer on every point (retransmission under loss)
     faults: Optional[FaultConfig] = None
-    #: fabric topology preset for benchmarks that don't carry one in
-    #: their params (``None`` keeps the crossbar default); a benchmark
-    #: whose params carry a ``topology`` field (halo) takes it as a
-    #: parameter instead and rejects this one
-    topology: Optional[str] = None
     #: queue-discipline overlay applied to every point's NIC (``None``
     #: keeps each preset's default FIFO); admission control
     #: (``max_unexpected > 0``) also enables the reliability layer,
@@ -188,11 +185,6 @@ class SweepSpec:
                 f"parameter(s) {repeated} given more than once across "
                 "axes and fixed"
             )
-        if self.topology is not None and "topology" in fields:
-            raise ValueError(
-                f"{self.benchmark} carries topology in its params; sweep "
-                "it as an axis or fixed value, not via SweepSpec.topology"
-            )
 
     # ---------------------------------------------------------- convenience
     @staticmethod
@@ -207,7 +199,6 @@ class SweepSpec:
         telemetry: bool = False,
         lifecycle: bool = False,
         fabric: bool = False,
-        faults: Optional[FaultConfig] = None,
     ) -> "SweepSpec":
         """The Figure 5 grid: preset x queue length x traverse fraction."""
         return SweepSpec(
@@ -225,7 +216,6 @@ class SweepSpec:
             telemetry=telemetry,
             lifecycle=lifecycle,
             fabric=fabric,
-            faults=faults,
         )
 
     @staticmethod
@@ -239,7 +229,6 @@ class SweepSpec:
         telemetry: bool = False,
         lifecycle: bool = False,
         fabric: bool = False,
-        faults: Optional[FaultConfig] = None,
     ) -> "SweepSpec":
         """The Figure 6 grid: preset x queue length."""
         return SweepSpec(
@@ -254,7 +243,6 @@ class SweepSpec:
             telemetry=telemetry,
             lifecycle=lifecycle,
             fabric=fabric,
-            faults=faults,
         )
 
     @staticmethod
@@ -269,7 +257,6 @@ class SweepSpec:
         telemetry: bool = False,
         lifecycle: bool = False,
         fabric: bool = False,
-        faults: Optional[FaultConfig] = None,
     ) -> "SweepSpec":
         """The topology-comparison grid: preset x ranks x topology."""
         return SweepSpec(
@@ -287,7 +274,6 @@ class SweepSpec:
             telemetry=telemetry,
             lifecycle=lifecycle,
             fabric=fabric,
-            faults=faults,
         )
 
     # --------------------------------------------------------------- points
@@ -348,12 +334,11 @@ def run_point(
         else None
     )
     result = bench.runner(
-        nic,
-        bench.params_cls(**params),
-        telemetry=bundle,
-        faults=spec.faults,
-        topology=spec.topology,
+        nic, bench.params_cls(**params), telemetry=bundle, faults=spec.faults
     )
+    # a lifecycle-only bundle still snapshots metrics; keep rows
+    # comparable by attaching them only when telemetry was asked for
+    metrics = bundle.snapshot() if spec.telemetry else None
     attribution = None
     if spec.lifecycle:
         attribution = attribute_run(bundle.lifecycles())
@@ -368,9 +353,7 @@ def run_point(
         params=params,
         latency_ns=result.median_ns,
         extra=bench.row_extra(result) if bench.row_extra is not None else {},
-        # a lifecycle-only bundle still snapshots metrics; keep rows
-        # comparable by attaching them only when telemetry was asked for
-        metrics=result.metrics if spec.telemetry else None,
+        metrics=metrics,
         attribution=attribution,
         health=health,
         fabric=bundle.fabric_snapshot() if spec.fabric else None,

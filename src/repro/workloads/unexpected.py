@@ -32,15 +32,12 @@ Figure 6.
 from __future__ import annotations
 
 import dataclasses
-import statistics
-from typing import Dict, List, Optional
+import functools
+from typing import List
 
-from repro.mpi.world import MpiWorld, WorldConfig
-from repro.network.fabric import FabricConfig
-from repro.network.faults import FaultConfig
-from repro.nic.nic import NicConfig
 from repro.sim.process import now
 from repro.sim.units import ps_to_ns
+from repro.workloads.runner import Plan, Samples, run
 
 
 @dataclasses.dataclass(frozen=True)
@@ -60,22 +57,10 @@ class UnexpectedParams:
 
 
 @dataclasses.dataclass
-class UnexpectedResult:
+class UnexpectedResult(Samples):
     """Samples for one parameter point."""
 
-    params: UnexpectedParams
-    latencies_ns: List[float]
     entries_traversed: int
-    #: metrics snapshot when the run carried a telemetry bundle
-    metrics: Optional[Dict[str, object]] = None
-
-    @property
-    def mean_ns(self) -> float:
-        return statistics.fmean(self.latencies_ns)
-
-    @property
-    def median_ns(self) -> float:
-        return statistics.median(self.latencies_ns)
 
 
 #: tag bases; fillers, pings and control tags never collide
@@ -86,28 +71,8 @@ _READY_TAG = (1 << 15) + 2
 _DONE_TAG = (1 << 15) + 3
 
 
-def run_unexpected(
-    nic: NicConfig,
-    params: UnexpectedParams,
-    *,
-    telemetry=None,
-    faults: Optional[FaultConfig] = None,
-    topology: Optional[str] = None,
-) -> UnexpectedResult:
-    """Run one (queue length, size) point on a 2-rank system.
-
-    ``telemetry``: optional :class:`repro.obs.Telemetry`; the result's
-    ``metrics`` field then carries the run's snapshot.  Telemetry never
-    perturbs the measured latencies (pinned by regression test).
-
-    ``faults``: optional seeded fabric fault injection; pair it with a
-    reliability-enabled ``nic`` so dropped packets are retransmitted.
-
-    ``topology``: fabric preset name (default ``crossbar``); on two
-    nodes every preset routes in one hop, so this is a plumbing check
-    more than a performance axis.
-    """
-
+def _plan(params: UnexpectedParams) -> Plan:
+    """One (queue length, size) point on a 2-rank system."""
     total_iters = params.warmup + params.iterations
     fillers = params.queue_length
     #: per-iteration send timestamps (see preposted.py: with the global
@@ -182,20 +147,11 @@ def run_unexpected(
         yield from mpi.finalize()
         return samples, traversed
 
-    world = MpiWorld(
-        WorldConfig(
-            num_ranks=2,
-            nic=nic,
-            fabric=FabricConfig.with_topology(topology),
-            faults=faults,
-        ),
-        telemetry=telemetry,
-    )
-    results = world.run({0: sender, 1: receiver})
-    samples, traversed = results[1]
-    return UnexpectedResult(
-        params=params,
-        latencies_ns=samples,
-        entries_traversed=traversed,
-        metrics=telemetry.snapshot() if telemetry is not None else None,
-    )
+    def summarize(world, results):
+        samples, traversed = results[1]
+        return UnexpectedResult(latencies_ns=samples, entries_traversed=traversed)
+
+    return Plan(programs={0: sender, 1: receiver}, summarize=summarize)
+
+
+run_unexpected = functools.partial(run, _plan)

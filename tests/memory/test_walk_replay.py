@@ -199,7 +199,7 @@ def test_fig6_walks_replay_with_unchanged_results(monkeypatch):
     def run():
         telemetry = Telemetry()
         result = run_unexpected(nic_preset("baseline"), params, telemetry=telemetry)
-        counters = {k: v for k, v in result.metrics.items() if ".mem/" in k}
+        counters = {k: v for k, v in telemetry.snapshot().items() if ".mem/" in k}
         return result, counters
 
     with monkeypatch.context() as patch:

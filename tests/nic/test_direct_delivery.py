@@ -43,7 +43,7 @@ def assert_direct_delivery(world):
 
 
 def test_storm_never_touches_the_wire_fifos(monkeypatch):
-    _, world = run_storm_pin(monkeypatch)
+    _, _, world = run_storm_pin(monkeypatch)
     assert world.fabric.packets_delivered == 4720
     assert_direct_delivery(world)
 

@@ -14,6 +14,7 @@ import json
 import pytest
 
 import repro.workloads.preposted as preposted
+import repro.workloads.runner as runner
 import repro.workloads.storm as storm
 from repro.mpi.world import MpiWorld
 from repro.network.faults import FaultConfig
@@ -52,8 +53,8 @@ def storm_nic(policy: str = "nack") -> NicConfig:
     )
 
 
-def _capture_worlds(monkeypatch, module) -> list:
-    """Record every world ``module`` builds (for engine/fabric reads)."""
+def _capture_worlds(monkeypatch) -> list:
+    """Record every world the workload runner builds (for engine/fabric reads)."""
     worlds = []
 
     class RecordingWorld(MpiWorld):
@@ -61,20 +62,21 @@ def _capture_worlds(monkeypatch, module) -> list:
             super().__init__(*args, **kwargs)
             worlds.append(self)
 
-    monkeypatch.setattr(module, "MpiWorld", RecordingWorld)
+    monkeypatch.setattr(runner, "MpiWorld", RecordingWorld)
     return worlds
 
 
 def run_storm_pin(monkeypatch):
-    """The pinned storm point: ``(result, world)``."""
-    worlds = _capture_worlds(monkeypatch, storm)
-    result = storm.run_storm(storm_nic(), STORM, telemetry=Telemetry(tracing=False))
-    return result, worlds[-1]
+    """The pinned storm point: ``(result, snapshot, world)``."""
+    worlds = _capture_worlds(monkeypatch)
+    telemetry = Telemetry(tracing=False)
+    result = storm.run_storm(storm_nic(), STORM, telemetry=telemetry)
+    return result, telemetry.snapshot(), worlds[-1]
 
 
 def run_soup_pin(monkeypatch):
     """The pinned fault soup: ``(result, snapshot, world)``."""
-    worlds = _capture_worlds(monkeypatch, preposted)
+    worlds = _capture_worlds(monkeypatch)
     telemetry = Telemetry(tracing=False)
     nic = dataclasses.replace(
         NicConfig.baseline(), reliability=ReliabilityConfig(enabled=True)
@@ -147,7 +149,7 @@ SOUP_COUNTERS = {
 
 
 def test_storm_nack_point_is_pinned(monkeypatch):
-    result, world = run_storm_pin(monkeypatch)
+    result, snapshot, world = run_storm_pin(monkeypatch)
     assert result.refused == 1960
     assert result.retransmits == 1960
     assert len(result.latencies_ns) == 25
@@ -156,7 +158,7 @@ def test_storm_nack_point_is_pinned(monkeypatch):
     assert digest[:16] == "e756a664f0113d36"
     assert world.engine.events_fired == 16_993
     assert world.engine.now == 548_670_000
-    assert scalar_counters(result.metrics, ".rel/", ".adm/", "fabric/") == (
+    assert scalar_counters(snapshot, ".rel/", ".adm/", "fabric/") == (
         STORM_COUNTERS
     )
 
@@ -180,7 +182,7 @@ def test_storm_under_drop_admission_exhausts_retries_fast(monkeypatch):
     ROADMAP item 6 (credit-based flow control) should turn this into a
     completing run; update this test then.
     """
-    worlds = _capture_worlds(monkeypatch, storm)
+    worlds = _capture_worlds(monkeypatch)
     with pytest.raises(RetryExhaustedError) as excinfo:
         storm.run_storm(storm_nic("drop"), STORM)
     assert str(excinfo.value) == (

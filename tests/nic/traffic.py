@@ -34,8 +34,8 @@ from repro.mpi.matching import MatchingOracle, OracleMessage, OracleRecv
 from repro.mpi.world import MpiWorld, WorldConfig
 from repro.nic.nic import NicConfig
 
-#: the second user context (a duplicated communicator), exercising
-#: context separation; kept clear of the dup() counter's range
+#: the second user context (a communicator over the world group with its
+#: own context id), exercising context separation
 DUP_COMM = Communicator(context=77, size=2)
 #: control-plane context for the phase markers
 CTRL_COMM = Communicator(context=1000, size=2)

@@ -42,10 +42,10 @@ def run_traced_pingpong():
 
 class TestDeterminism:
     def test_identical_runs_identical_snapshots(self):
-        r1, t1 = run_traced_pingpong()
-        r2, t2 = run_traced_pingpong()
-        assert r1.metrics == r2.metrics
-        assert r1.metrics  # non-trivially so
+        _, t1 = run_traced_pingpong()
+        _, t2 = run_traced_pingpong()
+        assert t1.snapshot() == t2.snapshot()
+        assert t1.snapshot()  # non-trivially so
 
     def test_identical_runs_identical_traces(self):
         _, t1 = run_traced_pingpong()
@@ -58,12 +58,11 @@ class TestZeroPerturbation:
     def test_preposted_latencies_identical_with_telemetry(self):
         params = PrepostedParams(queue_length=24, traverse_fraction=1.0, **FAST)
         plain = run_preposted(nic_preset("alpu128"), params)
-        traced = run_preposted(
-            nic_preset("alpu128"), params, telemetry=Telemetry()
-        )
+        telemetry = Telemetry()
+        traced = run_preposted(nic_preset("alpu128"), params, telemetry=telemetry)
         assert plain.latencies_ns == traced.latencies_ns
         assert plain.entries_traversed == traced.entries_traversed
-        assert plain.metrics is None and traced.metrics
+        assert telemetry.snapshot()
 
     def test_unexpected_latencies_identical_with_telemetry(self):
         params = UnexpectedParams(queue_length=16, **FAST)
@@ -83,18 +82,18 @@ class TestTraceCoverage:
 
     def test_metrics_off_bundle_still_runs(self):
         telemetry = Telemetry(metrics=False, tracing=True)
-        result = run_pingpong(
+        run_pingpong(
             nic_preset("alpu256"), PingPongParams(**FAST), telemetry=telemetry
         )
-        assert result.metrics == {}
+        assert telemetry.snapshot() == {}
         assert telemetry.tracer.records
 
     def test_tracing_off_bundle_still_counts(self):
         telemetry = Telemetry(tracing=False)
-        result = run_pingpong(
+        run_pingpong(
             nic_preset("alpu256"), PingPongParams(**FAST), telemetry=telemetry
         )
-        assert result.metrics["nic1.alpu.posted/match_successes"] > 0
+        assert telemetry.snapshot()["nic1.alpu.posted/match_successes"] > 0
         assert telemetry.chrome_trace()["traceEvents"] == []
 
 

@@ -66,3 +66,21 @@ def test_topology_halo_runs(capsys):
     assert "torus3d 2x2x4 over 16 nodes" in output
     assert "health: healthy" in output
     assert "mean utilization" in output
+
+
+def test_logp_parameters_runs(capsys):
+    run_example("logp_parameters")
+    rows = {}
+    for line in capsys.readouterr().out.splitlines():
+        if line.startswith(("o_s", "G:", "queue gap")):
+            label, baseline, alpu = line.rsplit(None, 2)
+            rows[label] = [float(baseline), float(alpu)]
+    # the offload leaves the host and the wire alone...
+    assert rows["o_s: send overhead (ns)"] == [50.0, 50.0]
+    assert rows["G: per-byte gap (ns/B)"] == [1.0, 1.0]
+    # ...and removes the queue-depth part of the gap while the ALPU holds
+    # the whole queue
+    baseline, alpu = rows["queue gap, 100-deep posted Q (ns)"]
+    assert baseline > 0 and alpu == 0.0
+    baseline, alpu = rows["queue gap, 400-deep posted Q (ns)"]
+    assert baseline > alpu > 0

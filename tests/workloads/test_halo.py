@@ -45,7 +45,7 @@ def test_halo_deterministic_and_telemetry_free():
     bundle = Telemetry(tracing=False, timeline=True, health=True)
     instrumented = run_halo(nic_preset("alpu128"), params, telemetry=bundle)
     assert instrumented.latencies_ns == bare.latencies_ns
-    assert instrumented.metrics is not None
+    assert bundle.snapshot()
     assert bundle.health_verdict() == "healthy"
 
 
@@ -85,20 +85,6 @@ def test_16_rank_sweep_serial_vs_parallel_bit_identical():
     assert bundle.health_verdict() == "healthy"
     assert torus.allreduce_value == 136
     assert torus.median_ns == serial[1].latency_ns
-
-
-def test_two_rank_benchmarks_accept_topology_override():
-    """spec.topology reroutes the classic benchmarks' fabric; on two
-    nodes every preset is one hop, so latencies match the crossbar."""
-    base_spec = SweepSpec.preposted(
-        ("alpu128",), (4,), (1.0,), iterations=3, warmup=1
-    )
-    routed_spec = dataclasses.replace(base_spec, topology="ring")
-    base_rows = run_sweep(base_spec)
-    routed_rows = run_sweep(routed_spec)
-    assert [r.latency_ns for r in base_rows] == [
-        r.latency_ns for r in routed_rows
-    ]
 
 
 def test_fabric_sweep_rows_carry_snapshots():

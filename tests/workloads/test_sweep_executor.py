@@ -43,31 +43,21 @@ def test_unknown_benchmark_rejected():
 
 
 @pytest.mark.parametrize(
-    "name, axes, fixed, topology, match",
+    "name, axes, fixed, match",
     [
-        ("preposted", (("queue_lenght", (4,)),), (), None, "no parameter"),
-        ("unexpected", (("queue_length", (4,)),), (("itrations", 3),), None,
+        ("preposted", (("queue_lenght", (4,)),), (), "no parameter"),
+        ("unexpected", (("queue_length", (4,)),), (("itrations", 3),),
          "no parameter"),
-        ("preposted", (("queue_length", (4,)),), (("queue_length", 8),), None,
+        ("preposted", (("queue_length", (4,)),), (("queue_length", 8),),
          "more than once"),
         ("preposted", (("queue_length", (1,)), ("queue_length", (4,))), (),
-         None, "more than once"),
-        # the spec-level topology would run the halo on a ring while its
-        # row still reported the crossbar
-        ("halo", (("ranks", (8,)), ("topology", ("crossbar",))), (), "ring",
-         "carries topology"),
+         "more than once"),
     ],
-    ids=["axis-typo", "fixed-typo", "axis-and-fixed", "axis-twice", "halo-topology"],
+    ids=["axis-typo", "fixed-typo", "axis-and-fixed", "axis-twice"],
 )
-def test_bad_grids_rejected_at_construction(name, axes, fixed, topology, match):
+def test_bad_grids_rejected_at_construction(name, axes, fixed, match):
     with pytest.raises(ValueError, match=match):
-        SweepSpec(
-            benchmark=name,
-            presets=("baseline",),
-            axes=axes,
-            fixed=fixed,
-            topology=topology,
-        )
+        SweepSpec(benchmark=name, presets=("baseline",), axes=axes, fixed=fixed)
 
 
 def test_parallel_rows_bit_identical_to_serial():

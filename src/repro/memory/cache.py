@@ -123,22 +123,6 @@ class Cache:
         cache_set[tag] = write
         return AccessResult(hit=False, writeback_line=writeback, fill_line=line)
 
-    def touch_range(self, addr: int, size: int, *, write: bool = False) -> List[AccessResult]:
-        """Access every line overlapped by ``[addr, addr+size)``."""
-        if size <= 0:
-            return []
-        first = self.line_addr(addr)
-        last = self.line_addr(addr + size - 1)
-        lb = self.config.line_bytes
-        return [
-            self.access(line * lb, write=write) for line in range(first, last + 1)
-        ]
-
-    def contains(self, addr: int) -> bool:
-        """Non-mutating presence check (does not update LRU)."""
-        line = self.line_addr(addr)
-        return self._tag(line) in self._sets[self._set_index(line)]
-
     def invalidate_all(self) -> int:
         """Flush without write-back; returns the number of lines dropped."""
         dropped = sum(len(s) for s in self._sets)

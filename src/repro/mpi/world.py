@@ -22,9 +22,7 @@ from repro.mpi.api import MpiProcess
 from repro.mpi.communicator import Communicator, world as make_world_comm
 from repro.network.fabric import Fabric, FabricConfig
 from repro.network.faults import FaultConfig, FaultModel
-from repro.obs.health import RETRANSMIT_WINDOW_PS
 from repro.obs.probe import SamplingProbe
-from repro.obs.tracer import NULL_TRACER
 from repro.nic.host_interface import HOST_NIC_LATENCY_PS
 from repro.nic.nic import Nic, NicConfig
 from repro.proc.costmodel import HostCostModel
@@ -111,10 +109,16 @@ class MpiWorld:
 
         When given, its registry/tracer ride on the engine (so every
         component self-instruments) and a :class:`SamplingProbe` samples
-        each NIC's posted/unexpected queue depths and ALPU occupancies on
-        ``telemetry.probe_interval_ps``.  A Telemetry object is per-run;
-        do not share one across worlds.
+        the state collectors the components registered (queue depths,
+        ALPU occupancies, reliability and fabric levels, progress
+        counters; see :data:`repro.obs.probe.SIGNALS`) on
+        ``telemetry.probe_interval_ps``.  A bundle serves one world: a
+        second world built on it raises
+        :class:`~repro.obs.telemetry.TelemetryReuseError`.
         """
+        if telemetry is not None:
+            # first, so a rejected second world registers nothing
+            telemetry.bind_world(lambda: self.fabric.snapshot())
         self.config = config = config if config is not None else WorldConfig()
         self.telemetry = telemetry
         #: out-of-band staging for collective values: the simulator moves
@@ -143,8 +147,6 @@ class MpiWorld:
             faults=self.fault_model,
             observe_hops=telemetry is not None and telemetry.fabric_obs,
         )
-        if telemetry is not None:
-            telemetry.attach_fabric_source(self.fabric.snapshot)
         self.comm_world: Communicator = make_world_comm(config.num_ranks)
         self.nics: List[Nic] = []
         self.hosts: List[Host] = []
@@ -166,138 +168,15 @@ class MpiWorld:
             self.hosts.append(Host(self.engine, rank, nic, fifo))
         self.probe: Optional[SamplingProbe] = None
         if telemetry is not None and telemetry.probe_interval_ps:
-            self.probe = self._build_probe(telemetry)
-            self.probe.start()
-
-    def _build_probe(self, telemetry) -> SamplingProbe:
-        """Periodic sampling of queue depths, occupancies, reliability
-        state, fabric in-flight packets and engine throughput.
-
-        Every sampler feeds the metrics histograms (as before) and, when
-        the bundle carries a :class:`~repro.obs.timeline.Timeline`, a
-        windowed series under the matching metric-style name -- the
-        substrate the health watchdogs evaluate.
-        """
-        registry = telemetry.metrics
-        probe = SamplingProbe(
-            self.engine,
-            telemetry.probe_interval_ps,
-            tracer=telemetry.tracer if telemetry.tracer is not None else NULL_TRACER,
-            timeline=telemetry.timeline,
-        )
-
-        def hist(name):
-            return registry.histogram(name) if registry is not None else None
-
-        for nic in self.nics:
-            for queue in (nic.posted_recv_q, nic.unexpected_q):
-                probe.add(
-                    "nic",
-                    f"{queue.name}.depth",
-                    (lambda q=queue: len(q)),
-                    hist(f"{queue.name}/depth_samples"),
-                    series=f"{queue.name}/depth",
-                )
-            # software-only backends assemble no ALPUs; the tuple is empty
-            for device in nic.alpu_devices:
-                probe.add(
-                    "alpu",
-                    f"{device.name}.occupancy",
-                    (lambda d=device: d.alpu.occupancy),
-                    hist(f"{device.name}/occupancy_samples"),
-                    series=f"{device.name}/occupancy",
-                )
-            if nic.reliability is not None:
-                rel = nic.reliability
-                probe.add(
-                    "nic",
-                    f"{nic.name}.rel.unacked",
-                    (lambda r=rel: r.unacked_count),
-                    hist(f"{nic.name}.rel/unacked_samples"),
-                    series=f"{nic.name}.rel/unacked",
-                )
-                probe.add(
-                    "nic",
-                    f"{nic.name}.rel.reorder_held",
-                    (lambda r=rel: r.reorder_held),
-                    hist(f"{nic.name}.rel/reorder_held_samples"),
-                    series=f"{nic.name}.rel/reorder_held",
-                )
-                probe.add(
-                    "nic",
-                    f"{nic.name}.rel.retransmits",
-                    (lambda r=rel: r.retransmits),
-                    series=f"{nic.name}.rel/retransmits",
-                    mode="cumulative",
-                    # storm-width windows: see the watchdog's definition
-                    window_ps=RETRANSMIT_WINDOW_PS,
-                )
-            if nic.admission is not None:
-                adm = nic.admission
-                probe.add(
-                    "nic",
-                    f"{nic.name}.adm.refused",
-                    (lambda a=adm: a.refused),
-                    series=f"{nic.name}.adm/refused",
-                    mode="cumulative",
-                    # refusals are bursty like retransmit storms; share
-                    # the window so the pressure watchdog sees per-window
-                    # refusal rates
-                    window_ps=RETRANSMIT_WINDOW_PS,
-                )
-            probe.add(
-                "nic",
-                f"{nic.name}.fw.completions",
-                (lambda n=nic: n.firmware.completions_sent),
-                series=f"{nic.name}.fw/completions",
-                mode="cumulative",
+            self.probe = SamplingProbe(
+                self.engine,
+                telemetry.probe_interval_ps,
+                timeline=telemetry.timeline,
+                # no congestion signal there (and crossbar timelines keep
+                # the series set of the pre-topology fabric)
+                skip=[link.name for link in self.fabric.dedicated_links],
             )
-        probe.add(
-            "network",
-            f"{self.fabric.name}.in_flight",
-            (lambda: self.fabric.in_flight),
-            hist(f"{self.fabric.name}/in_flight_samples"),
-            series=f"{self.fabric.name}/in_flight",
-        )
-        if self.fabric.topology.preset != "crossbar":
-            # routed presets share channels, so per-link utilization is
-            # the congestion signal worth windowing; the crossbar's
-            # dedicated wires skip this (and keep its pinned telemetry
-            # documents bit-identical to the pre-topology fabric)
-            for link in self.fabric.links:
-                probe.add(
-                    "network",
-                    f"{link.name}.utilization",
-                    (lambda lnk=link: lnk.utilization()),
-                    series=f"{link.name}/util",
-                )
-                if telemetry.fabric_obs:
-                    # congestion substrate for the fabric watchdogs:
-                    # instantaneous backlog and cumulative contention
-                    # wait per channel (opt-in with fabric observability
-                    # so pre-existing timeline documents keep their
-                    # series set)
-                    probe.add(
-                        "network",
-                        f"{link.name}.queue",
-                        (lambda lnk=link: lnk.queue_depth),
-                        series=f"{link.name}/queue",
-                    )
-                    probe.add(
-                        "network",
-                        f"{link.name}.wait",
-                        (lambda lnk=link: lnk.wait_ps),
-                        series=f"{link.name}/wait",
-                        mode="cumulative",
-                    )
-        probe.add(
-            "engine",
-            "events",
-            (lambda: self.engine.events_fired),
-            series="engine/events",
-            mode="cumulative",
-        )
-        return probe
+            self.probe.start()
 
     # ----------------------------------------------------------------- run
     def run(

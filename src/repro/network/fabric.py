@@ -166,7 +166,9 @@ class Fabric(Component):
         if registry.enabled:
             registry.register_collector(f"{name}/packets", lambda: self.packets_sent)
             registry.register_collector(f"{name}/bytes", lambda: self.bytes_sent)
-            registry.register_tallies(name, self, "packets_delivered", "hops_forwarded")
+            registry.register_tallies(
+                name, self, "packets_delivered", "hops_forwarded", "in_flight"
+            )
             for kind in self.fault_totals:
                 registry.register_collector(
                     f"{name}/faults_{kind}", lambda kind=kind: self.fault_totals[kind]
@@ -179,6 +181,15 @@ class Fabric(Component):
                     f"{link.name}/utilization",
                     lambda lnk=link: lnk.utilization(),
                 )
+                if observe_hops:
+                    # congestion levels for the fabric watchdogs: backlog
+                    # now and contention wait so far, per channel
+                    registry.register_collector(
+                        f"{link.name}/queue", lambda lnk=link: lnk.queue_depth
+                    )
+                    registry.register_collector(
+                        f"{link.name}/wait", lambda lnk=link: lnk.wait_ps
+                    )
             if faults is not None:
                 # per-link fault localization (snapshot-time collectors
                 # over the lazy tallies; registered only on fault runs so
@@ -386,6 +397,16 @@ class Fabric(Component):
         """The physical channels (self-channels excluded), build order."""
         return [
             link for (u, v), link in self._links.items() if u != v
+        ]
+
+    @property
+    def dedicated_links(self) -> List[Link]:
+        """Channels that carry one (src, dst) pair only: every
+        self-channel, and every wire of the crossbar.  Their levels show
+        no contention between pairs, so the sampling probe skips them."""
+        crossbar = self.topology.preset == "crossbar"
+        return [
+            link for (u, v), link in self._links.items() if crossbar or u == v
         ]
 
     def link(self, src: int, dst: int) -> Link:

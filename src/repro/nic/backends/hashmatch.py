@@ -231,11 +231,3 @@ class HashMatchTable:
     # ------------------------------------------------------------ observers
     def __len__(self) -> int:
         return len(self._sequence_of)
-
-    def entries_in_order(self) -> List[QueueEntry]:
-        """All entries, oldest first (diagnostics/differential tests)."""
-        everything: List[Tuple[int, QueueEntry]] = []
-        for bucket in self._buckets.values():
-            everything.extend(bucket)
-        everything.sort(key=lambda pair: pair[0])
-        return [entry for _, entry in everything]

@@ -112,6 +112,9 @@ class NicFirmware:
             registry.register_collector(
                 f"{prefix}/backend_degraded", lambda: int(self.degraded)
             )
+            registry.register_collector(
+                f"{prefix}/completions", lambda: self.completions_sent
+            )
 
     def record_traversal(self, visited: int) -> None:
         """Backends report per-search traversal work through this hook."""

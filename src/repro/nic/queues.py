@@ -213,10 +213,6 @@ class NicQueue:
             self.alpu_count -= 1
         self.discipline.on_remove(entry)
 
-    def release(self, entry: QueueEntry) -> None:
-        """Return the entry's block to the allocator free list."""
-        self.allocator.free(entry.addr, ENTRY_BYTES)
-
     # ------------------------------------------------------------- lookups
     def search_candidates(
         self, request: MatchRequest, *, suffix_only: bool = False

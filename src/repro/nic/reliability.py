@@ -126,12 +126,14 @@ class ReliabilityLayer:
                 "duplicates_dropped",
                 "corrupt_dropped",
                 "reordered_held",
+                "unacked",
+                "reorder_held",
             )
 
-    # ------------------------------------------------------- probe surface
+    # ------------------------------------------------------------- levels
     @property
-    def unacked_count(self) -> int:
-        """In-flight unacknowledged packets (the timeline probe reads it)."""
+    def unacked(self) -> int:
+        """In-flight unacknowledged packets."""
         return len(self._unacked)
 
     @property

@@ -12,8 +12,9 @@ that makes those quantities visible:
   name, kind, args)`` with spans, instants and counter samples;
 * :mod:`repro.obs.chrome` -- export to Chrome trace-event JSON, loadable
   in Perfetto or ``chrome://tracing``;
-* :mod:`repro.obs.probe` -- periodic sampling of state quantities (queue
-  depths, occupancy) into histograms and counter tracks;
+* :mod:`repro.obs.probe` -- periodic sampling of the registered state
+  collectors (queue depths, ALPU occupancy, reliability and fabric
+  levels) into histograms, timeline series and counter tracks;
 * :mod:`repro.obs.lifecycle` -- the per-message flight recorder: every
   MPI message carries an ordered list of ``(time_ps, stage, detail)``
   transition marks from post to completion, folded into stage-residency
@@ -70,7 +71,7 @@ from repro.obs.metrics import (
 )
 from repro.obs.probe import DEFAULT_INTERVAL_PS, SamplingProbe
 from repro.obs.selfprof import SimProfiler
-from repro.obs.telemetry import REPORT_VERSION, Telemetry
+from repro.obs.telemetry import REPORT_VERSION, Telemetry, TelemetryReuseError
 from repro.obs.timeline import Series, Timeline
 from repro.obs.tracer import NullTracer, NULL_TRACER, Tracer, TraceRecord
 
@@ -108,6 +109,7 @@ __all__ = [
     "SamplingProbe",
     "DEFAULT_INTERVAL_PS",
     "Telemetry",
+    "TelemetryReuseError",
     "chrome_trace_events",
     "lifecycle_chrome_events",
     "to_chrome",

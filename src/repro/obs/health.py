@@ -8,8 +8,7 @@ evaluate` folds them into a deterministic list of structured
 :class:`HealthFinding` records that rides on run results, sweep rows and
 the unified run report.
 
-Three detector shapes (the issue's threshold / sustained-derivative /
-stall taxonomy):
+Five detector shapes:
 
 * :class:`ThresholdWatchdog` -- a window statistic at or above a
   threshold, either in any window or sustained over a simulated-time
@@ -19,6 +18,8 @@ stall taxonomy):
 * :class:`StallWatchdog` -- an *activity* series showing work per window
   while a *progress* series stays flat across a sustained span
   (livelock / stuck-gap detection);
+* :class:`ImbalanceWatchdog` -- the hottest of many series far above
+  their mean (one channel carrying what its peers do not);
 * :class:`MetricWatchdog` -- an end-of-run metrics counter at or above a
   threshold (for events too rare or too structural to need a series).
 
@@ -27,7 +28,9 @@ counts, so downsampled (wider-window) timelines fire the same way.
 
 :func:`default_watchdogs` is the standard battery -- ``retransmit_storm``,
 ``unexpected_backlog_growth``, ``reorder_stall``, ``backend_degraded``,
-``sim_livelock`` -- tuned so the zero-fault benchmark points come back
+``unexpected_admission_pressure``, ``sim_livelock`` and the fabric
+congestion trio ``hotspot_link``, ``link_contention``,
+``route_imbalance`` -- tuned so the zero-fault benchmark points come back
 clean while seeded fault runs produce deterministic findings (pinned by
 ``tests/obs/test_health.py`` and ``tests/workloads/test_faulty.py``).
 
@@ -451,8 +454,9 @@ class MetricWatchdog(Watchdog):
 
 
 # -------------------------------------------------------- the standard set
-#: window width of the ``*.rel/retransmits`` series (the probe builds it
-#: with this override): wide enough that a *burst* of retransmissions
+#: window width of the ``*.rel/retransmits`` series (the probe's
+#: :data:`~repro.obs.probe.SIGNALS` table builds it with this override):
+#: wide enough that a *burst* of retransmissions
 #: lands in one window as one large delta, while a trickle of isolated
 #: singles never exceeds one per window
 RETRANSMIT_WINDOW_PS = 10_000_000
@@ -543,12 +547,13 @@ def default_watchdogs() -> List[Watchdog]:
             sustain_ps=LIVELOCK_SUSTAIN_PS,
             severity="critical",
         ),
-        # fabric congestion battery: the ``*.wire*/util`` series exist on
-        # routed presets only and ``*.wire*/queue`` only with fabric
-        # observability on, so crossbar / legacy runs cannot trip these
+        # fabric congestion battery: the ``*.wire*/utilization`` series
+        # exist on routed presets only and ``*.wire*/queue`` only with
+        # fabric observability on, so crossbar / legacy runs cannot trip
+        # these
         ThresholdWatchdog(
             "hotspot_link",
-            "*.wire*/util",
+            "*.wire*/utilization",
             stat="last",
             threshold=HOTSPOT_UTILIZATION,
             sustain_ps=HOTSPOT_SUSTAIN_PS,
@@ -564,7 +569,7 @@ def default_watchdogs() -> List[Watchdog]:
         ),
         ImbalanceWatchdog(
             "route_imbalance",
-            "*.wire*/util",
+            "*.wire*/utilization",
             stat="last",
             ratio=IMBALANCE_RATIO,
             floor=IMBALANCE_FLOOR,

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 Number = Union[int, float]
 
@@ -107,8 +107,7 @@ class MetricsRegistry:
 
         ``fn`` returns a number, or a small dict such as a level's
         ``{"value": ..., "high_water": ...}``.  Re-registering a name
-        replaces the previous collector (a fresh world built on a reused
-        registry wins over a dead one).
+        replaces the previous collector.
         """
         self._collectors[name] = fn
 
@@ -118,6 +117,10 @@ class MetricsRegistry:
             self.register_collector(
                 f"{prefix}/{name}", functools.partial(getattr, owner, name)
             )
+
+    def collectors(self) -> List[Tuple[str, Callable[[], object]]]:
+        """``(name, fn)`` per registered collector, in registration order."""
+        return list(self._collectors.items())
 
     # ------------------------------------------------------------- snapshot
     def snapshot(self) -> Dict[str, object]:

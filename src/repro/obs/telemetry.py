@@ -8,17 +8,21 @@ tracer and the probe period, ready to hand to a world or a workload:
     telemetry.write_chrome_trace("pingpong.trace.json")
     print(telemetry.snapshot()["nic1.alpu.posted/match_successes"])
 
-With ``timeline=True`` the bundle also carries a
-:class:`~repro.obs.timeline.Timeline` the sampling probe feeds, and with
+The world's :class:`~repro.obs.probe.SamplingProbe` samples the state
+collectors the components register into the bundle's registry.  With
+``timeline=True`` the bundle also carries a
+:class:`~repro.obs.timeline.Timeline` the probe feeds, and with
 ``health=True`` a :class:`~repro.obs.health.HealthMonitor` whose
 :func:`~repro.obs.health.default_watchdogs` battery turns that timeline
 (plus the metrics snapshot) into structured findings at end of run.
+Both need ``metrics=True``: without a registry there is nothing to
+sample.
 
 A Telemetry object is **per run**: histograms, traces and lifecycles
-accumulate forever while collectors bind to the components of the last
-world built, so reuse across runs mixes numbers.  The sweep executor
-(:func:`repro.workloads.sweep.run_point`) creates one per point for
-exactly this reason.
+accumulate while collectors read the components of the world built on
+it, so a second world built on the same bundle raises
+:class:`TelemetryReuseError`.  The sweep executor
+(:func:`repro.workloads.sweep.run_point`) creates one per point.
 """
 
 from __future__ import annotations
@@ -41,6 +45,10 @@ from repro.obs.tracer import Tracer
 REPORT_VERSION = 3
 
 
+class TelemetryReuseError(RuntimeError):
+    """A second world was built on a bundle already bound to one."""
+
+
 class Telemetry:
     """Metrics + tracing + probe configuration for one simulation run."""
 
@@ -56,9 +64,14 @@ class Telemetry:
         health: bool = False,
         fabric: bool = False,
     ) -> None:
+        if not metrics and (timeline or health):
+            raise ValueError(
+                "timeline and health sample the metrics collectors: "
+                "they need metrics=True"
+            )
         self.metrics = MetricsRegistry() if metrics else None
         self.tracer = Tracer() if tracing else None
-        #: None disables the periodic queue-depth/occupancy probe
+        #: None disables the periodic probe of the state collectors
         self.probe_interval_ps = probe_interval_ps
         #: per-message flight recorder (opt-in; see repro.obs.lifecycle)
         self.lifecycle = LifecycleRecorder() if lifecycle else None
@@ -77,19 +90,29 @@ class Telemetry:
         #: snapshot` so the report carries a ``fabric`` section.
         #: Per-hop marks need the lifecycle recorder to land anywhere.
         self.fabric_obs = fabric
+        #: the bound world's fabric snapshot callable (None until bound)
         self._fabric_source = None
 
     # ------------------------------------------------------------- wiring
-    def attach_fabric_source(self, source) -> None:
-        """Register a zero-argument callable returning the fabric snapshot.
+    def bind_world(self, fabric_source) -> None:
+        """Bind the bundle to the one world it serves.
 
-        Called by the world after it builds its fabric; harmless to skip
-        (the report's ``fabric`` section stays ``None``).
+        ``fabric_source`` is a zero-argument callable returning that
+        world's fabric snapshot (the report's ``fabric`` section).
+        Raises :class:`TelemetryReuseError` when a world is already
+        bound: its collectors would read the new world while histograms
+        and traces kept the old one's samples.
         """
-        self._fabric_source = source
+        if self._fabric_source is not None:
+            raise TelemetryReuseError(
+                "this Telemetry bundle already serves a world; "
+                "build a fresh one per run"
+            )
+        self._fabric_source = fabric_source
 
     def fabric_snapshot(self) -> Optional[dict]:
-        """The attached fabric's snapshot, or ``None`` when not wired."""
+        """The bound world's fabric snapshot; ``None`` when unbound or
+        when fabric observability is off."""
         if not self.fabric_obs or self._fabric_source is None:
             return None
         return self._fabric_source()
@@ -174,11 +197,3 @@ class Telemetry:
                 self.profiler.snapshot() if self.profiler is not None else None
             ),
         }
-
-    def write_report(self, path, **meta) -> dict:
-        """Write :meth:`report` to ``path`` as JSON; returns the report."""
-        document = self.report(**meta)
-        with open(path, "w") as handle:
-            json.dump(document, handle, indent=1, sort_keys=True)
-            handle.write("\n")
-        return document

@@ -103,6 +103,8 @@ class Engine:
         self.profiler = profiler
         self.tracer.attach_clock(lambda: self._now)
         self.lifecycle.attach_clock(lambda: self._now)
+        if self.metrics.enabled:
+            self.metrics.register_collector("engine/events", lambda: self._fired)
 
     # ------------------------------------------------------------------ time
     @property
@@ -195,20 +197,6 @@ class Engine:
         else:
             heappush(self._heap, entry)
         self._live += 1
-
-    def schedule_at(
-        self,
-        time_ps: int,
-        action: Callable[[], Any],
-        *,
-        priority: int = 0,
-    ) -> EventHandle:
-        """Schedule ``action`` at an absolute timestamp."""
-        if time_ps < self._now:
-            raise SimulationError(
-                f"cannot schedule at t={time_ps} (now is {self._now})"
-            )
-        return self.schedule(time_ps - self._now, action, priority=priority)
 
     # ------------------------------------------------------------------- run
     def stop(self) -> None:

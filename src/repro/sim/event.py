@@ -21,7 +21,7 @@ cancelled after its event already executed.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List
+from typing import Any, List
 
 #: indices into an event entry list
 TIME, PRIORITY, SEQ, ACTION, STATE = range(5)
@@ -33,14 +33,6 @@ EVENT_FIRED = 2
 
 #: an event entry: [time, priority, seq, action, state]
 EventEntry = List[Any]
-
-
-def make_entry(
-    time: int, priority: int, seq: int, action: Callable[[], Any]
-) -> EventEntry:
-    """Build a live event entry (convenience for tests; the engine inlines
-    this construction on its hot path)."""
-    return [time, priority, seq, action, EVENT_LIVE]
 
 
 class EventHandle:

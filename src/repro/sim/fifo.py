@@ -70,13 +70,6 @@ class Fifo(Generic[T]):
         """At capacity? (Never true for unbounded FIFOs.)"""
         return self.capacity is not None and len(self.items) >= self.capacity
 
-    @property
-    def free_slots(self) -> Optional[int]:
-        """Remaining capacity, or None when unbounded."""
-        if self.capacity is None:
-            return None
-        return self.capacity - len(self.items)
-
     def peek(self) -> T:
         """Return the head item without removing it."""
         if not self.items:
@@ -98,13 +91,6 @@ class Fifo(Generic[T]):
         if capacity is not None and depth >= capacity:
             self.not_full.clear()
         self.not_empty.set()
-
-    def try_push(self, item: T) -> bool:
-        """Push if space is available; returns success."""
-        if self.full:
-            return False
-        self.push(item)
-        return True
 
     def pop(self) -> T:
         """Remove and return the head item."""

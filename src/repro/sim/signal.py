@@ -40,11 +40,6 @@ class Signal:
         """Total number of pulses fired (monitoring/testing aid)."""
         return self._pulses
 
-    @property
-    def num_waiters(self) -> int:
-        """How many one-shot waiters are registered."""
-        return len(self._waiters)
-
     # ----------------------------------------------------------------- waits
     def add_waiter(self, callback: Callable[[], None]) -> None:
         """Register a wakeup callback (used by the process layer)."""

@@ -107,14 +107,6 @@ def test_remove_missing_entry_raises(setup):
         table.remove(entry)
 
 
-def test_entries_in_order(setup):
-    queue, table = setup
-    entries = [make_entry(queue, 1, i, i) for i in range(5)]
-    for entry in entries:
-        table.insert(entry)
-    assert table.entries_in_order() == entries
-
-
 def test_firmware_config_rejects_unknown_engine():
     with pytest.raises(ValueError):
         FirmwareConfig(matching="btree")

@@ -141,7 +141,7 @@ def test_ack_before_the_deadline_means_no_retransmit(ack_timeout_ps, retransmits
     engine.run()
     assert engine.now >= ack_timeout_ps  # the clock reached the deadline
     assert sender.retransmits == retransmits
-    assert sender.unacked_count == 0
+    assert sender.unacked == 0
     assert sender._timers.armed == 0
     assert [p.send_id for p in accepted] == [1]
 

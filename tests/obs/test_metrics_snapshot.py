@@ -37,12 +37,12 @@ FAULTS = FaultConfig(
 
 #: run -> (key count, sha256 of the sorted JSON snapshot)
 PINS = {
-    "fig5-alpu256-q256": (132, "bf55a50a8296762eb0f6e08831511ffaa6d727cd6cc77fe23ac038bde2ad6dff"),
-    "fig6-list-q1024": (88, "cd5e68974d8f09ed5ea4294a00a78ed35992fb178dfe0f327041f0788331ebc9"),
-    "halo-torus27": (1952, "91cf50a9203e4e7558c47e33458c7f662ba25bed5a271e9160aacd2e76c5881c"),
-    "preposted-faulty": (118, "e59b3fd421361b087cc22dda16f6b0429faee214695902d91fbb813a95223166"),
-    "preposted-stalled-alpu": (132, "29cfb73b6115049decb15dc4c9f934867a24aec51d5b0f3c786255da81d7c3fa"),
-    "storm-nack": (288, "daf88e9611374ada71a5e2237b35199c624dcc5deb99712e18310e109751aeef"),
+    "fig5-alpu256-q256": (136, "2e59ccbfa9c12e45dc43267610f9f20ef9a990a01915a7c8229010bc98c238bb"),
+    "fig6-list-q1024": (92, "60dc84aead2b3063c83048d0037584bccfac35fedb04acd36820f7f038748f73"),
+    "halo-torus27": (1981, "5159bc47ac5a5dfc5083b7ff8f72039a5585df843a7b73ee7c6b2ec0294b1170"),
+    "preposted-faulty": (126, "5d700aca73cb5ea208649203e8636e5d76885d4135ed5aa61c8743d076254372"),
+    "preposted-stalled-alpu": (136, "553357c39302b6eec5016d3684e02d13e59151ac1048a64201285e0558ec6e9f"),
+    "storm-nack": (305, "76011d20ee4a90dabba0372b1092d46034b25ee7c5f9600eb87e7b2db2d150da"),
 }
 
 

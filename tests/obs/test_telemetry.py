@@ -23,7 +23,8 @@ from repro.analysis import (
     row_verdict,
 )
 from repro.analysis.report import ReportError
-from repro.obs import REPORT_VERSION, Telemetry
+from repro.mpi.world import MpiWorld
+from repro.obs import REPORT_VERSION, Telemetry, TelemetryReuseError
 from repro.workloads.pingpong import PingPongParams, run_pingpong
 from repro.workloads.preposted import PrepostedParams, run_preposted
 from repro.workloads import SweepSpec, dump_telemetry, nic_preset, run_sweep
@@ -87,6 +88,8 @@ class TestTraceCoverage:
         )
         assert telemetry.snapshot() == {}
         assert telemetry.tracer.records
+        # no collectors, so nothing to sample: no probe counter tracks
+        assert all(r.kind != "counter" for r in telemetry.tracer.records)
 
     def test_tracing_off_bundle_still_counts(self):
         telemetry = Telemetry(tracing=False)
@@ -95,6 +98,25 @@ class TestTraceCoverage:
         )
         assert telemetry.snapshot()["nic1.alpu.posted/match_successes"] > 0
         assert telemetry.chrome_trace()["traceEvents"] == []
+
+
+class TestBundleContract:
+    @pytest.mark.parametrize("opt_in", ["timeline", "health"])
+    def test_sampled_views_need_metrics(self, opt_in):
+        with pytest.raises(ValueError, match="metrics=True"):
+            Telemetry(metrics=False, **{opt_in: True})
+
+    def test_a_bundle_serves_one_world(self):
+        _, telemetry = run_traced_pingpong()
+        before = telemetry.snapshot()
+        with pytest.raises(TelemetryReuseError):
+            MpiWorld(telemetry=telemetry)
+        # rejected before the second world registered anything
+        assert telemetry.snapshot() == before
+        with pytest.raises(TelemetryReuseError):
+            run_pingpong(
+                nic_preset("alpu256"), PingPongParams(**FAST), telemetry=telemetry
+            )
 
 
 class TestSweepIntegration:
@@ -181,7 +203,7 @@ class TestSweepIntegration:
         dump_telemetry(rows, str(dump))
         run = tmp_path / "run.json"
         _, telemetry = run_traced_pingpong()
-        telemetry.write_report(str(run))
+        run.write_text(json.dumps(telemetry.report()))
         sweep_dump, run_report = load_report(str(dump)), load_report(str(run))
         assert sweep_dump["version"] == run_report["version"] == REPORT_VERSION
         assert len(sweep_dump["rows"]) == len(rows)
@@ -191,7 +213,7 @@ class TestSweepIntegration:
         # both dump kinds carry ``metrics`` and ``health`` in one form
         run = tmp_path / "run.json"
         _, telemetry = run_traced_pingpong()
-        telemetry.write_report(str(run))
+        run.write_text(json.dumps(telemetry.report()))
         report = load_report(str(run))
         name = "nic1.alpu.posted/match_successes"
         assert telemetry.snapshot()[name] > 0
@@ -254,17 +276,17 @@ class TestChromeExportEndToEnd:
 class TestFabricSection:
     def test_report_carries_the_attached_fabric_snapshot(self):
         telemetry = Telemetry(fabric=True)
-        telemetry.attach_fabric_source(lambda: {"packets_injected": 7})
+        telemetry.bind_world(lambda: {"packets_injected": 7})
         assert telemetry.fabric_snapshot() == {"packets_injected": 7}
         assert telemetry.report()["fabric"] == {"packets_injected": 7}
 
     def test_fabric_off_or_unattached_reports_none(self):
-        # off: even an attached source stays silent
+        # off: even a bound source stays silent
         off = Telemetry(fabric=False)
-        off.attach_fabric_source(lambda: {"packets_injected": 7})
+        off.bind_world(lambda: {"packets_injected": 7})
         assert off.fabric_snapshot() is None
         assert off.report()["fabric"] is None
-        # on but nothing attached (no routed fabric in the run)
+        # on but no world bound
         assert Telemetry(fabric=True).report()["fabric"] is None
 
     def test_end_to_end_snapshot_rides_a_real_run(self):

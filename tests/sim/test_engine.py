@@ -43,22 +43,6 @@ def test_negative_delay_rejected():
         Engine().schedule(-1, lambda: None)
 
 
-def test_schedule_at_absolute_time():
-    engine = Engine()
-    seen = []
-    engine.schedule_at(100, lambda: seen.append(engine.now))
-    engine.run()
-    assert seen == [100]
-
-
-def test_schedule_at_past_rejected():
-    engine = Engine()
-    engine.schedule(50, lambda: None)
-    engine.run()
-    with pytest.raises(SimulationError):
-        engine.schedule_at(10, lambda: None)
-
-
 def test_events_can_schedule_events():
     engine = Engine()
     fired = []

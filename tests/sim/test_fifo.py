@@ -19,7 +19,6 @@ def test_bounded_fifo_rejects_overflow():
     assert fifo.full
     with pytest.raises(FifoFullError):
         fifo.push("c")
-    assert fifo.try_push("c") is False
 
 
 def test_pop_from_empty_raises():
@@ -54,14 +53,6 @@ def test_not_full_signal_levels():
     assert not fifo.not_full.level
     fifo.pop()
     assert fifo.not_full.level
-
-
-def test_free_slots():
-    fifo = Fifo(capacity=3)
-    assert fifo.free_slots == 3
-    fifo.push(1)
-    assert fifo.free_slots == 2
-    assert Fifo().free_slots is None
 
 
 def test_drain_returns_in_order_and_empties():

@@ -37,12 +37,13 @@ def test_observers_fire_on_every_pulse():
 
 def test_remove_waiter_is_idempotent():
     signal = Signal()
-    callback = lambda: None  # noqa: E731
+    woken = []
+    callback = lambda: woken.append(1)  # noqa: E731
     signal.add_waiter(callback)
     signal.remove_waiter(callback)
     signal.remove_waiter(callback)  # second removal is a no-op
     signal.pulse()
-    assert signal.num_waiters == 0
+    assert woken == []
 
 
 def test_pulse_count_tracks_pulses():

@@ -4,8 +4,11 @@
 Runs a zero-byte ping-pong on the ALPU-accelerated NIC with the
 telemetry layer on, prints the headline counters, and writes a Chrome
 trace-event JSON.  Open the file at https://ui.perfetto.dev (or
-chrome://tracing) to see ALPU match spans, firmware search spans, queue
-depth counters and fabric packet instants on a shared timeline.
+chrome://tracing) to see, on a shared timeline, the component tracks
+(ALPU command/match spans, firmware search spans, queue-depth and
+occupancy counters) and one track per message whose spans are its
+stages: host issue, NIC posting, the wire, the receive queue, the
+search, delivery and completion.
 
 Run:  python examples/trace_pingpong.py [out.trace.json]
       (default output: pingpong.trace.json)
@@ -19,7 +22,7 @@ from repro.workloads.pingpong import PingPongParams, run_pingpong
 
 
 def main(out_path: str = "pingpong.trace.json") -> None:
-    telemetry = Telemetry()  # metrics + tracing + sampling probe
+    telemetry = Telemetry()  # metrics + record stream + sampling probe
     result = run_pingpong(
         NicConfig.with_alpu(256, 16),
         PingPongParams(message_size=0, iterations=10, warmup=3),
@@ -48,8 +51,9 @@ def main(out_path: str = "pingpong.trace.json") -> None:
     )
 
     telemetry.write_chrome_trace(out_path)
-    events = len(telemetry.tracer.records)
-    print(f"\nwrote {out_path} ({events} trace records)")
+    records = len(telemetry.recorder.records)
+    messages = len(telemetry.lifecycles())
+    print(f"\nwrote {out_path} ({records} records, {messages} message tracks)")
     print("open it at https://ui.perfetto.dev or chrome://tracing")
 
 

@@ -30,7 +30,6 @@ from repro.core import (
     MatchEntry,
     MatchFormat,
     MatchRequest,
-    ReferenceMatchList,
     ANY_SOURCE,
     ANY_TAG,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "MatchEntry",
     "MatchFormat",
     "MatchRequest",
-    "ReferenceMatchList",
     "ANY_SOURCE",
     "ANY_TAG",
     "__version__",

@@ -8,7 +8,7 @@ so EXPERIMENTS.md and ``tests/paper`` can report paper-vs-measured
 side by side.
 
 :mod:`repro.analysis.attribution` goes one level deeper: it folds the
-flight-recorder lifecycles (:mod:`repro.obs.lifecycle`) into per-message
+message lifecycles (:mod:`repro.obs.recorder`) into per-message
 stage-residency budgets that sum exactly to each message's end-to-end
 latency, aggregates percentile breakdowns, and finds the dominant stage
 and software/ALPU search crossover.  It is also a CLI

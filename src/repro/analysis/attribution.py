@@ -1,10 +1,10 @@
 """End-to-end latency attribution from per-message lifecycles.
 
-Folds the flight-recorder output (:mod:`repro.obs.lifecycle`) into
-per-message **stage-residency budgets** and aggregates them into the
-percentile breakdowns the paper's argument needs: which stage dominates
-a configuration's latency, and where the software search term crosses
-over as the queue grows.
+Folds the message lifecycles of the record stream
+(:mod:`repro.obs.recorder`) into per-message **stage-residency
+budgets** and aggregates them into the percentile breakdowns the
+paper's argument needs: which stage dominates a configuration's latency,
+and where the software search term crosses over as the queue grows.
 
 The fold is the telescoping invariant: residency of stage ``i`` is
 ``marks[i+1].time_ps - marks[i].time_ps``, repeated stage names (the
@@ -18,9 +18,10 @@ Run as a CLI::
 
 runs one benchmark point with the recorder on and prints the budget
 table (``--json`` for machine-readable output, ``--chrome trace.json``
-for a per-message Perfetto track file, ``--dump lifecycles.json`` to
-save the raw lifecycles; ``--input lifecycles.json`` analyzes a prior
-dump instead of running the simulator).
+for a Perfetto trace with one track per message, ``--dump
+lifecycles.json`` to save the raw lifecycles; ``--input
+lifecycles.json`` analyzes a prior dump instead of running the
+simulator).
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ import statistics
 import sys
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.obs.chrome import lifecycle_chrome_events
-from repro.obs.lifecycle import MessageLifecycle
+from repro.obs.chrome import write_chrome
+from repro.obs.recorder import MessageLifecycle
 from repro.sim.units import ps_to_ns
 
 #: rendering order for known stages (unknown ones append in first-seen
@@ -524,20 +525,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--chrome",
         metavar="PATH",
-        help="also write a per-message-track Chrome trace",
+        help="also write a Chrome trace (one track per message)",
     )
     args = parser.parse_args(argv)
 
+    records = ()
     if args.input:
         lifecycles = _load_lifecycles(args.input)
         title = f"attribution of {args.input}"
     else:
         from repro.obs.telemetry import Telemetry
 
-        telemetry = Telemetry(tracing=False, lifecycle=True)
+        telemetry = Telemetry(tracing=True)
         run_benchmark(
             args, telemetry, traverse_fraction=args.fraction, message_size=args.size
         )
+        records = telemetry.recorder.records
         lifecycles = telemetry.lifecycles()
         title = (
             f"{args.benchmark} / {args.backend} backend, "
@@ -551,10 +554,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 indent=1,
             )
     if args.chrome:
-        with open(args.chrome, "w", encoding="utf-8") as handle:
-            json.dump(
-                {"traceEvents": lifecycle_chrome_events(lifecycles)}, handle
-            )
+        write_chrome(args.chrome, records, lifecycles)
     if args.all_messages:
         report = attribute_run(lifecycles, label=None, timed_only=False)
     else:

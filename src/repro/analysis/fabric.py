@@ -30,8 +30,7 @@ import sys
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.attribution import link_budgets
-from repro.analysis.report import hottest_links, node_heat  # noqa: F401
-from repro.obs.lifecycle import MessageLifecycle
+from repro.obs.recorder import MessageLifecycle
 
 
 class FabricAnalysisError(ValueError):
@@ -200,8 +199,7 @@ def _run_live(args):
     from repro.workloads.sweep import nic_preset
 
     telemetry = Telemetry(
-        tracing=False,
-        lifecycle=True,
+        tracing=True,
         timeline=True,
         health=True,
         fabric=True,
@@ -216,7 +214,7 @@ def _run_live(args):
         hotspot_size=args.hotspot_size,
     )
     run_halo(nic_preset(args.preset), params, telemetry=telemetry)
-    return telemetry.fabric_snapshot(), telemetry.lifecycle.lifecycles, telemetry
+    return telemetry.fabric_snapshot(), telemetry.lifecycles(), telemetry
 
 
 # --------------------------------------------------------------- the CLI

@@ -38,7 +38,7 @@ from repro.analysis.attribution import (
     run_benchmark,
 )
 from repro.obs.health import has_finding, verdict_of
-from repro.obs.lifecycle import MessageLifecycle
+from repro.obs.recorder import MessageLifecycle
 from repro.obs.telemetry import REPORT_VERSION
 from repro.obs.timeline import Timeline
 
@@ -817,7 +817,7 @@ def _run_benchmark(args) -> Dict[str, object]:
     from repro.obs.telemetry import Telemetry
 
     telemetry = Telemetry(
-        tracing=False, lifecycle=True, timeline=True, health=True, profile=True
+        tracing=True, timeline=True, health=True, profile=True
     )
     result = run_benchmark(args, telemetry)
     return telemetry.report(

@@ -20,9 +20,9 @@ The structure follows Figure 2 of the paper:
 * :class:`~repro.core.pipeline.AlpuTimingModel` -- the pipeline timing of
   Section V-D: a new match every 6-7 clock cycles, inserts every other
   cycle, with the between-block stage set by the block geometry.
-* :class:`~repro.core.reference.ReferenceMatchList` -- a golden,
-  linear-list matcher with identical semantics: the test oracle the ALPU
-  is held equal to.
+
+The golden linear-list matcher the ALPU is held equal to lives with the
+tests (``tests/core/reference.py``): nothing in the simulator runs on it.
 """
 
 from repro.core.match import (
@@ -46,7 +46,6 @@ from repro.core.commands import (
     MatchFailure,
 )
 from repro.core.pipeline import AlpuTimingModel
-from repro.core.reference import ReferenceMatchList
 
 __all__ = [
     "MatchFormat",
@@ -69,5 +68,4 @@ __all__ = [
     "MatchSuccess",
     "MatchFailure",
     "AlpuTimingModel",
-    "ReferenceMatchList",
 ]

@@ -21,8 +21,9 @@ methods are generators driven inside a host-program simulation process:
         yield from mpi.finalize()
 
 :mod:`repro.mpi.world` assembles hosts, NICs and the fabric into a
-runnable system; :mod:`repro.mpi.matching` is the pure (untimed) model of
-MPI matching semantics used as a test oracle.
+runnable system.  The pure (untimed) model of MPI matching semantics the
+simulated system is checked against lives with the tests
+(``tests/mpi/matching.py``).
 """
 
 from repro.mpi.datatypes import Datatype, MPI_BYTE, MPI_INT, MPI_DOUBLE
@@ -30,7 +31,6 @@ from repro.mpi.communicator import Communicator, COLLECTIVE_CONTEXT, WORLD_CONTE
 from repro.mpi.request import MpiRequest, MpiStatus, RequestKind
 from repro.mpi.api import MpiProcess, MpiError
 from repro.mpi.world import MpiWorld, WorldConfig
-from repro.mpi.matching import MatchingOracle
 
 __all__ = [
     "Datatype",
@@ -47,5 +47,4 @@ __all__ = [
     "MpiError",
     "MpiWorld",
     "WorldConfig",
-    "MatchingOracle",
 ]

@@ -53,11 +53,11 @@ class MpiProcess:
         self._inflight: Dict[int, MpiRequest] = {}
         self._initialized = False
         self._finalized = False
-        #: the per-message flight recorder (no-op unless the world's
-        #: telemetry bundle enabled it); public so benchmark harnesses can
-        #: label requests of interest (e.g. the timed pings)
-        self.lifecycle = world.engine.lifecycle
-        self._lifecycle = self.lifecycle
+        #: the instrumentation stream (no-op unless the world's telemetry
+        #: bundle enabled it); public so benchmark harnesses can label
+        #: requests of interest (e.g. the timed pings)
+        self.recorder = world.engine.recorder
+        self._component = f"host{rank}"
         #: host buffer allocator cursor (receives/sends get distinct buffers)
         self._buffer_cursor = 0x4000_0000 + rank * 0x100_0000
         #: per-context collective sequence numbers; every rank calls
@@ -113,12 +113,13 @@ class MpiProcess:
             raise MpiError(f"send tag must be non-negative, got {tag}")
         request = self._new_request(SEND, dest, tag, comm, size)
         request.posted_at = yield now()
-        rec = self._lifecycle
+        rec = self.recorder
         if rec.enabled:
-            rec.begin(
+            rec.open_request(
                 "send",
                 self.rank,
                 request.req_id,
+                self._component,
                 request.posted_at,
                 {"dest": dest, "tag": tag, "size": size},
             )
@@ -128,7 +129,9 @@ class MpiProcess:
             )
         )
         if rec.enabled:
-            rec.mark_request(self.rank, request.req_id, "host_issue")
+            rec.mark_request(
+                self.rank, request.req_id, self._component, "host_issue"
+            )
         self.host.send_command(
             PostSend(
                 req_id=request.req_id,
@@ -158,12 +161,13 @@ class MpiProcess:
             raise MpiError(f"recv tag must be non-negative or ANY_TAG, got {tag}")
         request = self._new_request(RECV, source, tag, comm, size)
         request.posted_at = yield now()
-        rec = self._lifecycle
+        rec = self.recorder
         if rec.enabled:
-            rec.begin(
+            rec.open_request(
                 "recv",
                 self.rank,
                 request.req_id,
+                self._component,
                 request.posted_at,
                 {"source": source, "tag": tag, "size": size},
             )
@@ -173,7 +177,9 @@ class MpiProcess:
             )
         )
         if rec.enabled:
-            rec.mark_request(self.rank, request.req_id, "host_issue")
+            rec.mark_request(
+                self.rank, request.req_id, self._component, "host_issue"
+            )
         self.host.send_command(
             PostRecv(
                 req_id=request.req_id,
@@ -491,10 +497,11 @@ class MpiProcess:
                 )
             request.done = True
             request.completed_at = yield now()
-            if self._lifecycle.enabled:
-                self._lifecycle.complete_request(
+            if self.recorder.enabled:
+                self.recorder.complete_request(
                     self.rank,
                     request.req_id,
+                    self._component,
                     request.completed_at,
                     recv=request.kind is RECV,
                 )

@@ -107,7 +107,7 @@ class MpiWorld:
     ) -> None:
         """``telemetry``: an optional :class:`repro.obs.Telemetry` bundle.
 
-        When given, its registry/tracer ride on the engine (so every
+        When given, its registry and recorder ride on the engine (so every
         component self-instruments) and a :class:`SamplingProbe` samples
         the state collectors the components registered (queue depths,
         ALPU occupancies, reliability and fabric levels, progress
@@ -129,9 +129,8 @@ class MpiWorld:
         self.collective_board: Dict[tuple, object] = {}
         if telemetry is not None:
             self.engine = Engine(
-                tracer=telemetry.tracer,
+                recorder=telemetry.recorder,
                 metrics=telemetry.metrics,
-                lifecycle=telemetry.lifecycle,
                 profiler=telemetry.profiler,
             )
         else:

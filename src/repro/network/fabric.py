@@ -94,10 +94,10 @@ class Fabric(Component):
         #: optional fault oracle, consulted once per hop; when None (or
         #: idle) every hop is the historical single-send path, bit-for-bit
         self.faults = faults
-        #: fabric observability: when True (and a lifecycle recorder is
-        #: attached) every hop decomposes into ``hop_wait`` /
-        #: ``hop_serialize`` / ``hop_transit`` lifecycle marks whose
-        #: residencies telescope exactly over the former ``wire`` stage.
+        #: fabric observability: when True (and a recorder is attached)
+        #: every hop decomposes into ``hop_wait`` / ``hop_serialize`` /
+        #: ``hop_transit`` records whose residencies telescope exactly
+        #: over the former ``wire`` stage.
         #: Off by default so the pinned attribution tables keep their
         #: historical single-``wire`` shape.
         self.observe_hops = observe_hops
@@ -226,21 +226,24 @@ class Fabric(Component):
         """
         deliver_at = link.send(packet, wire_bytes)
         if self.observe_hops:
-            lifecycle = self.engine.lifecycle
-            if lifecycle.enabled:
+            recorder = self.engine.recorder
+            if recorder.enabled:
                 now = self.engine.now
                 occupancy = link.occupancy_ps(wire_bytes)
                 start = deliver_at - link.latency_ps - occupancy
                 uid = packet.send_id
-                lifecycle.mark_uid_clamped(
-                    uid,
+                name = self.name
+                recorder.record_clamped(
+                    name,
                     "hop_wait",
+                    uid,
                     now,
                     {"link": link.name, "wait_ps": start - now},
                 )
-                lifecycle.mark_uid_clamped(
-                    uid,
+                recorder.record_clamped(
+                    name,
                     "hop_serialize",
+                    uid,
                     start,
                     {
                         "link": link.name,
@@ -248,9 +251,10 @@ class Fabric(Component):
                         "bytes": wire_bytes,
                     },
                 )
-                lifecycle.mark_uid_clamped(
-                    uid,
+                recorder.record_clamped(
+                    name,
                     "hop_transit",
+                    uid,
                     start + occupancy,
                     {"link": link.name, "transit_ps": link.latency_ps},
                 )
@@ -258,11 +262,12 @@ class Fabric(Component):
     def _mark_fault_delay(self, link: Link, packet: Packet, delay_ps: int) -> None:
         """A reorder-delay verdict held the packet back before this hop."""
         if self.observe_hops:
-            lifecycle = self.engine.lifecycle
-            if lifecycle.enabled:
-                lifecycle.mark_uid_clamped(
-                    packet.send_id,
+            recorder = self.engine.recorder
+            if recorder.enabled:
+                recorder.record_clamped(
+                    self.name,
                     "hop_fault_delay",
+                    packet.send_id,
                     self.engine.now,
                     {"link": link.name, "delay_ps": delay_ps},
                 )
@@ -297,16 +302,12 @@ class Fabric(Component):
             # swallowed by the wire: no link traffic, no delivery
             self.in_flight -= 1
             self._fault(link, "dropped")
-            detail = {"kind": packet.kind.name, "rel_seq": packet.rel_seq}
-            where = {"kind": packet.kind.name, "src": packet.src, "dst": packet.dst}
-            if at_hop is not None:
-                detail["at_hop"] = where["at_hop"] = at_hop
-            lifecycle = self.engine.lifecycle
-            if lifecycle.enabled:
-                lifecycle.mark_uid(packet.send_id, "wire_drop", detail=detail)
-            tracer = self.engine.tracer
-            if tracer.enabled:
-                tracer.instant("network", f"{self.name}.fault_drop", where)
+            recorder = self.engine.recorder
+            if recorder.enabled:
+                detail = {"kind": packet.kind.name, "rel_seq": packet.rel_seq}
+                if at_hop is not None:
+                    detail["at_hop"] = at_hop
+                recorder.record(self.name, "wire_drop", packet.send_id, detail)
             return None
         if verdict is CORRUPT:
             # flip match-header bits but leave the checksum stale so the
@@ -316,16 +317,17 @@ class Fabric(Component):
             )
             self._fault(link, "corrupted")
         wire_bytes = packet.wire_bytes
-        # the wire mark lands *before* the hop marks: with fabric
+        # the wire record lands *before* the hop records: with fabric
         # observability on its residency collapses to zero and the hop
         # stages carry the decomposed budget (identical timestamp and
         # content either way)
-        lifecycle = self.engine.lifecycle
-        if at_hop is None and lifecycle.enabled:
-            lifecycle.mark_uid(
-                packet.send_id,
+        recorder = self.engine.recorder
+        if at_hop is None and recorder.enabled:
+            recorder.record(
+                self.name,
                 "wire",
-                detail={
+                packet.send_id,
+                {
                     "kind": packet.kind.name,
                     "src": packet.src,
                     "dst": packet.dst,
@@ -351,18 +353,6 @@ class Fabric(Component):
         if at_hop is None:
             self.packets_sent += 1
             self.bytes_sent += wire_bytes
-            tracer = self.engine.tracer
-            if tracer.enabled:
-                tracer.instant(
-                    "network",
-                    f"{self.name}.inject",
-                    {
-                        "kind": packet.kind.name,
-                        "src": packet.src,
-                        "dst": packet.dst,
-                        "bytes": wire_bytes,
-                    },
-                )
         return packet
 
     # -------------------------------------------------------------- routing

@@ -25,6 +25,7 @@ from repro.core.alpu import Alpu, AlpuConfig
 from repro.core.commands import Command, Insert, Response
 from repro.core.match import MatchRequest
 from repro.core.pipeline import AlpuTimingModel
+from repro.obs.recorder import KIND_BEGIN, KIND_END
 from repro.proc.params import NIC_BUS_LATENCY_PS
 from repro.sim.component import Component
 from repro.sim.engine import Engine
@@ -95,8 +96,8 @@ class AlpuDevice(Component):
     def _trip_stall(self) -> None:
         """The injected fault fires: freeze the pipeline from now on."""
         self.stalled = True
-        if self.engine.tracer.enabled:
-            self.engine.tracer.instant("alpu", f"{self.name}.stall")
+        if self.engine.recorder.enabled:
+            self.engine.recorder.record(self.name, "stall")
         # wake the pipeline so an idle device parks on the stall hold
         # instead of the kick (purely cosmetic; any later kick would park
         # it just the same)
@@ -143,7 +144,7 @@ class AlpuDevice(Component):
     # ------------------------------------------------------ device pipeline
     def _run(self):
         """The control loop: commands preempt headers between matches."""
-        tracer = self.engine.tracer
+        recorder = self.engine.recorder
         alpu = self.alpu
         command_fifo = self.command_fifo
         header_fifo = self.header_fifo
@@ -161,33 +162,35 @@ class AlpuDevice(Component):
                 continue
             if commands:
                 command = command_fifo.pop()
-                if tracer.enabled:
-                    tracer.begin(
-                        "alpu",
-                        f"{self.name}.command",
-                        {"command": type(command).__name__},
+                if recorder.enabled:
+                    recorder.record(
+                        self.name,
+                        "command",
+                        detail={"command": type(command).__name__},
+                        kind=KIND_BEGIN,
                     )
                 yield delay(self._command_occupancy_ps(command))
                 for response in alpu.submit(command):
                     result_push(response)
-                if tracer.enabled:
-                    tracer.end("alpu", f"{self.name}.command")
+                if recorder.enabled:
+                    recorder.record(self.name, "command", kind=KIND_END)
             elif headers:
                 request = header_fifo.pop()
-                if tracer.enabled:
-                    tracer.begin("alpu", f"{self.name}.match")
+                if recorder.enabled:
+                    recorder.record(self.name, "match", kind=KIND_BEGIN)
                 yield delay(match_ps)
                 responses = alpu.present_header(request)
                 for response in responses:
                     result_push(response)
-                if tracer.enabled:
-                    tracer.end(
-                        "alpu",
-                        f"{self.name}.match",
-                        {
+                if recorder.enabled:
+                    recorder.record(
+                        self.name,
+                        "match",
+                        detail={
                             "resolved": len(responses),
                             "occupancy": alpu.occupancy,
                         },
+                        kind=KIND_END,
                     )
             else:
                 yield kick_wait

@@ -69,7 +69,7 @@ class AlpuMatchBackend(MatchBackend):
     ):
         """Section IV-D result handling: ALPU response, then the software
         suffix on MATCH FAILURE."""
-        rec = self.fw.lifecycle
+        rec = self.fw.recorder
         if rec.enabled:
             rec.search_note(
                 alpu=driver.device.name,

@@ -47,6 +47,7 @@ from typing import Optional
 
 from repro.core.match import MatchRequest
 from repro.nic.queues import NicQueue, QueueEntry
+from repro.obs.recorder import KIND_BEGIN, KIND_END
 from repro.sim.process import delay
 
 
@@ -162,10 +163,10 @@ class MatchBackend(abc.ABC):
         under the default FIFO discipline (bit-identical to the
         historical list walk), shard-narrowed under ``"sharded"``.
         """
-        tracer = self.fw.tracer
-        tracing = tracer.enabled
+        recorder = self.fw.recorder
+        tracing = recorder.enabled
         if tracing:
-            tracer.begin("nic", f"{self.nic.name}.search.{queue.name}")
+            recorder.record(queue.name, "search", kind=KIND_BEGIN)
         found: Optional[QueueEntry] = None
         # each visit reads the entry's first line (envelope + next
         # pointer); the compare is the ternary rule of
@@ -206,9 +207,10 @@ class MatchBackend(abc.ABC):
         if found is not None:
             yield from self.retire(found, queue)
         if tracing:
-            tracer.end(
-                "nic",
-                f"{self.nic.name}.search.{queue.name}",
-                {"visited": visited, "hit": found is not None},
+            recorder.record(
+                queue.name,
+                "search",
+                detail={"visited": visited, "hit": found is not None},
+                kind=KIND_END,
             )
         return found

@@ -78,7 +78,7 @@ class HashTableBackend(MatchBackend):
         # lines examined is the traversal metric comparable to the list's
         lines_examined = len(op_cost.touches)
         self.fw.record_traversal(lines_examined)
-        rec = self.fw.lifecycle
+        rec = self.fw.recorder
         if rec.enabled:
             rec.search_note(hash_probes=table.probes - probes_before)
         total = self.charge_ps(op_cost)

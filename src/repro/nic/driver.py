@@ -163,12 +163,12 @@ class AlpuQueueDriver:
                 continue
             expiries += 1
             self.result_timeouts += 1
-            engine = self.device.engine
-            if engine.tracer.enabled:
-                engine.tracer.instant(
-                    "alpu",
-                    f"{self.device.name}.result_timeout",
-                    {"consecutive": expiries},
+            recorder = self.device.engine.recorder
+            if recorder.enabled:
+                recorder.record(
+                    self.device.name,
+                    "result_timeout",
+                    detail={"consecutive": expiries},
                 )
             if expiries >= self.config.stall_budget:
                 raise AlpuStallError(

@@ -87,12 +87,11 @@ class NicFirmware:
         self.completions_sent = 0
         # telemetry: collectors over the tallies above (registered only
         # when metrics are on), a per-search traversal-length histogram,
-        # and the tracer for search spans / queue events
+        # and the record stream for message stages and search spans
         registry = nic.engine.metrics
-        self.tracer = nic.engine.tracer
-        #: the per-message flight recorder (no-op unless enabled); marks
+        #: the instrumentation stream (no-op unless enabled); records
         #: are plain calls and never charge simulated time
-        self.lifecycle = nic.engine.lifecycle
+        self.recorder = nic.engine.recorder
         prefix = f"{nic.name}.fw"
         self._h_traversal = registry.histogram(f"{prefix}/traversal_length")
         #: the pluggable matching engine this firmware dispatches to
@@ -148,13 +147,9 @@ class NicFirmware:
         self.unexpected_q.alpu_count = 0
         self.backend = create_backend("list")
         self.backend.attach(self)
-        if self.tracer.enabled:
-            self.tracer.instant(
-                "nic", f"{nic.name}.backend_degraded", {"error": str(err)}
-            )
-        if self.lifecycle.enabled and uid:
-            self.lifecycle.mark_uid(
-                uid, "backend_degraded", detail={"error": str(err)}
+        if self.recorder.enabled:
+            self.recorder.record(
+                nic.name, "backend_degraded", uid or None, {"error": str(err)}
             )
 
     # ------------------------------------------------------------ main loop
@@ -212,9 +207,9 @@ class NicFirmware:
         yield delay(
             self.proc.compute(self.cost.poll_cycles + self.cost.header_parse_cycles)
         )
-        if self.lifecycle.enabled:
-            self.lifecycle.mark_uid(
-                packet.send_id, "nic_rx", detail={"kind": packet.kind.name}
+        if self.recorder.enabled:
+            self.recorder.record(
+                self.nic.name, "nic_rx", packet.send_id, {"kind": packet.kind.name}
             )
         kind = packet.kind
         if kind.carries_match:
@@ -228,13 +223,14 @@ class NicFirmware:
     def _handle_match_packet(self, packet: Packet):
         """Run the incoming header against the posted receive queue."""
         request = MatchRequest(bits=packet.match_bits)
-        rec = self.lifecycle
+        rec = self.recorder
         if rec.enabled:
             visited_before = self.entries_traversed
-            rec.mark_uid(
-                packet.send_id,
+            rec.record(
+                self.nic.name,
                 "match_search",
-                detail={
+                packet.send_id,
+                {
                     "queue": self.posted_recv_q.name,
                     "depth": len(self.posted_recv_q),
                 },
@@ -261,6 +257,7 @@ class NicFirmware:
                 rec.mark_request(
                     entry.owner_rank,
                     entry.host_req_id,
+                    self.nic.name,
                     "matched",
                     detail={"via": "arrival"},
                 )
@@ -282,8 +279,8 @@ class NicFirmware:
         if packet.kind is EAGER:
             yield from self._start_recv_payload(entry, packet.payload_bytes)
         else:  # RNDV_RTS: grant the sender a clear-to-send
-            if self.lifecycle.enabled:
-                self.lifecycle.mark_uid(packet.send_id, "rndv_cts")
+            if self.recorder.enabled:
+                self.recorder.record(self.nic.name, "rndv_cts", packet.send_id)
             yield delay(self.proc.compute(self.cost.rendezvous_cycles))
             self.active_recv_q[entry.uid] = entry
             self.nic.inject(
@@ -300,23 +297,23 @@ class NicFirmware:
 
     def _start_recv_payload(self, entry: QueueEntry, payload_bytes: int):
         """DMA arrived payload to the host buffer, then complete."""
-        if self.lifecycle.enabled:
-            self.lifecycle.mark_uid(
-                entry.uid, "deliver", detail={"bytes": payload_bytes}
+        if self.recorder.enabled:
+            self.recorder.record(
+                self.nic.name, "deliver", entry.uid, {"bytes": payload_bytes}
             )
         if payload_bytes == 0:
             yield from self._complete_recv(entry)
             self._release(entry)
             return
         yield delay(self.proc.compute(self.cost.dma_setup_cycles))
-        if self.lifecycle.enabled:
-            self.lifecycle.mark_uid(entry.uid, "rx_dma")
+        if self.recorder.enabled:
+            self.recorder.record(self.nic.name, "rx_dma", entry.uid)
         self.nic.rx_dma.start(payload_bytes, ("recv_done", entry))
 
     def _complete_recv(self, entry: QueueEntry):
         """Completion carrying the matched envelope (MPI_Status)."""
-        if self.lifecycle.enabled:
-            self.lifecycle.mark_uid(entry.uid, "completion")
+        if self.recorder.enabled:
+            self.recorder.record(self.nic.name, "completion", entry.uid)
         yield delay(self.proc.compute(self.cost.completion_cycles))
         self.completions_sent += 1
         link = self.nic.completion_link(self.nic.lproc_of(entry.owner_rank))
@@ -338,14 +335,15 @@ class NicFirmware:
     def _enqueue_unexpected(self, packet: Packet):
         """No posted receive matched: park the header (Section V-C)."""
         kind = UNEXPECTED_EAGER if packet.kind is EAGER else UNEXPECTED_RNDV
-        if self.lifecycle.enabled:
-            # post-append depth, matching the tracer instant below and
-            # the posted_wait mark's convention (the entry being parked
-            # counts itself); the mark just precedes the actual append
-            self.lifecycle.mark_uid(
-                packet.send_id,
+        if self.recorder.enabled:
+            # post-append depth, the posted_wait mark's convention (the
+            # entry being parked counts itself); the record just precedes
+            # the costed append, so the residency starts on arrival
+            self.recorder.record(
+                self.nic.name,
                 "unexpected_queue",
-                detail={"depth": len(self.unexpected_q) + 1},
+                packet.send_id,
+                {"depth": len(self.unexpected_q) + 1},
             )
         entry = self.unexpected_q.allocate_entry(
             kind=kind,
@@ -359,12 +357,6 @@ class NicFirmware:
         cost += self.proc.touch(entry.addr, ENTRY_BYTES, write=True)
         yield delay(cost)
         self.unexpected_q.append(entry)
-        if self.tracer.enabled:
-            self.tracer.instant(
-                "nic",
-                f"{self.nic.name}.unexpected_enqueue",
-                {"depth": len(self.unexpected_q), "src": packet.src},
-            )
         yield from self.backend.note_unexpected(entry)
 
     # ===================================================== rendezvous flows
@@ -376,8 +368,8 @@ class NicFirmware:
                 f"nic{self.nic.node_id}: CTS for unknown send {packet.send_id}"
             )
         entry, dest = record
-        if self.lifecycle.enabled:
-            self.lifecycle.mark_uid(entry.uid, "rndv_data_dma")
+        if self.recorder.enabled:
+            self.recorder.record(self.nic.name, "rndv_data_dma", entry.uid)
         yield delay(self.proc.compute(self.cost.dma_setup_cycles))
         data = Packet(
             kind=RNDV_DATA,
@@ -421,13 +413,14 @@ class NicFirmware:
             command.tag,
         )
         request = MatchRequest(bits=bits, mask=mask)
-        rec = self.lifecycle
+        rec = self.recorder
         if rec.enabled:
             search_began = self.nic.engine.now
             visited_before = self.entries_traversed
             rec.mark_request(
                 command.rank,
                 command.req_id,
+                self.nic.name,
                 "unexpected_search",
                 search_began,
                 {
@@ -452,6 +445,7 @@ class NicFirmware:
                 rec.mark_request(
                     command.rank,
                     command.req_id,
+                    self.nic.name,
                     "matched",
                     detail={"via": "unexpected"},
                 )
@@ -459,11 +453,12 @@ class NicFirmware:
                 # which parked message this search served.  Stamping the
                 # search's start time keeps the mark monotone -- the
                 # message was enqueued before the search began.
-                rec.mark_uid(
-                    unexpected.peer_send_id,
+                rec.record(
+                    self.nic.name,
                     "unexpected_search",
-                    search_began,
+                    unexpected.peer_send_id,
                     search_facts,
+                    time_ps=search_began,
                 )
                 rec.alias_uid(unexpected.uid, unexpected.peer_send_id)
                 rec.watch_completion(
@@ -487,6 +482,7 @@ class NicFirmware:
             rec.mark_request(
                 command.rank,
                 command.req_id,
+                self.nic.name,
                 "posted_wait",
                 detail={"depth": len(self.posted_recv_q)},
             )
@@ -508,8 +504,8 @@ class NicFirmware:
             # payload is parked in NIC memory; move it to the host buffer
             yield from self._start_recv_payload(unexpected, unexpected.size)
         else:  # rendezvous: grant the sender a CTS now
-            if self.lifecycle.enabled:
-                self.lifecycle.mark_uid(unexpected.uid, "rndv_cts")
+            if self.recorder.enabled:
+                self.recorder.record(self.nic.name, "rndv_cts", unexpected.uid)
             yield delay(self.proc.compute(self.cost.rendezvous_cycles))
             self.active_recv_q[unexpected.uid] = unexpected
             self.nic.inject(
@@ -527,11 +523,12 @@ class NicFirmware:
     def _post_send(self, command: PostSend):
         # the match word carries the *destination's* folded context and
         # the sender's global rank as the source field
-        rec = self.lifecycle
+        rec = self.recorder
         if rec.enabled:
             rec.mark_request(
                 command.rank,
                 command.req_id,
+                self.nic.name,
                 "nic_post",
                 detail={"size": command.size},
             )
@@ -574,7 +571,7 @@ class NicFirmware:
             else:
                 yield delay(self.proc.compute(self.cost.dma_setup_cycles))
                 if rec.enabled:
-                    rec.mark_uid(entry.uid, "tx_dma")
+                    rec.record(self.nic.name, "tx_dma", entry.uid)
                 self.nic.tx_dma.start(command.size, ("send_out", packet, entry))
         else:
             self.pending_rndv_sends[entry.uid] = (entry, dest_node)

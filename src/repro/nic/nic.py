@@ -284,12 +284,13 @@ class Nic(Component):
 
     def _on_packet_arrival(self, packet: Packet) -> None:
         """Hardware actions at packet delivery (no processor involvement)."""
-        lifecycle = self.engine.lifecycle
-        if lifecycle.enabled:
-            lifecycle.mark_uid(
-                packet.send_id,
+        recorder = self.engine.recorder
+        if recorder.enabled:
+            recorder.record(
+                self.name,
                 "rx_queue",
-                detail={"node": self.node_id, "kind": packet.kind.name},
+                packet.send_id,
+                {"node": self.node_id, "kind": packet.kind.name},
             )
         if (
             self.posted_device is not None

@@ -299,24 +299,19 @@ class AdmissionControl:
         return occupancy + reliability.reorder_held < self.threshold
 
     def note_refused(self, packet, *, nacked: bool) -> None:
-        """Account one refusal (metrics + lifecycle + trace)."""
+        """Account one refusal (tallies + one record)."""
         self.refused += 1
         if nacked:
             self.nacked += 1
         engine = self.nic.engine
-        if engine.lifecycle.enabled:
-            engine.lifecycle.mark_uid(
-                packet.send_id,
+        if engine.recorder.enabled:
+            engine.recorder.record(
+                self.nic.name,
                 "admission_refused",
-                detail={
+                packet.send_id,
+                {
                     "depth": len(self.queue),
                     "policy": self.policy,
                     "rel_seq": packet.rel_seq,
                 },
-            )
-        if engine.tracer.enabled:
-            engine.tracer.instant(
-                "nic",
-                f"{self.nic.name}.admission_refused",
-                {"depth": len(self.queue), "policy": self.policy},
             )

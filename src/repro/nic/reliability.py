@@ -182,22 +182,17 @@ class ReliabilityLayer:
         record.retries += 1
         record.timeout_ps = round(record.timeout_ps * self.config.backoff)
         self.retransmits += 1
-        lifecycle = self.engine.lifecycle
-        if lifecycle.enabled:
-            lifecycle.mark_uid(
-                packet.send_id,
+        recorder = self.engine.recorder
+        if recorder.enabled:
+            recorder.record(
+                self.nic.name,
                 "retransmit",
-                detail={
+                packet.send_id,
+                {
                     "rel_seq": packet.rel_seq,
                     "attempt": record.retries,
                     "reason": reason,
                 },
-            )
-        if self.engine.tracer.enabled:
-            self.engine.tracer.instant(
-                "network",
-                f"{self.nic.name}.retransmit",
-                {"dst": packet.dst, "rel_seq": packet.rel_seq, "reason": reason},
             )
         self.nic.fabric.inject(packet)
         self._arm_timer(record)
@@ -217,11 +212,11 @@ class ReliabilityLayer:
             self.config.busy_backoff_cap_ps,
         )
         self.busy_deferrals += 1
-        if self.engine.tracer.enabled:
-            self.engine.tracer.instant(
-                "network",
-                f"{self.nic.name}.busy_defer",
-                {
+        if self.engine.recorder.enabled:
+            self.engine.recorder.record(
+                self.nic.name,
+                "busy_defer",
+                detail={
                     "dst": record.packet.dst,
                     "rel_seq": record.packet.rel_seq,
                     "next_try_ps": record.timeout_ps,

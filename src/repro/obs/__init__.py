@@ -8,17 +8,18 @@ that makes those quantities visible:
 * :mod:`repro.obs.metrics` -- a :class:`MetricsRegistry` of pull-style
   collectors over the tallies components already keep, plus log-scale
   histograms;
-* :mod:`repro.obs.tracer` -- typed trace records ``(time_ps, category,
-  name, kind, args)`` with spans, instants and counter samples;
-* :mod:`repro.obs.chrome` -- export to Chrome trace-event JSON, loadable
-  in Perfetto or ``chrome://tracing``;
+* :mod:`repro.obs.recorder` -- the one instrumentation stream: typed
+  records ``(time_ps, component, stage, uid, detail)`` -- spans,
+  instants and counter samples -- and the per-message lifecycles built
+  from them, every MPI message an ordered list of stage transitions
+  from post to completion, folded into stage-residency budgets by
+  :mod:`repro.analysis.attribution`;
+* :mod:`repro.obs.chrome` -- export of that stream to Chrome trace-event
+  JSON (component tracks plus one track per message), loadable in
+  Perfetto or ``chrome://tracing``;
 * :mod:`repro.obs.probe` -- periodic sampling of the registered state
   collectors (queue depths, ALPU occupancy, reliability and fabric
-  levels) into histograms, timeline series and counter tracks;
-* :mod:`repro.obs.lifecycle` -- the per-message flight recorder: every
-  MPI message carries an ordered list of ``(time_ps, stage, detail)``
-  transition marks from post to completion, folded into stage-residency
-  budgets by :mod:`repro.analysis.attribution`;
+  levels) into histograms, timeline series and counter records;
 * :mod:`repro.obs.selfprof` -- wall-clock self-profiling of the
   simulator (events/sec, per-handler time) for the committed benchmark
   baseline;
@@ -31,8 +32,8 @@ that makes those quantities visible:
 * :mod:`repro.obs.telemetry` -- the per-run bundle workloads accept.
 
 Telemetry is opt-in and zero-perturbation: disabled (the default) it
-registers nothing and costs one no-op call per histogram, trace or
-lifecycle site, and enabled it never charges
+registers nothing and costs one no-op call per histogram site and one
+``enabled`` test per record site, and enabled it never charges
 simulated time, so latencies are bit-identical either way (pinned by
 ``tests/obs/test_zero_perturbation.py``).
 
@@ -40,7 +41,7 @@ This package depends on nothing else in :mod:`repro` (the sim engine
 imports *it*), so any layer may use it without cycles.
 """
 
-from repro.obs.chrome import chrome_trace_events, lifecycle_chrome_events, to_chrome
+from repro.obs.chrome import chrome_trace_events, to_chrome, write_chrome
 from repro.obs.health import (
     DerivativeWatchdog,
     HealthFinding,
@@ -55,14 +56,6 @@ from repro.obs.health import (
     has_finding,
     verdict_of,
 )
-from repro.obs.lifecycle import (
-    LifecycleMark,
-    LifecycleRecorder,
-    MessageLifecycle,
-    NullLifecycleRecorder,
-    NULL_LIFECYCLE,
-    TERMINAL_STAGE,
-)
 from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
@@ -70,10 +63,17 @@ from repro.obs.metrics import (
     NULL_REGISTRY,
 )
 from repro.obs.probe import DEFAULT_INTERVAL_PS, SamplingProbe
+from repro.obs.recorder import (
+    MessageLifecycle,
+    NullRecorder,
+    NULL_RECORDER,
+    Record,
+    Recorder,
+    TERMINAL_STAGE,
+)
 from repro.obs.selfprof import SimProfiler
 from repro.obs.telemetry import REPORT_VERSION, Telemetry, TelemetryReuseError
 from repro.obs.timeline import Series, Timeline
-from repro.obs.tracer import NullTracer, NULL_TRACER, Tracer, TraceRecord
 
 __all__ = [
     "DerivativeWatchdog",
@@ -91,26 +91,22 @@ __all__ = [
     "Series",
     "Timeline",
     "REPORT_VERSION",
-    "LifecycleMark",
-    "LifecycleRecorder",
     "MessageLifecycle",
-    "NullLifecycleRecorder",
-    "NULL_LIFECYCLE",
+    "NullRecorder",
+    "NULL_RECORDER",
+    "Record",
+    "Recorder",
     "TERMINAL_STAGE",
     "SimProfiler",
     "Histogram",
     "MetricsRegistry",
     "NullRegistry",
     "NULL_REGISTRY",
-    "Tracer",
-    "TraceRecord",
-    "NullTracer",
-    "NULL_TRACER",
     "SamplingProbe",
     "DEFAULT_INTERVAL_PS",
     "Telemetry",
     "TelemetryReuseError",
     "chrome_trace_events",
-    "lifecycle_chrome_events",
     "to_chrome",
+    "write_chrome",
 ]

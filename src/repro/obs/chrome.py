@@ -1,39 +1,46 @@
-"""Chrome trace-event export.
+"""Chrome trace-event export of the instrumentation stream.
 
-Converts a :class:`~repro.obs.tracer.Tracer`'s records, and the flight
-recorder's message lifecycles, into the Chrome trace-event JSON format
-(the "JSON Array Format" with a ``traceEvents`` envelope), loadable in
-Perfetto (https://ui.perfetto.dev) or ``chrome://tracing``.  The one
-writer is :meth:`repro.obs.telemetry.Telemetry.write_chrome_trace`.
+Renders a :class:`~repro.obs.recorder.Recorder`'s records into the
+Chrome trace-event JSON format (the "JSON Array Format" with a
+``traceEvents`` envelope), loadable in Perfetto (https://ui.perfetto.dev)
+or ``chrome://tracing``.  :func:`write_chrome` is the one writer: the
+telemetry bundle and the attribution CLI both go through it.
 
-Mapping:
+Every record is rendered once, on one of two kinds of track:
 
-* span ``begin``/``end``  -> phases ``"B"``/``"E"``
-* ``instant``             -> phase ``"i"`` (thread-scoped)
-* ``counter``             -> phase ``"C"`` (rendered as a stacked area)
+* **message tracks** (a second "process"): one track per lifecycle, each
+  stage a ``B``/``E`` pair spanning its residency; the terminal stage
+  closes the last span, and an incomplete lifecycle's last span stays
+  open;
+* **component tracks**: every record no lifecycle holds -- the ALPU and
+  search spans, probe counters, and any fact about an unbound uid.  Span
+  ``begin``/``end`` map to phases ``"B"``/``"E"``, instants to ``"i"``
+  (thread-scoped) and counters to ``"C"`` (named
+  ``<component>/<stage>``, so each probed signal keeps its own counter
+  track).
 
 Timestamps are exported in microseconds (the format's unit) as floats, so
 picosecond resolution survives (1 ps = 1e-6 us); ``displayTimeUnit`` is
-set to ``"ns"`` for sane zoom levels.  Track assignment: instants and
-counters share one "thread" per category, while every distinct span name
-gets its own track (named via ``thread_name`` metadata events) -- B/E
-events nest by time order within a tid, so concurrent spans from
-different components (the two ALPU devices, two NICs' firmware) must not
-share one.  Lifecycles render in a second "process", one track per
-message, each stage a B/E pair spanning its residency.
+``"ns"`` for sane zoom levels.  Instants share one track per component,
+while every (component, stage) span pair gets its own track (named via
+``thread_name`` metadata events): B/E events nest by time order within a
+tid, so concurrent spans -- the two ALPU devices, two NICs' searches --
+must not share one.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
+import json
+from typing import Dict, Iterable, List, Sequence
 
-from repro.obs.lifecycle import TERMINAL_STAGE
-from repro.obs.tracer import (
+from repro.obs.recorder import (
     KIND_BEGIN,
     KIND_COUNTER,
     KIND_END,
     KIND_INSTANT,
-    TraceRecord,
+    TERMINAL_STAGE,
+    MessageLifecycle,
+    Record,
 )
 
 _PHASES = {
@@ -43,9 +50,9 @@ _PHASES = {
     KIND_COUNTER: "C",
 }
 
-#: exported process id (one simulated system = one "process")
+#: component tracks' process id (one simulated system = one "process")
 PID = 1
-#: lifecycles render in their own "process"
+#: message tracks render in their own "process"
 LIFECYCLE_PID = 2
 
 
@@ -60,54 +67,41 @@ def _thread_name(pid: int, tid: int, label: str) -> dict:
     }
 
 
-def chrome_trace_events(records: Iterable[TraceRecord]) -> List[dict]:
-    """The ``traceEvents`` array for a record stream."""
+def _component_events(records: Iterable[Record]) -> List[dict]:
     events: List[dict] = []
     tids: Dict[tuple, int] = {}
     for record in records:
-        # spans get a track per (category, name); points share the
-        # category track -- see the module docstring for why
-        if record.kind in (KIND_BEGIN, KIND_END):
-            key = (record.category, record.name)
-            label = f"{record.category}: {record.name}"
+        component, stage, kind = record.component, record.stage, record.kind
+        # spans get a track per (component, stage); points share the
+        # component's track -- see the module docstring for why
+        if kind in (KIND_BEGIN, KIND_END):
+            key = (component, stage)
+            label = f"{component}.{stage}"
         else:
-            key = (record.category, None)
-            label = record.category
+            key = (component, None)
+            label = component
         tid = tids.get(key)
         if tid is None:
             tid = len(tids) + 1
             tids[key] = tid
             events.append(_thread_name(PID, tid, label))
         event = {
-            "name": record.name,
-            "cat": record.category,
-            "ph": _PHASES[record.kind],
+            "name": f"{component}/{stage}" if kind == KIND_COUNTER else stage,
+            "cat": component,
+            "ph": _PHASES[kind],
             "ts": record.time_ps / 1_000_000,
             "pid": PID,
             "tid": tid,
         }
-        if record.kind == KIND_INSTANT:
+        if kind == KIND_INSTANT:
             event["s"] = "t"  # thread-scoped instant
-        if record.args:
-            event["args"] = dict(record.args)
+        if record.detail:
+            event["args"] = dict(record.detail)
         events.append(event)
     return events
 
 
-def to_chrome(records: Iterable[TraceRecord]) -> dict:
-    """The full Chrome trace document."""
-    return {
-        "traceEvents": chrome_trace_events(records),
-        "displayTimeUnit": "ns",
-    }
-
-
-def lifecycle_chrome_events(lifecycles) -> List[dict]:
-    """Per-message-track Chrome events for an iterable of lifecycles.
-
-    The terminal stage closes the last span; an incomplete lifecycle's
-    last span stays open.
-    """
+def _message_events(lifecycles: Iterable[MessageLifecycle]) -> List[dict]:
     events: List[dict] = []
     for tid, lifecycle in enumerate(lifecycles, start=1):
         label = lifecycle.label or lifecycle.kind
@@ -145,3 +139,35 @@ def lifecycle_chrome_events(lifecycles) -> List[dict]:
                     }
                 )
     return events
+
+
+def chrome_trace_events(
+    records: Iterable[Record], lifecycles: Sequence[MessageLifecycle] = ()
+) -> List[dict]:
+    """The ``traceEvents`` array: component tracks for the records no
+    lifecycle holds, then one track per lifecycle."""
+    owned = {id(mark) for lifecycle in lifecycles for mark in lifecycle.marks}
+    events = _component_events(r for r in records if id(r) not in owned)
+    events.extend(_message_events(lifecycles))
+    return events
+
+
+def to_chrome(
+    records: Iterable[Record], lifecycles: Sequence[MessageLifecycle] = ()
+) -> dict:
+    """The full Chrome trace document."""
+    return {
+        "traceEvents": chrome_trace_events(records, lifecycles),
+        "displayTimeUnit": "ns",
+    }
+
+
+def write_chrome(
+    path, records: Iterable[Record], lifecycles: Sequence[MessageLifecycle] = ()
+) -> dict:
+    """Write :func:`to_chrome`'s document to ``path``; returns it."""
+    document = to_chrome(records, lifecycles)
+    with open(path, "w") as handle:
+        json.dump(document, handle, indent=1)
+        handle.write("\n")
+    return document

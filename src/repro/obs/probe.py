@@ -9,7 +9,8 @@ the value into
 
 * the histogram ``<collector>_samples`` (rows that keep one);
 * the :class:`~repro.obs.timeline.Timeline` series ``<collector>``;
-* a Chrome ``counter`` track ``<collector>``.
+* a ``counter`` record (component and stage: the collector name split
+  at its ``/``), rendered as the Chrome counter track ``<collector>``.
 
 A collector that returns a level (``{"value": ..., "high_water": ...}``)
 is sampled at its ``"value"``.
@@ -20,7 +21,7 @@ on a probe -- so enabling a probe cannot perturb simulated latencies
 (the zero-perturbation guarantee the regression tests pin).
 
 The probe duck-types its ``engine`` (anything with ``schedule(delay_ps,
-action)`` and the ``metrics``/``tracer`` handles) to keep :mod:`repro.obs`
+action)`` and the ``metrics``/``recorder`` handles) to keep :mod:`repro.obs`
 dependency-free; tick ``k`` fires at exactly ``k * interval_ps``, so
 timeline observations use that product rather than reading an engine
 clock.
@@ -32,6 +33,7 @@ import fnmatch
 from typing import Iterable, List, Optional
 
 from repro.obs.health import RETRANSMIT_WINDOW_PS
+from repro.obs.recorder import KIND_COUNTER
 from repro.obs.timeline import Timeline
 
 #: default sampling period: 1 us of simulated time (fine enough to catch
@@ -39,26 +41,26 @@ from repro.obs.timeline import Timeline
 DEFAULT_INTERVAL_PS = 1_000_000
 
 #: what the probe samples, one row per signal: (collector-name glob,
-#: series mode, series window override, keeps a ``_samples`` histogram,
-#: trace category).  A collector samples under the first row it matches.
+#: series mode, series window override, keeps a ``_samples`` histogram).
+#: A collector samples under the first row it matches.
 SIGNALS = (
-    ("*.postedRecvQ/depth", "sample", None, True, "nic"),
-    ("*.unexpectedQ/depth", "sample", None, True, "nic"),
-    ("*/occupancy", "sample", None, True, "alpu"),
-    ("*.rel/unacked", "sample", None, True, "nic"),
-    ("*.rel/reorder_held", "sample", None, True, "nic"),
+    ("*.postedRecvQ/depth", "sample", None, True),
+    ("*.unexpectedQ/depth", "sample", None, True),
+    ("*/occupancy", "sample", None, True),
+    ("*.rel/unacked", "sample", None, True),
+    ("*.rel/reorder_held", "sample", None, True),
     # storm-width windows: see the watchdog's definition
-    ("*.rel/retransmits", "cumulative", RETRANSMIT_WINDOW_PS, False, "nic"),
+    ("*.rel/retransmits", "cumulative", RETRANSMIT_WINDOW_PS, False),
     # refusals are bursty like retransmit storms; sharing the window lets
     # the pressure watchdog see per-window refusal rates
-    ("*.adm/refused", "cumulative", RETRANSMIT_WINDOW_PS, False, "nic"),
-    ("*.fw/completions", "cumulative", None, False, "nic"),
-    ("*/in_flight", "sample", None, True, "network"),
+    ("*.adm/refused", "cumulative", RETRANSMIT_WINDOW_PS, False),
+    ("*.fw/completions", "cumulative", None, False),
+    ("*/in_flight", "sample", None, True),
     # per-channel congestion substrate for the fabric watchdogs
-    ("*.wire*/utilization", "sample", None, False, "network"),
-    ("*.wire*/queue", "sample", None, False, "network"),
-    ("*.wire*/wait", "cumulative", None, False, "network"),
-    ("engine/events", "cumulative", None, False, "engine"),
+    ("*.wire*/utilization", "sample", None, False),
+    ("*.wire*/queue", "sample", None, False),
+    ("*.wire*/wait", "cumulative", None, False),
+    ("engine/events", "cumulative", None, False),
 )
 
 
@@ -81,7 +83,7 @@ class SamplingProbe:
         self.timeline = timeline
         self.skip = frozenset(skip)
         self.ticks = 0
-        #: (name, category, collector, histogram or None, series or None)
+        #: (component, stage, collector, histogram or None, series or None)
         self._samplers: List[tuple] = []
         self._started = False
 
@@ -107,18 +109,19 @@ class SamplingProbe:
         if self._samplers:
             self.engine.schedule(self.interval_ps, self._tick)
 
-    def _bind(self, registry, name, fn, mode, window_ps, keeps_histogram, category):
+    def _bind(self, registry, name, fn, mode, window_ps, keeps_histogram):
         histogram = registry.histogram(f"{name}_samples") if keeps_histogram else None
         series = None
         if self.timeline is not None:
             series = self.timeline.series(name, mode=mode, window_ps=window_ps)
-        self._samplers.append((name, category, fn, histogram, series))
+        component, _, stage = name.partition("/")
+        self._samplers.append((component, stage, fn, histogram, series))
 
     def _tick(self) -> None:
         self.ticks += 1
         now_ps = self.ticks * self.interval_ps
-        tracer = self.engine.tracer
-        for name, category, fn, histogram, series in self._samplers:
+        recorder = self.engine.recorder
+        for component, stage, fn, histogram, series in self._samplers:
             value = fn()
             if type(value) is dict:
                 value = value["value"]
@@ -126,6 +129,8 @@ class SamplingProbe:
                 histogram.record(value)
             if series is not None:
                 series.observe(now_ps, value)
-            if tracer.enabled:
-                tracer.counter(category, name, {"value": value})
+            if recorder.enabled:
+                recorder.record(
+                    component, stage, detail={"value": value}, kind=KIND_COUNTER
+                )
         self.engine.schedule(self.interval_ps, self._tick)

@@ -1,7 +1,9 @@
 """The per-run telemetry bundle.
 
 One :class:`Telemetry` object packages a fresh metrics registry, a fresh
-tracer and the probe period, ready to hand to a world or a workload:
+instrumentation stream (:mod:`repro.obs.recorder`: component spans,
+instants and counters plus the per-message lifecycles built from them)
+and the probe period, ready to hand to a world or a workload:
 
     telemetry = Telemetry()
     run_pingpong(NicConfig.with_alpu(256, 16), PingPongParams(), telemetry=telemetry)
@@ -16,28 +18,27 @@ collectors the components register into the bundle's registry.  With
 :func:`~repro.obs.health.default_watchdogs` battery turns that timeline
 (plus the metrics snapshot) into structured findings at end of run.
 Both need ``metrics=True``: without a registry there is nothing to
-sample.
+sample.  ``tracing`` is the stream's one switch: off, every record site
+costs one ``enabled`` test and the report carries no lifecycles.
 
-A Telemetry object is **per run**: histograms, traces and lifecycles
-accumulate while collectors read the components of the world built on
-it, so a second world built on the same bundle raises
+A Telemetry object is **per run**: histograms and records accumulate
+while collectors read the components of the world built on it, so a
+second world built on the same bundle raises
 :class:`TelemetryReuseError`.  The sweep executor
 (:func:`repro.workloads.sweep.run_point`) creates one per point.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List, Optional
 
-from repro.obs.chrome import lifecycle_chrome_events, to_chrome
+from repro.obs.chrome import to_chrome, write_chrome
 from repro.obs.health import HealthFinding, HealthMonitor
-from repro.obs.lifecycle import LifecycleRecorder
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.probe import DEFAULT_INTERVAL_PS
+from repro.obs.recorder import Recorder
 from repro.obs.selfprof import SimProfiler
 from repro.obs.timeline import Timeline
-from repro.obs.tracer import Tracer
 
 #: schema version of every telemetry dump, :meth:`Telemetry.report`
 #: documents and sweep dumps alike; bump on shape changes so
@@ -50,7 +51,7 @@ class TelemetryReuseError(RuntimeError):
 
 
 class Telemetry:
-    """Metrics + tracing + probe configuration for one simulation run."""
+    """Metrics + the record stream + probe configuration for one run."""
 
     def __init__(
         self,
@@ -58,7 +59,6 @@ class Telemetry:
         metrics: bool = True,
         tracing: bool = True,
         probe_interval_ps: Optional[int] = DEFAULT_INTERVAL_PS,
-        lifecycle: bool = False,
         profile: bool = False,
         timeline: bool = False,
         health: bool = False,
@@ -70,11 +70,11 @@ class Telemetry:
                 "they need metrics=True"
             )
         self.metrics = MetricsRegistry() if metrics else None
-        self.tracer = Tracer() if tracing else None
+        #: the one instrumentation stream and its message lifecycles
+        #: (``tracing=False`` turns every record site off)
+        self.recorder = Recorder() if tracing else None
         #: None disables the periodic probe of the state collectors
         self.probe_interval_ps = probe_interval_ps
-        #: per-message flight recorder (opt-in; see repro.obs.lifecycle)
-        self.lifecycle = LifecycleRecorder() if lifecycle else None
         #: wall-clock simulator self-profiler (opt-in)
         self.profiler = SimProfiler() if profile else None
         #: windowed timeseries the sampling probe feeds (opt-in)
@@ -85,10 +85,10 @@ class Telemetry:
             self.timeline = Timeline()
         self.health = HealthMonitor() if health else None
         #: fabric observability: the world passes this through as the
-        #: fabric's ``observe_hops`` (per-hop lifecycle marks) and
-        #: attaches the fabric's :meth:`~repro.network.fabric.Fabric.
-        #: snapshot` so the report carries a ``fabric`` section.
-        #: Per-hop marks need the lifecycle recorder to land anywhere.
+        #: fabric's ``observe_hops`` (per-hop records) and attaches the
+        #: fabric's :meth:`~repro.network.fabric.Fabric.snapshot` so the
+        #: report carries a ``fabric`` section.  Per-hop records need
+        #: ``tracing=True`` to land anywhere.
         self.fabric_obs = fabric
         #: the bound world's fabric snapshot callable (None until bound)
         self._fabric_source = None
@@ -122,24 +122,21 @@ class Telemetry:
         """The metrics snapshot (empty when metrics are disabled)."""
         return self.metrics.snapshot() if self.metrics is not None else {}
 
-    def chrome_trace(self) -> dict:
-        """The Chrome trace-event document for the collected records.
+    def _stream(self) -> tuple:
+        """``(records, lifecycles)``; empty when tracing is off."""
+        recorder = self.recorder
+        if recorder is None:
+            return (), ()
+        return recorder.records, recorder.lifecycles
 
-        When the lifecycle recorder is on, its per-message tracks ride
-        in the same document (a second "process" next to the component
-        tracks).
-        """
-        records = self.tracer.records if self.tracer is not None else ()
-        document = to_chrome(records)
-        if self.lifecycle is not None:
-            document["traceEvents"].extend(
-                lifecycle_chrome_events(self.lifecycle.lifecycles)
-            )
-        return document
+    def chrome_trace(self) -> dict:
+        """The Chrome trace-event document: component tracks and one
+        track per message lifecycle."""
+        return to_chrome(*self._stream())
 
     def lifecycles(self) -> list:
-        """The recorded lifecycles ([] when the recorder is off)."""
-        return list(self.lifecycle.lifecycles) if self.lifecycle else []
+        """The recorded lifecycles ([] when tracing is off)."""
+        return list(self._stream()[1])
 
     def health_findings(self) -> List[HealthFinding]:
         """Evaluate (once) and return the watchdog findings.
@@ -160,12 +157,8 @@ class Telemetry:
         return self.health.verdict()
 
     def write_chrome_trace(self, path) -> dict:
-        """Write the Chrome trace JSON (incl. lifecycle tracks) to ``path``."""
-        document = self.chrome_trace()
-        with open(path, "w") as handle:
-            json.dump(document, handle, indent=1)
-            handle.write("\n")
-        return document
+        """Write the Chrome trace JSON (incl. message tracks) to ``path``."""
+        return write_chrome(path, *self._stream())
 
     def report(self, **meta) -> dict:
         """The unified, JSON-serializable run report (schema v3).
@@ -189,8 +182,8 @@ class Telemetry:
                 "findings": [f.to_obj() for f in self.health_findings()],
             },
             "lifecycles": (
-                self.lifecycle.to_obj()["lifecycles"]
-                if self.lifecycle is not None
+                [lc.to_obj() for lc in self.recorder.lifecycles]
+                if self.recorder is not None
                 else None
             ),
             "profile": (

@@ -44,10 +44,9 @@ from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Callable, Optional
 
-from repro.obs.lifecycle import NULL_LIFECYCLE
 from repro.obs.metrics import NULL_REGISTRY
+from repro.obs.recorder import NULL_RECORDER
 from repro.obs.selfprof import perf_counter
-from repro.obs.tracer import NULL_TRACER
 from repro.sim.event import EventHandle
 
 
@@ -60,18 +59,14 @@ class Engine:
 
     Parameters
     ----------
-    tracer:
-        A :class:`repro.obs.tracer.Tracer` collecting structured records
-        from instrumented components.  Defaults to the shared no-op
-        tracer (``engine.tracer.enabled`` is False).
+    recorder:
+        A :class:`repro.obs.recorder.Recorder`, the one instrumentation
+        stream the MPI layer, NIC firmware, ALPU devices, network and
+        probe emit records into.  Defaults to the shared no-op recorder
+        (``engine.recorder.enabled`` is False).
     metrics:
         A :class:`repro.obs.metrics.MetricsRegistry` components obtain
         instruments from.  Defaults to the shared no-op registry.
-    lifecycle:
-        A :class:`repro.obs.lifecycle.LifecycleRecorder` the MPI layer,
-        NIC firmware and network mark per-message stage transitions
-        into.  Defaults to the shared no-op recorder
-        (``engine.lifecycle.enabled`` is False).
     profiler:
         A :class:`repro.obs.selfprof.SimProfiler`; when set, the
         dispatch loop times every event handler with the wall clock.
@@ -81,9 +76,8 @@ class Engine:
     def __init__(
         self,
         *,
-        tracer=None,
+        recorder=None,
         metrics=None,
-        lifecycle=None,
         profiler=None,
     ) -> None:
         #: future / non-default-priority events, heap-ordered by key
@@ -98,11 +92,9 @@ class Engine:
         self._live: int = 0
         self._stopped = False
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.lifecycle = lifecycle if lifecycle is not None else NULL_LIFECYCLE
+        self.recorder = recorder if recorder is not None else NULL_RECORDER
         self.profiler = profiler
-        self.tracer.attach_clock(lambda: self._now)
-        self.lifecycle.attach_clock(lambda: self._now)
+        self.recorder.attach_clock(lambda: self._now)
         if self.metrics.enabled:
             self.metrics.register_collector("engine/events", lambda: self._fired)
 

@@ -99,7 +99,7 @@ def run_alpucore(
     """Run the Table I protocol loop against one posted-receive ALPU."""
     if telemetry is not None:
         engine = Engine(
-            tracer=telemetry.tracer,
+            recorder=telemetry.recorder,
             metrics=telemetry.metrics,
             profiler=telemetry.profiler,
         )

@@ -135,8 +135,8 @@ def _plan(params: PrepostedParams) -> Plan:
             ping = yield from mpi.send(
                 dest=1, tag=ping_tag, size=params.message_size
             )
-            if mpi.lifecycle.enabled:
-                mpi.lifecycle.label_request(
+            if mpi.recorder.enabled:
+                mpi.recorder.label_request(
                     mpi.rank,
                     ping.req_id,
                     "ping",

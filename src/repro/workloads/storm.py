@@ -156,8 +156,8 @@ def _plan(params: StormParams) -> Plan:
                 samples.append(
                     ps_to_ns(request.completed_at - request.posted_at)
                 )
-            if mpi.lifecycle.enabled and completed == total:
-                mpi.lifecycle.label_request(
+            if mpi.recorder.enabled and completed == total:
+                mpi.recorder.label_request(
                     mpi.rank, request.req_id, "last_storm_recv", timed=True
                 )
             if posted < total:

@@ -145,11 +145,12 @@ class SweepSpec:
     axes: Tuple[Tuple[str, Tuple], ...]
     fixed: Tuple[Tuple[str, object], ...] = ()
     telemetry: bool = False
-    #: record per-message lifecycles and attach the folded stage-budget
-    #: report (:func:`repro.analysis.attribution.attribute_run`) to each
-    #: row's ``attribution`` field
+    #: record the instrumentation stream (``Telemetry(tracing=True)``)
+    #: and attach its lifecycles' folded stage-budget report
+    #: (:func:`repro.analysis.attribution.attribute_run`) to each row's
+    #: ``attribution`` field
     lifecycle: bool = False
-    #: fabric observability: per-hop lifecycle marks (with
+    #: fabric observability: per-hop records (with
     #: ``lifecycle=True``), per-link queue/wait series (with
     #: ``telemetry=True``), and the fabric snapshot on each row's
     #: ``fabric`` field
@@ -324,8 +325,7 @@ def run_point(
         # telemetry sweeps also carry the windowed timeline and the
         # default watchdog battery, so every row gets a health verdict
         Telemetry(
-            tracing=False,
-            lifecycle=spec.lifecycle,
+            tracing=spec.lifecycle,
             timeline=spec.telemetry,
             health=spec.telemetry,
             fabric=spec.fabric,

@@ -101,8 +101,8 @@ def _plan(params: UnexpectedParams) -> Plan:
             ping = yield from mpi.send(
                 dest=1, tag=_PING_BASE + iteration, size=params.message_size
             )
-            if mpi.lifecycle.enabled:
-                mpi.lifecycle.label_request(
+            if mpi.recorder.enabled:
+                mpi.recorder.label_request(
                     mpi.rank,
                     ping.req_id,
                     "ping",

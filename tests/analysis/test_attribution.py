@@ -32,7 +32,8 @@ from repro.analysis.attribution import (
     stage_series,
 )
 from repro.obs import Telemetry
-from repro.obs.lifecycle import LifecycleRecorder
+from repro.obs.chrome import LIFECYCLE_PID
+from repro.obs.recorder import Recorder
 from repro.workloads.preposted import PrepostedParams, run_preposted
 from repro.workloads import nic_preset
 from repro.workloads.sweep import SweepSpec, run_sweep
@@ -41,7 +42,7 @@ FAST = dict(iterations=4, warmup=1)
 
 
 def ping_lifecycles(preset: str, queue_length: int, **overrides):
-    bundle = Telemetry(tracing=False, lifecycle=True)
+    bundle = Telemetry(tracing=True)
     params = dict(queue_length=queue_length, traverse_fraction=1.0, **FAST)
     params.update(overrides)
     result = run_preposted(
@@ -63,8 +64,8 @@ class TestTelescoping:
             assert sum(budget.values()) / 1000 == latency_ns
 
     def test_incomplete_lifecycle_rejected(self):
-        recorder = LifecycleRecorder()
-        recorder.begin("send", 0, 1, 0)
+        recorder = Recorder()
+        recorder.open_request("send", 0, 1, "host0", 0)
         with pytest.raises(AttributionError):
             stage_budget(recorder.lifecycles[0])
 
@@ -194,8 +195,17 @@ class TestCli:
         for message in report["messages"]:
             assert sum(message["stages_ps"].values()) == message["end_to_end_ps"]
         trace = json.loads(chrome.read_text())
-        assert trace["traceEvents"]
-        # the dump round-trips through --input
-        proc2 = self.run_cli("--input", str(dump))
+        # the one Chrome writer's envelope, with message tracks
+        assert set(trace) == {"traceEvents", "displayTimeUnit"}
+        assert trace["displayTimeUnit"] == "ns"
+        assert any(e["pid"] == LIFECYCLE_PID for e in trace["traceEvents"])
+        # the dump round-trips through --input, --chrome included
+        chrome2 = tmp_path / "trace2.json"
+        proc2 = self.run_cli("--input", str(dump), "--chrome", str(chrome2))
         assert proc2.returncode == 0, proc2.stderr
         assert "end-to-end" in proc2.stdout
+        reloaded = json.loads(chrome2.read_text())
+        assert reloaded["displayTimeUnit"] == "ns"
+        # the dump holds only the message tracks: they match the live run's
+        messages = [e for e in trace["traceEvents"] if e["pid"] == LIFECYCLE_PID]
+        assert reloaded["traceEvents"] == messages

@@ -24,7 +24,7 @@ from repro.analysis.report import (
     render_text,
 )
 from repro.obs.health import has_finding
-from repro.obs.lifecycle import MessageLifecycle
+from repro.obs.recorder import MessageLifecycle
 from repro.obs.telemetry import Telemetry
 from repro.workloads.halo import HaloParams, run_halo
 from repro.workloads.sweep import dump_telemetry, nic_preset
@@ -32,7 +32,7 @@ from repro.workloads.sweep import dump_telemetry, nic_preset
 
 def _run_report(**params):
     telemetry = Telemetry(
-        tracing=False, lifecycle=True, timeline=True, health=True, fabric=True
+        tracing=True, timeline=True, health=True, fabric=True
     )
     run_halo(nic_preset("alpu128"), HaloParams(**params), telemetry=telemetry)
     return telemetry.report()

@@ -6,7 +6,8 @@ and unexpected queues as linear lists with first-match-wins semantics.
 oracle: the ALPU, for any interleaving of inserts and matches, must
 behave exactly like it, and the hypothesis property suite drives both
 with the same traffic and compares.  (The NIC's own software queues live
-in :mod:`repro.nic`; nothing in the simulator runs on this class.)
+in :mod:`repro.nic`; nothing in the simulator runs on this class, so it
+lives with the tests.)
 """
 
 from __future__ import annotations

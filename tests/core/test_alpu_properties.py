@@ -32,7 +32,7 @@ from repro.core.commands import (
     StopInsert,
 )
 from repro.core.match import MatchEntry, MatchFormat, MatchRequest
-from repro.core.reference import ReferenceMatchList
+from tests.core.reference import ReferenceMatchList
 
 from tests.core.percell import PerCellAlpu, flat_cells
 

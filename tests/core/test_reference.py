@@ -1,7 +1,7 @@
 """Unit tests for the golden linear match list."""
 
 from repro.core.match import MatchEntry, MatchFormat, MatchRequest
-from repro.core.reference import ReferenceMatchList
+from tests.core.reference import ReferenceMatchList
 
 FMT = MatchFormat()
 

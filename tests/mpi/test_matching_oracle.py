@@ -1,7 +1,7 @@
 """Unit tests for the pure matching oracle."""
 
 from repro.core.match import ANY_SOURCE, ANY_TAG
-from repro.mpi.matching import MatchingOracle, OracleMessage, OracleRecv
+from tests.mpi.matching import MatchingOracle, OracleMessage, OracleRecv
 
 
 def msg(msg_id, context=1, source=0, tag=0):

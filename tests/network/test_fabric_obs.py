@@ -26,7 +26,7 @@ from repro.network.fabric import Fabric, FabricConfig
 from repro.network.faults import FaultConfig, FaultModel
 from repro.network.packet import Packet, PacketKind
 from repro.network.topology import TopologyConfig
-from repro.obs.lifecycle import LifecycleRecorder
+from repro.obs.recorder import Recorder
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.engine import Engine
 
@@ -51,8 +51,8 @@ def observed_fabric(num_nodes=16, preset="torus3d", faults=None):
     instant (the NIC's job in the full pipeline), so budgets fold over
     exact per-hop residencies.
     """
-    recorder = LifecycleRecorder()
-    engine = Engine(lifecycle=recorder)
+    recorder = Recorder()
+    engine = Engine(recorder=recorder)
     fabric = Fabric(
         engine,
         num_nodes,
@@ -62,14 +62,14 @@ def observed_fabric(num_nodes=16, preset="torus3d", faults=None):
     )
     for node in range(num_nodes):
         fabric.subscribe_rx(
-            node, lambda pkt: recorder.mark_uid(pkt.send_id, "complete")
+            node, lambda pkt: recorder.record("nic", "complete", pkt.send_id)
         )
     return engine, recorder, fabric
 
 
 def send_one(engine, recorder, fabric, src, dst, uid, *, at_ps=0, payload=256):
     """Open a lifecycle for ``uid`` and inject at ``at_ps``."""
-    recorder.begin("send", src, uid, time_ps=at_ps)
+    recorder.open_request("send", src, uid, "host", at_ps)
     recorder.bind_uid(src, uid, uid)
     engine.schedule(
         at_ps, lambda: fabric.inject(packet(src, dst, uid, payload))
@@ -112,14 +112,14 @@ class TestHopMarks:
         assert stages.count("hop_serialize") == 1
 
     def test_observe_hops_off_records_no_hop_marks(self):
-        recorder = LifecycleRecorder()
-        engine = Engine(lifecycle=recorder)
+        recorder = Recorder()
+        engine = Engine(recorder=recorder)
         fabric = Fabric(
             engine,
             16,
             FabricConfig(topology=TopologyConfig(preset="torus3d")),
         )
-        recorder.begin("send", 0, 1)
+        recorder.open_request("send", 0, 1, "host")
         recorder.bind_uid(0, 1, 1)
         fabric.inject(packet(0, 15, 1))
         engine.run()
@@ -237,8 +237,8 @@ class TestZeroPerturbation:
         times, identical final clock, identical event count."""
 
         def run(observe):
-            recorder = LifecycleRecorder() if observe else None
-            engine = Engine(lifecycle=recorder)
+            recorder = Recorder() if observe else None
+            engine = Engine(recorder=recorder)
             fabric = Fabric(
                 engine,
                 8,
@@ -254,7 +254,7 @@ class TestZeroPerturbation:
                 [(0, 7), (0, 7), (3, 5), (6, 1), (0, 7)], start=1
             ):
                 if observe:
-                    recorder.begin("send", src, uid)
+                    recorder.open_request("send", src, uid, "host")
                     recorder.bind_uid(src, uid, uid)
                 fabric.inject(packet(src, dst, uid))
             engine.run()

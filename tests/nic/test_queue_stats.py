@@ -1,21 +1,35 @@
-"""Depth-reporting consistency and high-water-mark plumbing.
+"""Record-stream reconciliation and high-water-mark plumbing.
 
 Two queue-churn regressions pinned here:
 
-* the lifecycle ``unexpected_queue`` mark and the tracer
-  ``<nic>.unexpected_enqueue`` instant once disagreed by one (pre- vs
-  post-append depth); both now report the post-append depth, and the
-  first test fails if either side drifts again;
+* every refusal, retransmission, wire drop and unexpected-queue park is
+  one record of the instrumentation stream; the first test reconciles
+  those records with the tallies the components keep (once, two
+  parallel streams disagreed by one on the unexpected-queue depth);
 * ``NicQueue.max_length`` was tracked but never surfaced -- it now
   feeds the ``<nic>.<queue>/max_depth`` and ``<nic>.<queue>/depth``
   snapshot collectors and the run-report "queue high-water marks"
   section.  It is a lifetime mark: nothing re-arms it.
 """
 
+import dataclasses
+
+import repro.workloads.preposted as preposted
+import repro.workloads.storm as storm
 from repro.analysis.report import queue_high_water, render_text
 from repro.nic.nic import NicConfig
+from repro.nic.reliability import ReliabilityConfig
 from repro.obs import Telemetry
 from repro.workloads.unexpected import UnexpectedParams, run_unexpected
+from tests.nic.test_reliability_pins import (
+    SOUP_COUNTERS,
+    SOUP_FAULTS,
+    SOUP_PARAMS,
+    STORM,
+    STORM_COUNTERS,
+    scalar_counters,
+    storm_nic,
+)
 
 
 def _run_with_telemetry(**telemetry_kwargs):
@@ -28,28 +42,49 @@ def _run_with_telemetry(**telemetry_kwargs):
     return telemetry, result
 
 
-def test_lifecycle_and_tracer_report_the_same_depth():
-    """Both observers report the *post-append* unexpected-queue depth."""
-    telemetry, _ = _run_with_telemetry(tracing=True, lifecycle=True)
+def _stages(telemetry, stage):
+    return [r for r in telemetry.recorder.records if r.stage == stage]
 
-    marks = []
-    for lifecycle in telemetry.lifecycles():
-        for mark in lifecycle.marks:
-            if mark.stage == "unexpected_queue":
-                marks.append((mark.time_ps, mark.detail["depth"]))
-    # the mark precedes the costed append; the tracer instant follows it,
-    # so timestamps differ by the enqueue cost but depths must agree
-    lifecycle_depths = [depth for _, depth in sorted(marks)]
-    tracer_depths = [
-        record.args["depth"]
-        for record in telemetry.tracer.records
-        if record.name.endswith(".unexpected_enqueue")
-    ]
 
-    assert lifecycle_depths, "expected unexpected_queue lifecycle marks"
-    assert lifecycle_depths == tracer_depths
+def _total(snapshot, suffix):
+    return sum(v for k, v in snapshot.items() if k.endswith(suffix))
+
+
+def test_record_stream_reconciles_with_the_tallies():
+    """Each fact is one record: counts match the components' tallies."""
+    # the benchmark's storm-nack shape, scaled down: refusals and
+    # retransmits by the thousand
+    telemetry = Telemetry(tracing=True)
+    storm.run_storm(storm_nic(), STORM, telemetry=telemetry)
+    snapshot = telemetry.snapshot()
+    # recording on moves no counter off its pin
+    assert scalar_counters(snapshot, ".rel/", ".adm/", "fabric/") == STORM_COUNTERS
+    refused = _stages(telemetry, "admission_refused")
+    assert len(refused) == _total(snapshot, ".adm/refused") == 1960
+    retransmits = _stages(telemetry, "retransmit")
+    assert len(retransmits) == _total(snapshot, ".rel/retransmits") == 1960
+
+    # the pinned fault soup: every swallowed packet is one wire_drop
+    telemetry = Telemetry(tracing=True)
+    nic = dataclasses.replace(
+        NicConfig.baseline(), reliability=ReliabilityConfig(enabled=True)
+    )
+    preposted.run_preposted(
+        nic, SOUP_PARAMS, telemetry=telemetry, faults=SOUP_FAULTS
+    )
+    snapshot = telemetry.snapshot()
+    assert scalar_counters(snapshot, ".rel/", "fabric/faults_") == SOUP_COUNTERS
+    drops = _stages(telemetry, "wire_drop")
+    assert len(drops) == snapshot["fabric/faults_dropped"] == 3
+
+    # the unexpected run: one park record per parked header, at the
+    # post-append depth (the parked entry counts itself)
+    telemetry, _ = _run_with_telemetry(tracing=True)
+    depths = [r.detail["depth"] for r in _stages(telemetry, "unexpected_queue")]
+    assert len(depths) == _total(telemetry.snapshot(), ".fw/headers_unexpected")
+    assert depths[0] == 1
     # the queue really got that deep (fillers stack up before the probe)
-    assert max(lifecycle_depths) >= 12
+    assert max(depths) >= 12
 
 
 def test_snapshot_surfaces_queue_high_water_marks():

@@ -39,8 +39,8 @@ def counter_sum(snapshot, suffix):
     )
 
 
-def run_faulty(faults, nic=None, *, lifecycle=False):
-    bundle = Telemetry(tracing=False, lifecycle=lifecycle)
+def run_faulty(faults, nic=None, *, tracing=False):
+    bundle = Telemetry(tracing=tracing)
     nic = reliable(nic if nic is not None else NicConfig.baseline())
     result = run_preposted(nic, PARAMS, telemetry=bundle, faults=faults)
     return result, bundle
@@ -95,7 +95,7 @@ def test_mixed_fault_soup_still_completes():
 
 # ----------------------------------------------------------------- lifecycle
 def test_retransmitted_messages_keep_a_monotone_lifecycle():
-    _, bundle = run_faulty(FaultConfig(seed=11, drop_rate=0.05), lifecycle=True)
+    _, bundle = run_faulty(FaultConfig(seed=11, drop_rate=0.05), tracing=True)
     lifecycles = bundle.lifecycles()
     retransmitted = [
         lc for lc in lifecycles if any(m.stage == "retransmit" for m in lc.marks)

@@ -2,7 +2,7 @@
 
 One hypothesis-generated :class:`TrafficCase` drives a full 2-rank
 simulation against any NIC configuration *and* the pure
-:class:`~repro.mpi.matching.MatchingOracle`, then compares pairings.
+:class:`~tests.mpi.matching.MatchingOracle`, then compares pairings.
 Every registered match backend is held to the same oracle with the same
 traffic -- wildcards, FIFO ordering per (source, context), and
 unexpected-queue consumption included.
@@ -30,7 +30,7 @@ from typing import List, Tuple
 
 from repro.core.match import ANY_TAG
 from repro.mpi.communicator import WORLD_CONTEXT, Communicator
-from repro.mpi.matching import MatchingOracle, OracleMessage, OracleRecv
+from tests.mpi.matching import MatchingOracle, OracleMessage, OracleRecv
 from repro.mpi.world import MpiWorld, WorldConfig
 from repro.nic.nic import NicConfig
 

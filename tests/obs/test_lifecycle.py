@@ -1,4 +1,4 @@
-"""The flight recorder's invariants, unit- and property-tested.
+"""The lifecycle view's invariants, unit- and property-tested.
 
 The load-bearing properties: every recorded lifecycle is monotone in
 time and carries **exactly one** terminal stage (at the end), whatever
@@ -11,13 +11,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.obs import Telemetry
-from repro.obs.chrome import lifecycle_chrome_events
-from repro.obs.lifecycle import (
-    LifecycleRecorder,
-    MessageLifecycle,
-    NULL_LIFECYCLE,
-    TERMINAL_STAGE,
-)
+from repro.obs.chrome import LIFECYCLE_PID, chrome_trace_events
+from repro.obs.recorder import MessageLifecycle, Recorder, TERMINAL_STAGE
 from repro.workloads.preposted import PrepostedParams, run_preposted
 from repro.workloads import nic_preset
 from repro.workloads.unexpected import UnexpectedParams, run_unexpected
@@ -40,15 +35,15 @@ def assert_well_formed(lifecycle: MessageLifecycle) -> None:
 
 class TestRecorderUnit:
     def test_begin_mark_complete(self):
-        recorder = LifecycleRecorder()
+        recorder = Recorder()
         clock = [100]
         recorder.attach_clock(lambda: clock[0])
-        recorder.begin("send", 0, 1, detail={"tag": 9})
+        recorder.open_request("send", 0, 1, "host0", detail={"tag": 9})
         clock[0] = 250
-        recorder.mark_request(0, 1, "host_issue")
-        recorder.complete_request(0, 1, 400, recv=False)  # annotation only
-        recorder.begin("recv", 1, 1)
-        recorder.complete_request(1, 1, 500, recv=True)
+        recorder.mark_request(0, 1, "host0", "host_issue")
+        recorder.complete_request(0, 1, "host0", 400, recv=False)  # annotation
+        recorder.open_request("recv", 1, 1, "host1")
+        recorder.complete_request(1, 1, "host1", 500, recv=True)
         send, recv = recorder.lifecycles
         assert [m.stage for m in send.marks] == ["api_post", "host_issue"]
         assert send.annotations["sender_completed_at_ps"] == 400
@@ -58,15 +53,15 @@ class TestRecorderUnit:
             assert_well_formed(lifecycle)
 
     def test_uid_binding_alias_and_watch(self):
-        recorder = LifecycleRecorder()
+        recorder = Recorder()
         recorder.attach_clock(lambda: 0)
-        recorder.begin("send", 0, 7, 10)
+        recorder.open_request("send", 0, 7, "host0", 10)
         recorder.bind_uid(0, 7, 100)
-        recorder.mark_uid(100, "wire", 20)
+        recorder.record("fabric", "wire", 100, time_ps=20)
         recorder.alias_uid(200, 100)  # receive-side entry joins the message
-        recorder.mark_uid(200, "deliver", 30)
+        recorder.record("nic1", "deliver", 200, time_ps=30)
         recorder.watch_completion(1, 3, 100)
-        recorder.complete_request(1, 3, 40, recv=True)
+        recorder.complete_request(1, 3, "host1", 40, recv=True)
         (send,) = recorder.lifecycles
         assert [m.stage for m in send.marks] == [
             "api_post",
@@ -77,22 +72,26 @@ class TestRecorderUnit:
         assert send.complete
         assert_well_formed(send)
 
-    def test_unknown_uid_is_silently_ignored(self):
-        recorder = LifecycleRecorder()
-        recorder.mark_uid(999, "wire")
+    def test_unknown_uid_marks_no_lifecycle(self):
+        recorder = Recorder()
+        recorder.record("fabric", "wire", 999)
         recorder.annotate_uid(999, a=1)
         recorder.alias_uid(1, 2)
         assert recorder.lifecycles == []
+        # the fact itself still lives in the stream
+        assert [r.stage for r in recorder.records] == ["wire"]
 
     def test_annotate_merges_into_last_mark(self):
-        recorder = LifecycleRecorder()
-        recorder.begin("send", 0, 1, 5, detail={"a": 1})
+        recorder = Recorder()
+        recorder.open_request("send", 0, 1, "host0", 5, detail={"a": 1})
         recorder.annotate_request(0, 1, b=2)
         (lifecycle,) = recorder.lifecycles
         assert lifecycle.marks[-1].detail == {"a": 1, "b": 2}
+        # in place: the stream's record shows the merged detail too
+        assert recorder.records[-1].detail == {"a": 1, "b": 2}
 
     def test_search_notes_drain(self):
-        recorder = LifecycleRecorder()
+        recorder = Recorder()
         recorder.search_note(alpu_occupancy=17)
         recorder.search_note(hash_probes=4)
         assert recorder.pop_search_notes() == {
@@ -101,34 +100,27 @@ class TestRecorderUnit:
         }
         assert recorder.pop_search_notes() == {}
 
-    def test_null_recorder_is_inert(self):
-        assert not NULL_LIFECYCLE.enabled
-        NULL_LIFECYCLE.begin("send", 0, 1)
-        NULL_LIFECYCLE.mark_request(0, 1, "x")
-        NULL_LIFECYCLE.mark_uid(1, "x")
-        NULL_LIFECYCLE.complete_request(0, 1, recv=True)
-        assert len(NULL_LIFECYCLE) == 0
-        assert NULL_LIFECYCLE.lifecycles == ()
-
     def test_dump_round_trip(self):
-        recorder = LifecycleRecorder()
-        recorder.begin("send", 0, 1, 5, detail={"tag": 3})
+        recorder = Recorder()
+        recorder.open_request("send", 0, 1, "host0", 5, detail={"tag": 3})
         recorder.label_request(0, 1, "ping", timed=True)
         recorder.bind_uid(0, 1, 42)
-        recorder.mark_uid(42, "wire", 9)
-        obj = recorder.to_obj()
-        rebuilt = [MessageLifecycle.from_obj(o) for o in obj["lifecycles"]]
-        assert [lc.to_obj() for lc in rebuilt] == obj["lifecycles"]
+        recorder.record("fabric", "wire", 42, time_ps=9)
+        dumped = [lc.to_obj() for lc in recorder.lifecycles]
+        rebuilt = [MessageLifecycle.from_obj(o) for o in dumped]
+        assert [lc.to_obj() for lc in rebuilt] == dumped
         assert rebuilt[0].label == "ping" and rebuilt[0].meta == {"timed": True}
 
     def test_chrome_events_pair_spans(self):
-        recorder = LifecycleRecorder()
-        recorder.begin("send", 0, 1, 0)
-        recorder.mark_request(0, 1, "wire", 1_000_000)
-        recorder.complete_request(0, 1, 3_000_000, recv=False)
-        recorder.begin("recv", 1, 1, 0)
-        recorder.complete_request(1, 1, 2_000_000, recv=True)
-        events = lifecycle_chrome_events(recorder.lifecycles)
+        recorder = Recorder()
+        recorder.open_request("send", 0, 1, "host0", 0)
+        recorder.mark_request(0, 1, "host0", "wire", 1_000_000)
+        recorder.complete_request(0, 1, "host0", 3_000_000, recv=False)
+        recorder.open_request("recv", 1, 1, "host1", 0)
+        recorder.complete_request(1, 1, "host1", 2_000_000, recv=True)
+        events = chrome_trace_events(recorder.records, recorder.lifecycles)
+        # every record belongs to a lifecycle: message tracks only
+        assert all(e["pid"] == LIFECYCLE_PID for e in events)
         names = [e["name"] for e in events if e["ph"] == "B"]
         assert "api_post" in names and "wire" in names
         begins = sum(1 for e in events if e["ph"] == "B")
@@ -142,7 +134,7 @@ class TestBenchmarkLifecycles:
 
     @pytest.mark.parametrize("preset", ["baseline", "hash", "alpu128"])
     def test_preposted_lifecycles_well_formed(self, preset):
-        bundle = Telemetry(tracing=False, lifecycle=True)
+        bundle = Telemetry(tracing=True)
         run_preposted(
             nic_preset(preset),
             PrepostedParams(
@@ -157,7 +149,7 @@ class TestBenchmarkLifecycles:
 
     @pytest.mark.parametrize("preset", ["baseline", "hash", "alpu128"])
     def test_unexpected_lifecycles_well_formed(self, preset):
-        bundle = Telemetry(tracing=False, lifecycle=True)
+        bundle = Telemetry(tracing=True)
         run_unexpected(
             nic_preset(preset),
             UnexpectedParams(queue_length=10, iterations=3, warmup=1),
@@ -169,7 +161,7 @@ class TestBenchmarkLifecycles:
     def test_rendezvous_lifecycles_well_formed(self):
         # payload above the 4096-byte eager threshold exercises the
         # RTS/CTS/DATA marks (rndv_cts, rndv_data_dma, repeated wire)
-        bundle = Telemetry(tracing=False, lifecycle=True)
+        bundle = Telemetry(tracing=True)
         run_preposted(
             nic_preset("baseline"),
             PrepostedParams(
@@ -192,7 +184,7 @@ class TestBenchmarkLifecycles:
     def test_property_monotone_single_terminal(
         self, queue_length, fraction, preset
     ):
-        bundle = Telemetry(tracing=False, lifecycle=True)
+        bundle = Telemetry(tracing=True)
         run_preposted(
             nic_preset(preset),
             PrepostedParams(

@@ -15,7 +15,7 @@ from repro.obs.health import (
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.probe import SamplingProbe
 from repro.obs.timeline import Timeline
-from repro.obs.tracer import Tracer
+from repro.obs.recorder import Recorder
 from repro.sim.engine import Engine
 from repro.workloads import HaloParams, nic_preset, run_halo
 from repro.workloads.storm import run_storm
@@ -41,16 +41,18 @@ def test_probe_samples_on_its_period():
 
 def test_probe_emits_counter_trace_records():
     reg = MetricsRegistry()
-    engine = Engine(metrics=reg, tracer=Tracer())
+    engine = Engine(metrics=reg, recorder=Recorder())
     reg.register_collector(DEPTH, lambda: {"value": 2, "high_water": 2})
     probe = SamplingProbe(engine, 50)
     probe.start()
     engine.run(until=120)
-    counters = [r for r in engine.tracer.records if r.kind == "counter"]
-    assert [r.time_ps for r in counters if r.name == DEPTH] == [50, 100]
-    assert all(r.args == {"value": 2} for r in counters if r.name == DEPTH)
+    counters = [r for r in engine.recorder.records if r.kind == "counter"]
+    names = [f"{r.component}/{r.stage}" for r in counters]
+    assert [r.time_ps for r, n in zip(counters, names) if n == DEPTH] == [50, 100]
+    assert all(r.detail == {"value": 2} for r, n in zip(counters, names) if n == DEPTH)
+    assert all(r.uid is None for r in counters)
     # the engine's own progress counter is a probed signal too
-    assert {r.name for r in counters} == {DEPTH, "engine/events"}
+    assert set(names) == {DEPTH, "engine/events"}
 
 
 def test_start_is_idempotent_and_noop_without_collectors():

@@ -51,7 +51,14 @@ class TestDeterminism:
     def test_identical_runs_identical_traces(self):
         _, t1 = run_traced_pingpong()
         _, t2 = run_traced_pingpong()
-        assert t1.tracer.records == t2.tracer.records
+        # uids come from a process-global counter: compare all but them
+        def facts(t):
+            return [
+                (r.time_ps, r.component, r.stage, r.detail, r.kind)
+                for r in t.recorder.records
+            ]
+
+        assert facts(t1) == facts(t2)
         assert t1.chrome_trace() == t2.chrome_trace()
 
 
@@ -78,8 +85,8 @@ class TestZeroPerturbation:
 class TestTraceCoverage:
     def test_trace_spans_alpu_nic_and_network(self):
         _, telemetry = run_traced_pingpong()
-        categories = {r.category for r in telemetry.tracer.records}
-        assert {"alpu", "nic", "network"} <= categories
+        components = {r.component for r in telemetry.recorder.records}
+        assert {"nic1.alpu.posted", "nic1", "fabric", "host0"} <= components
 
     def test_metrics_off_bundle_still_runs(self):
         telemetry = Telemetry(metrics=False, tracing=True)
@@ -87,9 +94,9 @@ class TestTraceCoverage:
             nic_preset("alpu256"), PingPongParams(**FAST), telemetry=telemetry
         )
         assert telemetry.snapshot() == {}
-        assert telemetry.tracer.records
+        assert telemetry.recorder.records
         # no collectors, so nothing to sample: no probe counter tracks
-        assert all(r.kind != "counter" for r in telemetry.tracer.records)
+        assert all(r.kind != "counter" for r in telemetry.recorder.records)
 
     def test_tracing_off_bundle_still_counts(self):
         telemetry = Telemetry(tracing=False)
@@ -98,6 +105,13 @@ class TestTraceCoverage:
         )
         assert telemetry.snapshot()["nic1.alpu.posted/match_successes"] > 0
         assert telemetry.chrome_trace()["traceEvents"] == []
+        # tracing is the stream's one switch: off, no lifecycles either
+        assert telemetry.lifecycles() == []
+        assert telemetry.report()["lifecycles"] is None
+
+    def test_lifecycle_keyword_is_gone(self):
+        with pytest.raises(TypeError):
+            Telemetry(lifecycle=True)
 
 
 class TestBundleContract:
@@ -261,15 +275,19 @@ class TestChromeExportEndToEnd:
         events = doc["traceEvents"]
         assert events
         categories = {e["cat"] for e in events if "cat" in e}
-        assert {"alpu", "nic", "network"} <= categories
-        # every B has its E on the same track
+        # the ALPU devices, a NIC queue's search, the fabric, the messages
+        assert {
+            "nic1.alpu.posted", "nic1.unexpectedQ", "fabric", "lifecycle"
+        } <= categories
+        # every B has its E on the same track of the same process
         depth = {}
         for ev in events:
+            track = (ev["pid"], ev["tid"])
             if ev["ph"] == "B":
-                depth[ev["tid"]] = depth.get(ev["tid"], 0) + 1
+                depth[track] = depth.get(track, 0) + 1
             elif ev["ph"] == "E":
-                depth[ev["tid"]] = depth.get(ev["tid"], 0) - 1
-                assert depth[ev["tid"]] >= 0
+                depth[track] = depth.get(track, 0) - 1
+                assert depth[track] >= 0
         assert all(d == 0 for d in depth.values())
 
 

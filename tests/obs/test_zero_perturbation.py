@@ -1,4 +1,4 @@
-"""The flight recorder and self-profiler never move a latency.
+"""The record stream and self-profiler never move a latency.
 
 Two layers of pinning:
 
@@ -6,8 +6,9 @@ Two layers of pinning:
   (``tests/workloads/pinned_grid.json``, captured before the lifecycle
   layer existed), so any accidental simulated-time charge anywhere in
   the recording path fails loudly;
-* every observability combination (lifecycle, profiler, everything at
-  once) must reproduce the plain run **bit-identically**.
+* every observability combination (the record stream, profiler,
+  timeline and watchdogs, everything at once) must reproduce the plain
+  run **bit-identically**.
 """
 
 import json
@@ -57,8 +58,8 @@ class TestPinnedLatencies:
         result = run_point(workload, preset)
         assert result.latencies_ns == PINNED[(workload, preset)]
 
-    def test_lifecycle_recorder_is_zero_perturbation(self, workload, preset):
-        bundle = Telemetry(tracing=False, lifecycle=True)
+    def test_record_stream_is_zero_perturbation(self, workload, preset):
+        bundle = Telemetry(tracing=True)
         result = run_point(workload, preset, telemetry=bundle)
         assert result.latencies_ns == PINNED[(workload, preset)]
         # and it genuinely recorded: the timed pings are all complete
@@ -93,7 +94,7 @@ class TestPinnedLatencies:
         assert bundle.health_verdict() == "healthy"
 
     def test_everything_on_is_zero_perturbation(self, workload, preset):
-        bundle = Telemetry(lifecycle=True, profile=True, timeline=True, health=True)
+        bundle = Telemetry(profile=True, timeline=True, health=True)
         result = run_point(workload, preset, telemetry=bundle)
         assert result.latencies_ns == PINNED[(workload, preset)]
 
@@ -103,7 +104,7 @@ class TestLatencyEqualsLifecycleSpan:
 
     @pytest.mark.parametrize("preset", ["baseline", "alpu128"])
     def test_ping_spans_equal_reported_latencies(self, preset):
-        bundle = Telemetry(tracing=False, lifecycle=True)
+        bundle = Telemetry(tracing=True)
         result = run_point("preposted", preset, telemetry=bundle)
         pings = [
             lc

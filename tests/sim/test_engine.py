@@ -192,20 +192,32 @@ def test_pending_excludes_cancelled_events():
     assert engine.raw_pending == 0
 
 
-def test_legacy_trace_keyword_is_gone():
-    """The PR-1 ``trace=`` adapter is removed: ``tracer=`` is the only
-    tracing hook, and every observability parameter is keyword-only."""
-    with pytest.raises(TypeError):
-        Engine(trace=lambda t, label: None)
+def test_legacy_trace_keywords_are_gone():
+    """``recorder=`` is the one instrumentation hook: the ``trace=``
+    adapter and the separate ``tracer=``/``lifecycle=`` streams are gone,
+    and every observability parameter is keyword-only."""
+    for legacy in ("trace", "tracer", "lifecycle"):
+        with pytest.raises(TypeError):
+            Engine(**{legacy: None})
     with pytest.raises(TypeError):
         Engine(lambda t, label: None)
 
 
 def test_engine_defaults_are_disabled_singletons():
     a, b = Engine(), Engine()
-    assert not a.tracer.enabled and not a.metrics.enabled
-    assert a.tracer is b.tracer  # shared no-op objects, no per-engine cost
+    assert not a.recorder.enabled and not a.metrics.enabled
+    assert a.recorder is b.recorder  # shared no-op objects, no per-engine cost
     assert a.metrics is b.metrics
+
+
+def test_recorder_reads_the_engine_clock():
+    from repro.obs.recorder import Recorder
+
+    engine = Engine(recorder=Recorder())
+    engine.schedule(40, lambda: engine.recorder.record("c", "tick"))
+    engine.run()
+    (record,) = engine.recorder.records
+    assert record.time_ps == 40
 
 
 def _live_walk(engine):

@@ -45,11 +45,25 @@ def test_trace_pingpong_runs(capsys, tmp_path):
     run_example("trace_pingpong", [str(out)])
     output = capsys.readouterr().out
     assert "half-RTT mean" in output
-    assert "trace records" in output
+    assert "message tracks" in output
     import json
 
+    from repro.obs.chrome import LIFECYCLE_PID, PID
+
     doc = json.loads(out.read_text())
-    assert doc["traceEvents"]
+    assert doc["displayTimeUnit"] == "ns"
+    events = [e for e in doc["traceEvents"] if e["ph"] != "M"]
+    component = {(e["cat"], e["name"]) for e in events if e["pid"] == PID}
+    stages = {e["name"] for e in events if e["pid"] == LIFECYCLE_PID}
+    # both kinds of track: ALPU/search spans and probe counters on the
+    # component tracks, every message journey on its own track
+    assert ("nic1.alpu.posted", "match") in component
+    assert ("nic1.unexpectedQ", "search") in component
+    assert ("nic1.postedRecvQ", "nic1.postedRecvQ/depth") in component
+    assert {"api_post", "wire", "rx_queue", "match_search", "deliver"} <= stages
+    # each fact once: a message's wire record is on its track, not also
+    # on the fabric's
+    assert not any(cat == "fabric" and name == "wire" for cat, name in component)
 
 
 def test_queue_depth_study_fast_runs(capsys):

@@ -59,8 +59,7 @@ def test_latencies_with_telemetry_off(point):
 @each_point
 def test_latencies_and_events_with_every_collector_on(point):
     bundle = Telemetry(
-        tracing=False,
-        lifecycle=True,
+        tracing=True,
         timeline=True,
         health=True,
         profile=True,

@@ -23,27 +23,22 @@ Layers (bottom up):
   experiment reports.
 """
 
-from repro.core import (
-    Alpu,
-    AlpuConfig,
-    AlpuTimingModel,
-    MatchEntry,
-    MatchFormat,
-    MatchRequest,
-    ANY_SOURCE,
-    ANY_TAG,
-)
+from repro._lazy import attach
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Alpu",
-    "AlpuConfig",
-    "AlpuTimingModel",
-    "MatchEntry",
-    "MatchFormat",
-    "MatchRequest",
-    "ANY_SOURCE",
-    "ANY_TAG",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = attach(
+    globals(),
+    {
+        "core.alpu": ("Alpu", "AlpuConfig"),
+        "core.pipeline": ("AlpuTimingModel",),
+        "core.match": (
+            "MatchEntry",
+            "MatchFormat",
+            "MatchRequest",
+            "ANY_SOURCE",
+            "ANY_TAG",
+        ),
+    },
+)
+__all__.append("__version__")

@@ -22,95 +22,48 @@ one loader for every telemetry dump, sweep dumps included, and its row
 helpers filter a sweep dump's rows by metric or health.
 """
 
-from repro.analysis.curves import (
-    per_entry_slope_ns,
-    detect_knee,
-    crossover_length,
-    fixed_overhead_ns,
-    latency_series,
-)
-from repro.analysis.tables import format_rows, format_curve
+from repro._lazy import attach
 
-# attribution's and report's names resolve lazily so `python -m
-# repro.analysis.<mod>` does not re-import the module runpy is about to
-# execute
-_ATTRIBUTION_NAMES = frozenset(
+# lazy, so `python -m repro.analysis.<mod>` does not import the module
+# runpy is about to execute, and a run that reads no analysis loads none
+__getattr__, __dir__, __all__ = attach(
+    globals(),
     {
-        "aggregate",
-        "attribute_run",
-        "budget_rows",
-        "crossover_queue_length",
-        "dominant_stage",
-        "end_to_end_ps",
-        "format_report",
-        "stage_budget",
-        "stage_series",
-    }
+        "attribution": (
+            "aggregate",
+            "attribute_run",
+            "budget_rows",
+            "crossover_queue_length",
+            "dominant_stage",
+            "end_to_end_ps",
+            "format_report",
+            "stage_budget",
+            "stage_series",
+        ),
+        "curves": (
+            "per_entry_slope_ns",
+            "detect_knee",
+            "crossover_length",
+            "fixed_overhead_ns",
+            "latency_series",
+        ),
+        "tables": ("format_rows", "format_curve"),
+        "report": (
+            "histogram_stats",
+            "load_report",
+            "mean_sampled_depth",
+            "metric_across_rows",
+            "metric_value",
+            "healthy_rows",
+            "unhealthy_rows",
+            "row_findings",
+            "row_verdict",
+            "rows_with_finding",
+            "fold",
+            "render_html",
+            "render_json",
+            "render_text",
+            "sparkline",
+        ),
+    },
 )
-
-_REPORT_NAMES = frozenset(
-    {
-        "fold",
-        "healthy_rows",
-        "histogram_stats",
-        "load_report",
-        "mean_sampled_depth",
-        "metric_across_rows",
-        "metric_value",
-        "render_html",
-        "render_json",
-        "render_text",
-        "row_findings",
-        "row_verdict",
-        "rows_with_finding",
-        "sparkline",
-        "unhealthy_rows",
-    }
-)
-
-
-def __getattr__(name):
-    if name in _ATTRIBUTION_NAMES:
-        from repro.analysis import attribution
-
-        return getattr(attribution, name)
-    if name in _REPORT_NAMES:
-        from repro.analysis import report
-
-        return getattr(report, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = [
-    "aggregate",
-    "attribute_run",
-    "budget_rows",
-    "crossover_queue_length",
-    "dominant_stage",
-    "end_to_end_ps",
-    "format_report",
-    "stage_budget",
-    "stage_series",
-    "per_entry_slope_ns",
-    "detect_knee",
-    "crossover_length",
-    "fixed_overhead_ns",
-    "latency_series",
-    "format_rows",
-    "format_curve",
-    "histogram_stats",
-    "load_report",
-    "mean_sampled_depth",
-    "metric_across_rows",
-    "metric_value",
-    "healthy_rows",
-    "unhealthy_rows",
-    "row_findings",
-    "row_verdict",
-    "rows_with_finding",
-    "fold",
-    "render_html",
-    "render_json",
-    "render_text",
-    "sparkline",
-]

@@ -196,7 +196,7 @@ def _run_live(args):
     ``(fabric, lifecycles, telemetry)``."""
     from repro.obs.telemetry import Telemetry
     from repro.workloads.halo import HaloParams, run_halo
-    from repro.workloads.sweep import nic_preset
+    from repro.workloads.runner import nic_preset
 
     telemetry = Telemetry(
         tracing=True,

@@ -25,47 +25,31 @@ The golden linear-list matcher the ALPU is held equal to lives with the
 tests (``tests/core/reference.py``): nothing in the simulator runs on it.
 """
 
-from repro.core.match import (
-    MatchFormat,
-    MatchRequest,
-    MatchEntry,
-    matches,
-    ANY_SOURCE,
-    ANY_TAG,
-)
-from repro.core.alpu import Alpu, AlpuConfig, AlpuMode, CellKind
-from repro.core.commands import (
-    Command,
-    StartInsert,
-    Insert,
-    StopInsert,
-    Reset,
-    Response,
-    StartAcknowledge,
-    MatchSuccess,
-    MatchFailure,
-)
-from repro.core.pipeline import AlpuTimingModel
+from repro._lazy import attach
 
-__all__ = [
-    "MatchFormat",
-    "MatchRequest",
-    "MatchEntry",
-    "matches",
-    "ANY_SOURCE",
-    "ANY_TAG",
-    "CellKind",
-    "Alpu",
-    "AlpuConfig",
-    "AlpuMode",
-    "Command",
-    "StartInsert",
-    "Insert",
-    "StopInsert",
-    "Reset",
-    "Response",
-    "StartAcknowledge",
-    "MatchSuccess",
-    "MatchFailure",
-    "AlpuTimingModel",
-]
+__getattr__, __dir__, __all__ = attach(
+    globals(),
+    {
+        "match": (
+            "MatchFormat",
+            "MatchRequest",
+            "MatchEntry",
+            "matches",
+            "ANY_SOURCE",
+            "ANY_TAG",
+        ),
+        "alpu": ("Alpu", "AlpuConfig", "AlpuMode", "CellKind"),
+        "commands": (
+            "Command",
+            "StartInsert",
+            "Insert",
+            "StopInsert",
+            "Reset",
+            "Response",
+            "StartAcknowledge",
+            "MatchSuccess",
+            "MatchFailure",
+        ),
+        "pipeline": ("AlpuTimingModel",),
+    },
+)

@@ -27,9 +27,12 @@ published latency column of Tables IV and V is reproduced exactly by
 from __future__ import annotations
 
 import dataclasses
+from typing import TYPE_CHECKING
 
-from repro.core.alpu import AlpuConfig
 from repro.sim.units import cycles_to_ps
+
+if TYPE_CHECKING:
+    from repro.core.alpu import AlpuConfig
 
 
 def match_latency_cycles(total_cells: int, block_size: int) -> int:

@@ -20,32 +20,24 @@ because masks are inputs, not storage; block size 32 misses the 9 ns
 constraint).
 """
 
-from repro.fpga.resources import (
-    ResourceEstimate,
-    estimate_resources,
-    cell_flipflops,
-    block_overhead_flipflops,
-)
-from repro.fpga.timing import clock_mhz, asic_clock_mhz, ASIC_SPEEDUP
-from repro.fpga.report import (
-    DesignPoint,
-    TABLE_IV_PUBLISHED,
-    TABLE_V_PUBLISHED,
-    model_table,
-    render_table,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "ResourceEstimate",
-    "estimate_resources",
-    "cell_flipflops",
-    "block_overhead_flipflops",
-    "clock_mhz",
-    "asic_clock_mhz",
-    "ASIC_SPEEDUP",
-    "DesignPoint",
-    "TABLE_IV_PUBLISHED",
-    "TABLE_V_PUBLISHED",
-    "model_table",
-    "render_table",
-]
+__getattr__, __dir__, __all__ = attach(
+    globals(),
+    {
+        "resources": (
+            "ResourceEstimate",
+            "estimate_resources",
+            "cell_flipflops",
+            "block_overhead_flipflops",
+        ),
+        "timing": ("clock_mhz", "asic_clock_mhz", "ASIC_SPEEDUP"),
+        "report": (
+            "DesignPoint",
+            "TABLE_IV_PUBLISHED",
+            "TABLE_V_PUBLISHED",
+            "model_table",
+            "render_table",
+        ),
+    },
+)

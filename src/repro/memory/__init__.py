@@ -18,20 +18,15 @@ subpackage provides:
   behaviour.
 """
 
-from repro.memory.cache import Cache, CacheConfig, AccessResult
-from repro.memory.dram import Dram, DramConfig
-from repro.memory.sram import Sram
-from repro.memory.system import MemorySystem, MemorySystemConfig
-from repro.memory.layout import AddressAllocator
+from repro._lazy import attach
 
-__all__ = [
-    "Cache",
-    "CacheConfig",
-    "AccessResult",
-    "Dram",
-    "DramConfig",
-    "Sram",
-    "MemorySystem",
-    "MemorySystemConfig",
-    "AddressAllocator",
-]
+__getattr__, __dir__, __all__ = attach(
+    globals(),
+    {
+        "cache": ("Cache", "CacheConfig", "AccessResult"),
+        "dram": ("Dram", "DramConfig"),
+        "sram": ("Sram",),
+        "system": ("MemorySystem", "MemorySystemConfig"),
+        "layout": ("AddressAllocator",),
+    },
+)

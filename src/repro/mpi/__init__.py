@@ -26,25 +26,15 @@ simulated system is checked against lives with the tests
 (``tests/mpi/matching.py``).
 """
 
-from repro.mpi.datatypes import Datatype, MPI_BYTE, MPI_INT, MPI_DOUBLE
-from repro.mpi.communicator import Communicator, COLLECTIVE_CONTEXT, WORLD_CONTEXT
-from repro.mpi.request import MpiRequest, MpiStatus, RequestKind
-from repro.mpi.api import MpiProcess, MpiError
-from repro.mpi.world import MpiWorld, WorldConfig
+from repro._lazy import attach
 
-__all__ = [
-    "Datatype",
-    "MPI_BYTE",
-    "MPI_INT",
-    "MPI_DOUBLE",
-    "Communicator",
-    "COLLECTIVE_CONTEXT",
-    "WORLD_CONTEXT",
-    "MpiRequest",
-    "MpiStatus",
-    "RequestKind",
-    "MpiProcess",
-    "MpiError",
-    "MpiWorld",
-    "WorldConfig",
-]
+__getattr__, __dir__, __all__ = attach(
+    globals(),
+    {
+        "datatypes": ("Datatype", "MPI_BYTE", "MPI_INT", "MPI_DOUBLE"),
+        "communicator": ("Communicator", "COLLECTIVE_CONTEXT", "WORLD_CONTEXT"),
+        "request": ("MpiRequest", "MpiStatus", "RequestKind"),
+        "api": ("MpiProcess", "MpiError"),
+        "world": ("MpiWorld", "WorldConfig", "RankFailedError", "DeadlockError"),
+    },
+)

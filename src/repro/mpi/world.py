@@ -16,22 +16,44 @@ rank:
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.mpi.api import MpiProcess
 from repro.mpi.communicator import Communicator, world as make_world_comm
 from repro.network.fabric import Fabric, FabricConfig
 from repro.network.faults import FaultConfig, FaultModel
-from repro.obs.probe import SamplingProbe
 from repro.nic.host_interface import HOST_NIC_LATENCY_PS
 from repro.nic.nic import Nic, NicConfig
 from repro.proc.costmodel import HostCostModel
 from repro.proc.params import CPU_PARAMS, make_host_memory
 from repro.proc.processor import Processor
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, SimulationError
 from repro.sim.fifo import Fifo
 from repro.sim.link import Link
 from repro.sim.process import Process
+
+if TYPE_CHECKING:
+    from repro.obs.probe import SamplingProbe
+
+
+class RankFailedError(SimulationError):
+    """A rank's host program raised; the rank's exception is the cause."""
+
+    def __init__(self, rank: int) -> None:
+        super().__init__(f"rank {rank} failed")
+        self.rank = rank
+
+
+class DeadlockError(SimulationError):
+    """The deadline passed with ranks still running (a protocol deadlock)."""
+
+    def __init__(self, ranks: List[int], deadline_us: float) -> None:
+        super().__init__(
+            f"ranks {ranks} did not finish by the deadline "
+            f"({deadline_us} us) -- protocol deadlock?"
+        )
+        #: the unfinished ranks, in rank order
+        self.ranks = ranks
 
 
 @dataclasses.dataclass(frozen=True)
@@ -167,6 +189,8 @@ class MpiWorld:
             self.hosts.append(Host(self.engine, rank, nic, fifo))
         self.probe: Optional[SamplingProbe] = None
         if telemetry is not None and telemetry.probe_interval_ps:
+            from repro.obs.probe import SamplingProbe
+
             self.probe = SamplingProbe(
                 self.engine,
                 telemetry.probe_interval_ps,
@@ -186,9 +210,10 @@ class MpiWorld:
     ) -> Dict[int, object]:
         """Run one host program per rank until all of them return.
 
-        Returns ``{rank: program return value}``.  Raises if a program
-        failed or the deadline passed with programs still running (a
-        deadlock in the modelled protocol).
+        Returns ``{rank: program return value}``.  Raises
+        :class:`RankFailedError` (chained to the rank's exception) if a
+        program failed, and :class:`DeadlockError` if the deadline passed
+        with programs still running (a deadlock in the modelled protocol).
         """
         missing = set(range(self.config.num_ranks)) - set(programs)
         if missing:
@@ -213,15 +238,19 @@ class MpiWorld:
             process.done.observe(on_done)
             process.start()
 
-        self.engine.run(until=round(deadline_us * 1_000_000))
-        for rank, process in processes.items():
-            if process.error is not None:
-                raise RuntimeError(f"rank {rank} failed") from process.error
-            if not process.finished:
-                raise RuntimeError(
-                    f"rank {rank} did not finish by the deadline "
-                    f"({deadline_us} us) -- protocol deadlock?"
-                )
+        try:
+            self.engine.run(until=round(deadline_us * 1_000_000))
+        except Exception as exc:
+            # a rank's exception escapes the engine from its process
+            for rank, process in processes.items():
+                if process.error is exc:
+                    raise RankFailedError(rank) from exc
+            raise
+        unfinished = sorted(
+            rank for rank, process in processes.items() if not process.finished
+        )
+        if unfinished:
+            raise DeadlockError(unfinished, deadline_us)
         return {rank: process.result for rank, process in processes.items()}
 
     @property

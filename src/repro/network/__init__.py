@@ -9,23 +9,13 @@ arrivals stay in order per (source, destination) pair -- the ordering
 MPI's matching semantics rely on.
 """
 
-from repro.network.packet import Packet, PacketKind, HEADER_BYTES
-from repro.network.fabric import Fabric, FabricConfig
-from repro.network.topology import (
-    TOPOLOGY_PRESETS,
-    Topology,
-    TopologyConfig,
-    balanced_dims,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "Packet",
-    "PacketKind",
-    "HEADER_BYTES",
-    "Fabric",
-    "FabricConfig",
-    "Topology",
-    "TopologyConfig",
-    "TOPOLOGY_PRESETS",
-    "balanced_dims",
-]
+__getattr__, __dir__, __all__ = attach(
+    globals(),
+    {
+        "packet": ("Packet", "PacketKind", "HEADER_BYTES"),
+        "fabric": ("Fabric", "FabricConfig"),
+        "topology": ("Topology", "TopologyConfig", "TOPOLOGY_PRESETS", "balanced_dims"),
+    },
+)

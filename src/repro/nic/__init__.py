@@ -21,34 +21,18 @@ updating the ALPU."
 * :mod:`repro.nic.nic` -- the assembled NIC.
 """
 
-from repro.nic.queues import QueueEntry, NicQueue, EntryKind
-from repro.nic.host_interface import (
-    PostRecv,
-    PostSend,
-    Completion,
-    HostCommand,
-)
-from repro.nic.dma import DmaEngine, DmaConfig
-from repro.nic.alpu_device import AlpuDevice
-from repro.nic.driver import AlpuQueueDriver, DriverConfig
-from repro.nic.firmware import NicFirmware, FirmwareConfig
-from repro.nic.nic import Nic, NicConfig
+from repro._lazy import attach
 
-__all__ = [
-    "QueueEntry",
-    "NicQueue",
-    "EntryKind",
-    "PostRecv",
-    "PostSend",
-    "Completion",
-    "HostCommand",
-    "DmaEngine",
-    "DmaConfig",
-    "AlpuDevice",
-    "AlpuQueueDriver",
-    "DriverConfig",
-    "NicFirmware",
-    "FirmwareConfig",
-    "Nic",
-    "NicConfig",
-]
+__getattr__, __dir__, __all__ = attach(
+    globals(),
+    {
+        "queues": ("QueueEntry", "NicQueue", "EntryKind"),
+        "host_interface": ("PostRecv", "PostSend", "Completion", "HostCommand"),
+        "dma": ("DmaEngine", "DmaConfig"),
+        "alpu_device": ("AlpuDevice",),
+        "driver": ("AlpuQueueDriver",),
+        "alpu_config": ("DriverConfig",),
+        "firmware": ("NicFirmware", "FirmwareConfig"),
+        "nic": ("Nic", "NicConfig"),
+    },
+)

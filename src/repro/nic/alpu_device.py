@@ -18,13 +18,13 @@ Responses appear in the result FIFO in protocol order.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Optional, Tuple
 
 from repro.core.alpu import Alpu, AlpuConfig
 from repro.core.commands import Command, Insert, Response
 from repro.core.match import MatchRequest
 from repro.core.pipeline import AlpuTimingModel
+from repro.nic.alpu_config import AlpuFaultConfig
 from repro.obs.recorder import KIND_BEGIN, KIND_END
 from repro.proc.params import NIC_BUS_LATENCY_PS
 from repro.sim.component import Component
@@ -32,28 +32,6 @@ from repro.sim.engine import Engine
 from repro.sim.fifo import Fifo
 from repro.sim.process import Process, delay, wait_on
 from repro.sim.signal import Signal
-
-
-@dataclasses.dataclass(frozen=True)
-class AlpuFaultConfig:
-    """Injectable device failure for recovery testing.
-
-    ``mode="stall"`` freezes the device pipeline at ``at_ps``: headers and
-    commands keep accumulating in the FIFOs but the result FIFO stops
-    producing -- the stuck-device scenario the driver's stall budget and
-    the firmware's backend degradation are built to survive.  The default
-    ``mode="none"`` schedules nothing and changes nothing.
-    """
-
-    mode: str = "none"
-    #: simulated time at which the fault trips
-    at_ps: int = 0
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("none", "stall"):
-            raise ValueError(f"unknown ALPU fault mode {self.mode!r}")
-        if self.at_ps < 0:
-            raise ValueError(f"at_ps must be >= 0, got {self.at_ps}")
 
 
 class AlpuDevice(Component):

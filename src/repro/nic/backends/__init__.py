@@ -25,37 +25,39 @@ Adding an engine is one registration::
     NicConfig(firmware=FirmwareConfig(matching="mine"))  # just works
 
 ``FirmwareConfig.matching`` accepts any registered name: the stock
-``"list"``, ``"hash"`` and ``"alpu"`` engines are registered here.
+``"list"``, ``"hash"`` and ``"alpu"`` engines are registered here.  A
+factory may also be registered as a ``"module:attribute"`` path, which
+the first :func:`backend_spec` lookup imports; the hash and ALPU engines
+are, so a run imports only the engine its NICs use.
 """
 
-from repro.nic.backends.alpumatch import AlpuMatchBackend
-from repro.nic.backends.base import MatchBackend
-from repro.nic.backends.hashtable import HashTableBackend
+from repro._lazy import attach
 from repro.nic.backends.listsearch import ListSearchBackend
-from repro.nic.backends.registry import (
-    BackendSpec,
-    Registry,
-    backend_spec,
-    create_backend,
-    register_backend,
-    registered_backends,
-    unregister_backend,
+from repro.nic.backends.registry import register_backend
+
+# the baseline engine is the degrade target of every firmware, so it is
+# registered as a class; the others resolve on their first lookup
+register_backend("list", ListSearchBackend)
+register_backend("hash", "repro.nic.backends.hashtable:HashTableBackend")
+register_backend(
+    "alpu", "repro.nic.backends.alpumatch:AlpuMatchBackend", needs_alpu=True
 )
 
-register_backend("list", ListSearchBackend)
-register_backend("hash", HashTableBackend)
-register_backend("alpu", AlpuMatchBackend, needs_alpu=True)
-
-__all__ = [
-    "AlpuMatchBackend",
-    "BackendSpec",
-    "HashTableBackend",
-    "ListSearchBackend",
-    "MatchBackend",
-    "Registry",
-    "backend_spec",
-    "create_backend",
-    "register_backend",
-    "registered_backends",
-    "unregister_backend",
-]
+__getattr__, __dir__, __all__ = attach(
+    globals(),
+    {
+        "alpumatch": ("AlpuMatchBackend",),
+        "base": ("MatchBackend",),
+        "hashtable": ("HashTableBackend",),
+        "listsearch": ("ListSearchBackend",),
+        "registry": (
+            "BackendSpec",
+            "Registry",
+            "backend_spec",
+            "create_backend",
+            "register_backend",
+            "registered_backends",
+            "unregister_backend",
+        ),
+    },
+)

@@ -9,13 +9,17 @@ error reporting; the module-level functions wrap one instance of it as
 
 Registering a backend makes its name a valid ``FirmwareConfig.matching``
 value; ``needs_alpu=True`` additionally tells the NIC assembly to build
-the two ALPU devices and their drivers before the firmware starts.
+the two ALPU devices and their drivers before the firmware starts.  A
+factory given as a ``"module:attribute"`` path is imported by the first
+:func:`backend_spec` lookup of its name, and the resolved spec replaces
+the registered one.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, Generic, Tuple, TypeVar
+import importlib
+from typing import Callable, Dict, Generic, Tuple, TypeVar, Union
 
 T = TypeVar("T")
 
@@ -60,7 +64,9 @@ class BackendSpec:
     """How to build one matching backend, plus its hardware needs."""
 
     name: str
-    factory: Callable[[], "object"]
+    #: the backend class (or any zero-argument callable returning a
+    #: backend); a ``"module:attribute"`` path until first looked up
+    factory: Union[Callable[[], "object"], str]
     #: the NIC must assemble ALPU devices + drivers for this backend
     needs_alpu: bool = False
 
@@ -71,7 +77,7 @@ BACKENDS: Registry[BackendSpec] = Registry("matching engine")
 
 def register_backend(
     name: str,
-    factory: Callable[[], "object"],
+    factory: Union[Callable[[], "object"], str],
     *,
     needs_alpu: bool = False,
     replace: bool = False,
@@ -79,7 +85,8 @@ def register_backend(
     """Make ``name`` a valid ``FirmwareConfig.matching`` value.
 
     ``factory`` is called once per NIC firmware instance and must return
-    a fresh :class:`~repro.nic.backends.base.MatchBackend`.
+    a fresh :class:`~repro.nic.backends.base.MatchBackend`; a
+    ``"module:attribute"`` path names it without importing it yet.
     """
     BACKENDS.register(
         name, BackendSpec(name=name, factory=factory, needs_alpu=needs_alpu),
@@ -94,7 +101,13 @@ def unregister_backend(name: str) -> None:
 
 def backend_spec(name: str) -> BackendSpec:
     """Resolve a backend name; raises ``ValueError`` when unknown."""
-    return BACKENDS.get(name)
+    spec = BACKENDS.get(name)
+    if isinstance(spec.factory, str):
+        module, _, attribute = spec.factory.partition(":")
+        factory = getattr(importlib.import_module(module), attribute)
+        spec = dataclasses.replace(spec, factory=factory)
+        BACKENDS.register(name, spec, replace=True)
+    return spec
 
 
 def create_backend(name: str):

@@ -24,7 +24,6 @@ and bus time as they go.
 
 from __future__ import annotations
 
-import dataclasses
 from collections import deque
 from typing import Deque, Dict, Optional
 
@@ -37,36 +36,12 @@ from repro.core.commands import (
     StartInsert,
     StopInsert,
 )
+from repro.nic.alpu_config import AlpuStallError, DriverConfig
 from repro.nic.alpu_device import AlpuDevice
 from repro.nic.queues import NicQueue, QueueEntry
 from repro.proc.costmodel import NicCostModel
 from repro.proc.processor import Processor
-from repro.sim.engine import SimulationError
 from repro.sim.process import delay, wait_on
-from repro.sim.units import us
-
-
-class AlpuStallError(SimulationError):
-    """The ALPU result FIFO stayed empty past the driver's stall budget.
-
-    Raised instead of silently re-arming the poll timeout forever; the
-    firmware catches it to degrade onto a software backend.
-    """
-
-
-@dataclasses.dataclass(frozen=True)
-class DriverConfig:
-    """Tunables for the list-management heuristics."""
-
-    #: engage the ALPU only when the queue has at least this many entries
-    use_threshold: int = 1
-    #: cap on entries moved per insert batch (None = as many as fit)
-    max_batch: Optional[int] = None
-    #: how long one blocking result read waits before its timeout expires
-    result_timeout_ps: int = us(100)
-    #: consecutive timeout expiries tolerated on one blocking read before
-    #: the device is declared stalled (:class:`AlpuStallError`)
-    stall_budget: int = 50
 
 
 class AlpuQueueDriver:

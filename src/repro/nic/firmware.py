@@ -25,8 +25,8 @@ from typing import Dict, Tuple
 
 from repro.core.match import MatchFormat, MatchRequest
 from repro.network.packet import EAGER, RNDV_CTS, RNDV_DATA, RNDV_RTS, Packet
+from repro.nic.alpu_config import AlpuStallError
 from repro.nic.backends import backend_spec, create_backend
-from repro.nic.driver import AlpuStallError
 from repro.nic.host_interface import Completion, PostRecv, PostSend
 from repro.nic.queues import (
     ENTRY_BYTES, POSTED_RECV, SEND, UNEXPECTED_EAGER, UNEXPECTED_RNDV, NicQueue, QueueEntry

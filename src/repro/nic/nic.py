@@ -19,17 +19,15 @@ from __future__ import annotations
 
 import dataclasses
 from collections import deque
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.core import AlpuConfig, CellKind
 from repro.core.match import MatchRequest
 from repro.core.pipeline import AlpuTimingModel
 from repro.memory.layout import AddressAllocator
 from repro.network.fabric import Fabric
 from repro.network.packet import Packet
-from repro.nic.alpu_device import AlpuDevice, AlpuFaultConfig
+from repro.nic.alpu_config import AlpuFaultConfig, DriverConfig
 from repro.nic.dma import DmaConfig, DmaEngine
-from repro.nic.driver import AlpuQueueDriver, DriverConfig
 from repro.nic.firmware import FirmwareConfig, NicFirmware
 from repro.nic.qdisc import AdmissionControl, QdiscConfig, create_discipline
 from repro.nic.reliability import ReliabilityConfig, ReliabilityLayer
@@ -44,6 +42,11 @@ from repro.sim.fifo import Fifo
 from repro.sim.link import Link
 from repro.sim.process import Process
 from repro.sim.signal import Signal
+
+if TYPE_CHECKING:
+    from repro.core.alpu import AlpuConfig
+    from repro.nic.alpu_device import AlpuDevice
+    from repro.nic.driver import AlpuQueueDriver
 
 
 @dataclasses.dataclass(frozen=True)
@@ -109,6 +112,8 @@ class NicConfig:
     @staticmethod
     def with_alpu(total_cells: int = 256, block_size: int = 16) -> "NicConfig":
         """A NIC with posted-receive and unexpected ALPUs of equal size."""
+        from repro.core.alpu import AlpuConfig, CellKind
+
         return NicConfig(
             firmware=FirmwareConfig(matching="alpu"),
             alpu_posted=AlpuConfig(
@@ -152,17 +157,22 @@ class Nic(Component):
         # each -- disciplines hold per-queue shard state), the send queue
         # is always plain FIFO
         fmt = config.firmware.match_format
+        # entry uids come from the engine, unique across the world
         self.posted_recv_q = NicQueue(
             f"{self.name}.postedRecvQ",
             self.allocator,
             discipline=create_discipline(config.qdisc, fmt),
+            uids=engine.uids,
         )
         self.unexpected_q = NicQueue(
             f"{self.name}.unexpectedQ",
             self.allocator,
             discipline=create_discipline(config.qdisc, fmt),
+            uids=engine.uids,
         )
-        self.send_q = NicQueue(f"{self.name}.sendQ", self.allocator)
+        self.send_q = NicQueue(
+            f"{self.name}.sendQ", self.allocator, uids=engine.uids
+        )
         if engine.metrics.enabled:
             for queue in (self.posted_recv_q, self.unexpected_q, self.send_q):
                 engine.metrics.register_collector(
@@ -214,14 +224,19 @@ class Nic(Component):
         )
         self._completion_links = {0: self.host_completion_link}
 
-        # the ALPUs and their drivers, built whenever the resolved
-        # matching backend declares it needs them (needs_alpu=True in the
-        # backend registry; the stock "alpu" backend does)
+        # the ALPUs and their drivers, built (and their stack imported)
+        # only when the resolved matching backend declares it needs them
+        # (needs_alpu=True in the backend registry; the stock "alpu"
+        # backend does)
         self.posted_device: Optional[AlpuDevice] = None
         self.unexpected_device: Optional[AlpuDevice] = None
         self.posted_driver: Optional[AlpuQueueDriver] = None
         self.unexpected_driver: Optional[AlpuQueueDriver] = None
         if config.firmware.backend.needs_alpu:
+            from repro.core.alpu import AlpuConfig, CellKind
+            from repro.nic.alpu_device import AlpuDevice
+            from repro.nic.driver import AlpuQueueDriver
+
             posted_cfg = config.alpu_posted or AlpuConfig(
                 kind=CellKind.POSTED_RECEIVE
             )

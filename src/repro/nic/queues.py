@@ -31,7 +31,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import itertools
-from typing import Iterable, Iterator, List
+from typing import Iterable, Iterator, List, Optional
 
 from repro.core.match import MatchRequest
 from repro.memory.layout import AddressAllocator
@@ -52,9 +52,6 @@ POSTED_RECV = EntryKind.POSTED_RECV
 UNEXPECTED_EAGER = EntryKind.UNEXPECTED_EAGER
 UNEXPECTED_RNDV = EntryKind.UNEXPECTED_RNDV
 SEND = EntryKind.SEND
-
-
-_entry_ids = itertools.count(1)
 
 
 @dataclasses.dataclass(eq=False, slots=True)
@@ -94,8 +91,9 @@ class QueueEntry:
     #: queue-global append order (assigned by :meth:`NicQueue.append`);
     #: sharded disciplines merge shards on it to recover FIFO age order
     seq: int = 0
-    #: unique id; doubles as the ALPU tag via the driver's tag table
-    uid: int = dataclasses.field(default_factory=lambda: next(_entry_ids))
+    #: unique within the world (see :meth:`NicQueue.allocate_entry`);
+    #: doubles as the ALPU tag via the driver's tag table
+    uid: int = dataclasses.field(kw_only=True)
 
     def matches(self, request: MatchRequest) -> bool:
         """Ternary compare against a request (wildcards honoured).
@@ -125,11 +123,22 @@ class NicQueue:
     ``entries``, ``bits`` and ``addrs`` are parallel lists in FIFO
     order, and ``masked`` counts the entries with a nonzero mask; all
     four are read-only outside this class.
+
+    ``uids`` is the iterator entry uids are drawn from: a NIC passes its
+    engine's :attr:`~repro.sim.engine.Engine.uids`, shared by every queue
+    of the world; a queue built alone numbers its own entries from 1.
     """
 
-    def __init__(self, name: str, allocator: AddressAllocator, discipline=None) -> None:
+    def __init__(
+        self,
+        name: str,
+        allocator: AddressAllocator,
+        discipline=None,
+        uids: Optional[Iterator[int]] = None,
+    ) -> None:
         self.name = name
         self.allocator = allocator
+        self._uids = uids if uids is not None else itertools.count(1)
         self.entries: List[QueueEntry] = []
         self.bits: List[int] = []
         self.addrs: List[int] = []
@@ -180,7 +189,13 @@ class NicQueue:
         """Carve an entry block out of NIC memory (recycled when possible)."""
         addr = self.allocator.alloc(ENTRY_BYTES, alignment=ENTRY_BYTES)
         entry = QueueEntry(
-            kind=kind, bits=bits, mask=mask, addr=addr, size=size, **fields
+            kind=kind,
+            bits=bits,
+            mask=mask,
+            addr=addr,
+            size=size,
+            uid=next(self._uids),
+            **fields,
         )
         return entry
 

@@ -37,76 +37,42 @@ registers nothing and costs one no-op call per histogram site and one
 simulated time, so latencies are bit-identical either way (pinned by
 ``tests/obs/test_zero_perturbation.py``).
 
-This package depends on nothing else in :mod:`repro` (the sim engine
+This package depends on no other layer of :mod:`repro` (the sim engine
 imports *it*), so any layer may use it without cycles.
 """
 
-from repro.obs.chrome import chrome_trace_events, to_chrome, write_chrome
-from repro.obs.health import (
-    DerivativeWatchdog,
-    HealthFinding,
-    HealthMonitor,
-    ImbalanceWatchdog,
-    MetricWatchdog,
-    SEVERITIES,
-    StallWatchdog,
-    ThresholdWatchdog,
-    Watchdog,
-    default_watchdogs,
-    has_finding,
-    verdict_of,
-)
-from repro.obs.metrics import (
-    Histogram,
-    MetricsRegistry,
-    NullRegistry,
-    NULL_REGISTRY,
-)
-from repro.obs.probe import DEFAULT_INTERVAL_PS, SamplingProbe
-from repro.obs.recorder import (
-    MessageLifecycle,
-    NullRecorder,
-    NULL_RECORDER,
-    Record,
-    Recorder,
-    TERMINAL_STAGE,
-)
-from repro.obs.selfprof import SimProfiler
-from repro.obs.telemetry import REPORT_VERSION, Telemetry, TelemetryReuseError
-from repro.obs.timeline import Series, Timeline
+from repro._lazy import attach
 
-__all__ = [
-    "DerivativeWatchdog",
-    "HealthFinding",
-    "HealthMonitor",
-    "ImbalanceWatchdog",
-    "MetricWatchdog",
-    "SEVERITIES",
-    "StallWatchdog",
-    "ThresholdWatchdog",
-    "Watchdog",
-    "default_watchdogs",
-    "has_finding",
-    "verdict_of",
-    "Series",
-    "Timeline",
-    "REPORT_VERSION",
-    "MessageLifecycle",
-    "NullRecorder",
-    "NULL_RECORDER",
-    "Record",
-    "Recorder",
-    "TERMINAL_STAGE",
-    "SimProfiler",
-    "Histogram",
-    "MetricsRegistry",
-    "NullRegistry",
-    "NULL_REGISTRY",
-    "SamplingProbe",
-    "DEFAULT_INTERVAL_PS",
-    "Telemetry",
-    "TelemetryReuseError",
-    "chrome_trace_events",
-    "to_chrome",
-    "write_chrome",
-]
+__getattr__, __dir__, __all__ = attach(
+    globals(),
+    {
+        "health": (
+            "DerivativeWatchdog",
+            "HealthFinding",
+            "HealthMonitor",
+            "ImbalanceWatchdog",
+            "MetricWatchdog",
+            "SEVERITIES",
+            "StallWatchdog",
+            "ThresholdWatchdog",
+            "Watchdog",
+            "default_watchdogs",
+            "has_finding",
+            "verdict_of",
+        ),
+        "timeline": ("Series", "Timeline"),
+        "recorder": (
+            "MessageLifecycle",
+            "NullRecorder",
+            "NULL_RECORDER",
+            "Record",
+            "Recorder",
+            "TERMINAL_STAGE",
+        ),
+        "selfprof": ("SimProfiler",),
+        "metrics": ("Histogram", "MetricsRegistry", "NullRegistry", "NULL_REGISTRY"),
+        "probe": ("SamplingProbe", "DEFAULT_INTERVAL_PS"),
+        "telemetry": ("REPORT_VERSION", "Telemetry", "TelemetryReuseError"),
+        "chrome": ("chrome_trace_events", "to_chrome", "write_chrome"),
+    },
+)

@@ -23,7 +23,6 @@ simulator visible there.
 
 from __future__ import annotations
 
-import time
 from typing import Callable, Dict
 
 
@@ -88,6 +87,3 @@ class SimProfiler:
             },
         }
 
-
-#: the clock the engine's timed branch uses (module-level for test stubs)
-perf_counter = time.perf_counter

@@ -16,25 +16,20 @@ load-to-use latencies in Table III's 30-32 (NIC) and 85-90 (host) cycle
 bands.
 """
 
-from repro.proc.params import (
-    ProcessorParams,
-    CPU_PARAMS,
-    NIC_PARAMS,
-    TABLE_III_ROWS,
-    make_host_memory,
-    make_nic_memory,
-)
-from repro.proc.costmodel import NicCostModel, HostCostModel
-from repro.proc.processor import Processor
+from repro._lazy import attach
 
-__all__ = [
-    "ProcessorParams",
-    "CPU_PARAMS",
-    "NIC_PARAMS",
-    "TABLE_III_ROWS",
-    "make_host_memory",
-    "make_nic_memory",
-    "NicCostModel",
-    "HostCostModel",
-    "Processor",
-]
+__getattr__, __dir__, __all__ = attach(
+    globals(),
+    {
+        "params": (
+            "ProcessorParams",
+            "CPU_PARAMS",
+            "NIC_PARAMS",
+            "TABLE_III_ROWS",
+            "make_host_memory",
+            "make_nic_memory",
+        ),
+        "costmodel": ("NicCostModel", "HostCostModel"),
+        "processor": ("Processor",),
+    },
+)

@@ -22,43 +22,18 @@ Time is kept as an integer count of picoseconds so that cycle arithmetic at
 2 GHz (500 ps) and 500 MHz (2000 ps) is exact.
 """
 
-from repro.sim.engine import Engine, SimulationError
-from repro.sim.event import EventHandle
-from repro.sim.component import Component, ClockedComponent
-from repro.sim.link import Link
-from repro.sim.fifo import Fifo, FifoFullError, FifoEmptyError
-from repro.sim.process import Process, ProcessState, delay, wait_on, now
-from repro.sim.signal import Signal
+from repro._lazy import attach
 
-from repro.sim.units import (
-    PS_PER_NS,
-    PS_PER_US,
-    ns,
-    us,
-    cycles_to_ps,
-    ps_to_ns,
+__getattr__, __dir__, __all__ = attach(
+    globals(),
+    {
+        "engine": ("Engine", "SimulationError"),
+        "event": ("EventHandle",),
+        "component": ("Component", "ClockedComponent"),
+        "link": ("Link",),
+        "fifo": ("Fifo", "FifoFullError", "FifoEmptyError"),
+        "process": ("Process", "ProcessState", "delay", "wait_on", "now"),
+        "signal": ("Signal",),
+        "units": ("PS_PER_NS", "PS_PER_US", "ns", "us", "cycles_to_ps", "ps_to_ns"),
+    },
 )
-
-__all__ = [
-    "Engine",
-    "SimulationError",
-    "EventHandle",
-    "Component",
-    "ClockedComponent",
-    "Link",
-    "Fifo",
-    "FifoFullError",
-    "FifoEmptyError",
-    "Process",
-    "ProcessState",
-    "delay",
-    "wait_on",
-    "now",
-    "Signal",
-    "PS_PER_NS",
-    "PS_PER_US",
-    "ns",
-    "us",
-    "cycles_to_ps",
-    "ps_to_ns",
-]

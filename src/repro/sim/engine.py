@@ -40,13 +40,14 @@ determinism contract.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from heapq import heappop, heappush
+from time import perf_counter
 from typing import Any, Callable, Optional
 
 from repro.obs.metrics import NULL_REGISTRY
 from repro.obs.recorder import NULL_RECORDER
-from repro.obs.selfprof import perf_counter
 from repro.sim.event import EventHandle
 
 
@@ -94,6 +95,10 @@ class Engine:
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
         self.recorder = recorder if recorder is not None else NULL_RECORDER
         self.profiler = profiler
+        #: ids unique within this engine's simulated world, from 1 (the
+        #: NIC queues draw entry uids, and so packet send ids, from it),
+        #: so two identical worlds in one process number alike
+        self.uids = itertools.count(1)
         self.recorder.attach_clock(lambda: self._now)
         if self.metrics.enabled:
             self.metrics.register_collector("engine/events", lambda: self._fired)

@@ -37,41 +37,22 @@ the run's metrics with ``telemetry.snapshot()``.
   (baseline NIC, 128-entry ALPU, 256-entry ALPU).
 """
 
-from repro.workloads.halo import HaloParams, HaloResult, run_halo
-from repro.workloads.pingpong import PingPongParams, run_pingpong
-from repro.workloads.preposted import PrepostedParams, PrepostedResult, run_preposted
-from repro.workloads.unexpected import (
-    UnexpectedParams,
-    UnexpectedResult,
-    run_unexpected,
-)
-from repro.workloads.sweep import (
-    dump_telemetry,
-    nic_preset,
-    PRESETS,
-    run_sweep,
-    SweepRow,
-    SweepSpec,
-    telemetry_report,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "HaloParams",
-    "HaloResult",
-    "run_halo",
-    "PingPongParams",
-    "run_pingpong",
-    "PrepostedParams",
-    "PrepostedResult",
-    "run_preposted",
-    "UnexpectedParams",
-    "UnexpectedResult",
-    "run_unexpected",
-    "dump_telemetry",
-    "nic_preset",
-    "PRESETS",
-    "run_sweep",
-    "SweepRow",
-    "SweepSpec",
-    "telemetry_report",
-]
+__getattr__, __dir__, __all__ = attach(
+    globals(),
+    {
+        "halo": ("HaloParams", "HaloResult", "run_halo"),
+        "pingpong": ("PingPongParams", "run_pingpong"),
+        "preposted": ("PrepostedParams", "PrepostedResult", "run_preposted"),
+        "unexpected": ("UnexpectedParams", "UnexpectedResult", "run_unexpected"),
+        "runner": ("nic_preset", "PRESETS"),
+        "sweep": (
+            "dump_telemetry",
+            "run_sweep",
+            "SweepRow",
+            "SweepSpec",
+            "telemetry_report",
+        ),
+    },
+)

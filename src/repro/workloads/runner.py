@@ -3,18 +3,45 @@
 A workload is a plan function, ``plan(params) -> Plan`` (the contract is
 in :mod:`repro.workloads`); each public ``run_x`` binds :func:`run` to
 its plan.
+
+The three receiver presets of the paper's comparison live here too
+(:data:`PRESETS` / :func:`nic_preset`): the baseline NIC (embedded
+processor only, Red Storm-like), and the same NIC with 128- or
+256-entry ALPUs.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import statistics
 from typing import Callable, Dict, List, Optional
 
 from repro.mpi.world import MpiWorld, WorldConfig
 from repro.network.fabric import FabricConfig
 from repro.network.faults import FaultConfig
 from repro.nic.nic import NicConfig
+
+#: the three receiver configurations of Figures 5 and 6
+PRESETS = ("baseline", "alpu128", "alpu256")
+
+
+def nic_preset(name: str, *, block_size: int = 16) -> NicConfig:
+    """Build one of the paper's receiver configurations by name.
+
+    Beyond the three Figure 5/6 presets (:data:`PRESETS`), ``"hash"``
+    builds the Section II hash-table ablation NIC so sweeps and the
+    benchmark baseline can cover it with the same plumbing.
+    """
+    if name == "baseline":
+        return NicConfig.baseline()
+    if name == "hash":
+        return NicConfig.with_backend("hash")
+    if name == "alpu128":
+        return NicConfig.with_alpu(total_cells=128, block_size=block_size)
+    if name == "alpu256":
+        return NicConfig.with_alpu(total_cells=256, block_size=block_size)
+    raise ValueError(
+        f"unknown preset {name!r}; expected one of {PRESETS + ('hash',)}"
+    )
 
 
 @dataclasses.dataclass
@@ -25,10 +52,14 @@ class Samples:
 
     @property
     def mean_ns(self) -> float:
+        import statistics
+
         return statistics.fmean(self.latencies_ns)
 
     @property
     def median_ns(self) -> float:
+        import statistics
+
         return statistics.median(self.latencies_ns)
 
 

@@ -12,10 +12,8 @@ embarrassingly parallel *and* deterministic: the same spec produces
 bit-identical rows whether ``workers`` is ``None`` or 8 (pinned by
 test).
 
-The three receiver presets of the paper's comparison live here too
-(:data:`PRESETS` / :func:`nic_preset`): the baseline NIC (embedded
-processor only, Red Storm-like), and the same NIC with 128- or
-256-entry ALPUs.
+The receiver presets (:data:`PRESETS` / :func:`nic_preset`) live beside
+the runner, in :mod:`repro.workloads.runner`; they are re-exported here.
 """
 
 from __future__ import annotations
@@ -23,11 +21,9 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
-import multiprocessing
 import os
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.analysis.attribution import attribute_run
 from repro.network.faults import FaultConfig
 from repro.nic.nic import NicConfig
 from repro.nic.qdisc import QdiscConfig
@@ -37,31 +33,24 @@ from repro.workloads.alltoall import AlltoallParams, run_alltoall
 from repro.workloads.halo import HaloParams, run_halo
 from repro.workloads.multijob import MultijobParams, run_multijob
 from repro.workloads.preposted import PrepostedParams, run_preposted
+from repro.workloads.runner import PRESETS, nic_preset
 from repro.workloads.storm import StormParams, run_storm
 from repro.workloads.unexpected import UnexpectedParams, run_unexpected
 
-#: the three receiver configurations of Figures 5 and 6
-PRESETS = ("baseline", "alpu128", "alpu256")
+if TYPE_CHECKING:
+    import multiprocessing.context
 
-
-def nic_preset(name: str, *, block_size: int = 16) -> NicConfig:
-    """Build one of the paper's receiver configurations by name.
-
-    Beyond the three Figure 5/6 presets (:data:`PRESETS`), ``"hash"``
-    builds the Section II hash-table ablation NIC so sweeps and the
-    benchmark baseline can cover it with the same plumbing.
-    """
-    if name == "baseline":
-        return NicConfig.baseline()
-    if name == "hash":
-        return NicConfig.with_backend("hash")
-    if name == "alpu128":
-        return NicConfig.with_alpu(total_cells=128, block_size=block_size)
-    if name == "alpu256":
-        return NicConfig.with_alpu(total_cells=256, block_size=block_size)
-    raise ValueError(
-        f"unknown preset {name!r}; expected one of {PRESETS + ('hash',)}"
-    )
+__all__ = [
+    "BENCHMARKS",
+    "PRESETS",
+    "SweepRow",
+    "SweepSpec",
+    "dump_telemetry",
+    "nic_preset",
+    "run_point",
+    "run_sweep",
+    "telemetry_report",
+]
 
 
 @dataclasses.dataclass
@@ -341,6 +330,8 @@ def run_point(
     metrics = bundle.snapshot() if spec.telemetry else None
     attribution = None
     if spec.lifecycle:
+        from repro.analysis.attribution import attribute_run
+
         attribution = attribute_run(bundle.lifecycles())
     health = None
     if spec.telemetry:
@@ -368,6 +359,8 @@ def _pool_entry(job: Tuple[SweepSpec, str, Dict[str, object]]) -> SweepRow:
 
 def _pool_context() -> multiprocessing.context.BaseContext:
     """Fork when the platform has it (cheap, no re-import); spawn otherwise."""
+    import multiprocessing
+
     try:
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms

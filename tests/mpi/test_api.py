@@ -5,15 +5,19 @@ import pytest
 from repro.core.match import ANY_SOURCE, ANY_TAG
 from repro.mpi.api import MpiError
 from repro.mpi.datatypes import MPI_DOUBLE, MPI_INT
-from repro.mpi.world import MpiWorld, WorldConfig
+from repro.mpi.world import MpiWorld, RankFailedError, WorldConfig
 from repro.nic.nic import NicConfig
 
 
 def run_world(programs, num_ranks=2, nic=None):
+    """Run the programs; a failed rank re-raises its own exception."""
     world = MpiWorld(
         WorldConfig(num_ranks=num_ranks, nic=nic or NicConfig.baseline())
     )
-    return world.run(programs, deadline_us=100_000)
+    try:
+        return world.run(programs, deadline_us=100_000)
+    except RankFailedError as failed:
+        raise failed.__cause__
 
 
 def test_rank_and_size():

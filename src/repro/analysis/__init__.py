@@ -10,16 +10,17 @@ side by side.
 :mod:`repro.analysis.attribution` goes one level deeper: it folds the
 message lifecycles (:mod:`repro.obs.recorder`) into per-message
 stage-residency budgets that sum exactly to each message's end-to-end
-latency, aggregates percentile breakdowns, and finds the dominant stage
-and software/ALPU search crossover.  It is also a CLI
-(``python -m repro.analysis.attribution``).
+latency, and into per-link budgets off the per-hop marks; it
+aggregates percentile breakdowns, and finds the dominant stage and
+software/ALPU search crossover.
 
 :mod:`repro.analysis.report` folds one run's whole telemetry artifact
-(metrics, timeline, health findings, lifecycles, self-profile) into
-text/JSON/HTML renderings -- the unified run report
-(``python -m repro.analysis.report``).  Its :func:`load_report` is the
-one loader for every telemetry dump, sweep dumps included, and its row
-helpers filter a sweep dump's rows by metric or health.
+(metrics, timeline, health findings, fabric, lifecycles, self-profile)
+into report sections rendered as text, JSON or HTML -- the unified run
+report, and the one analysis CLI (``python -m repro.analysis.report``).
+Its :func:`load_report` is the one loader for every telemetry dump,
+sweep dumps included, and its row helpers filter a sweep dump's rows by
+metric or health.
 """
 
 from repro._lazy import attach
@@ -36,7 +37,6 @@ __getattr__, __dir__, __all__ = attach(
             "crossover_queue_length",
             "dominant_stage",
             "end_to_end_ps",
-            "format_report",
             "stage_budget",
             "stage_series",
         ),
@@ -60,6 +60,7 @@ __getattr__, __dir__, __all__ = attach(
             "row_verdict",
             "rows_with_finding",
             "fold",
+            "format_report",
             "render_html",
             "render_json",
             "render_text",

@@ -11,29 +11,16 @@ The fold is the telescoping invariant: residency of stage ``i`` is
 rendezvous round trips) summing, so every budget adds up *exactly* to the
 message's end-to-end latency -- asserted here, not merely hoped.
 
-Run as a CLI::
-
-    python -m repro.analysis.attribution --benchmark preposted \
-        --backend list --queue-length 50 --iterations 8
-
-runs one benchmark point with the recorder on and prints the budget
-table (``--json`` for machine-readable output, ``--chrome trace.json``
-for a Perfetto trace with one track per message, ``--dump
-lifecycles.json`` to save the raw lifecycles; ``--input
-lifecycles.json`` analyzes a prior dump instead of running the
-simulator).
+The run report (:mod:`repro.analysis.report`, also the CLI) renders
+these folds as its "Latency attribution" section and the per-link
+budgets of its "Fabric" section.
 """
 
 from __future__ import annotations
 
-import argparse
-import dataclasses
-import json
 import statistics
-import sys
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.obs.chrome import write_chrome
 from repro.obs.recorder import MessageLifecycle
 from repro.sim.units import ps_to_ns
 
@@ -245,8 +232,8 @@ def link_budgets(
     Each budget carries ``packets`` (hop traversals, counted at the
     serialize mark), ``bytes``, and the summed ``wait_ps`` /
     ``serialize_ps`` / ``transit_ps`` / ``fault_delay_ps`` residencies
-    -- the congestion-attribution table the fabric CLI and the heatmap
-    caption print.  Residencies come from mark deltas, so the table's
+    -- the per-link attribution table of the run report's fabric
+    section.  Residencies come from mark deltas, so the table's
     grand total telescopes into the runs' end-to-end budgets.
     """
     field = {
@@ -360,7 +347,7 @@ def attribute_run(
     """The full report for one run: per-message rows + the aggregate.
 
     This is what sweep rows carry when lifecycle recording is on, and
-    what the CLI renders.
+    what the run report renders.
     """
     picked = select(lifecycles, label=label, timed_only=timed_only)
     if not picked:
@@ -404,167 +391,3 @@ def crossover_queue_length(
         if other is not None and value > other:
             return queue_length
     return None
-
-
-# -------------------------------------------------------------- rendering
-def format_report(
-    report: Dict[str, object], *, title: Optional[str] = None
-) -> str:
-    """Fixed-width text table of an :func:`attribute_run` report."""
-    lines: List[str] = []
-    if title:
-        lines.append(title)
-    agg = report["aggregate"]
-    lines.append(
-        f"{agg['count']} messages, end-to-end "
-        f"mean {agg['end_to_end']['mean_ns']:.1f} ns / "
-        f"p90 {agg['end_to_end']['p90_ns']:.1f} ns "
-        f"(dominant stage: {agg['dominant_stage']})"
-    )
-    header = (
-        f"{'stage':<18} {'mean ns':>9} {'p50 ns':>9} "
-        f"{'p90 ns':>9} {'max ns':>9} {'share':>7}"
-    )
-    lines.append(header)
-    lines.append("-" * len(header))
-    for stage, entry in agg["stages"].items():
-        lines.append(
-            f"{stage:<18} {entry['mean_ns']:>9.1f} {entry['p50_ns']:>9.1f} "
-            f"{entry['p90_ns']:>9.1f} {entry['max_ns']:>9.1f} "
-            f"{entry['share']:>6.1%}"
-        )
-    lines.append("-" * len(header))
-    lines.append(
-        f"{'total':<18} {agg['end_to_end']['mean_ns']:>9.1f}"
-        "  (stages sum exactly to end-to-end, per message)"
-    )
-    return "\n".join(lines)
-
-
-# --------------------------------------------------------------- the CLI
-def _load_lifecycles(path: str) -> List[MessageLifecycle]:
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    return [MessageLifecycle.from_obj(obj) for obj in payload["lifecycles"]]
-
-
-def run_benchmark(args, telemetry, **params):
-    """Run ``--benchmark`` on the ``--backend`` NIC; returns its result.
-
-    The one runner of this CLI and :mod:`repro.analysis.report`.  The
-    point takes ``--queue-length``/``--iterations``/``--warmup`` and
-    ``params``; a name the benchmark's params class lacks is ignored
-    (``--fraction`` means nothing to ``unexpected``).
-    """
-    # workloads import repro.analysis consumers; keep the dependency lazy
-    from repro.nic.nic import NicConfig
-    from repro.workloads.sweep import BENCHMARKS
-
-    if args.backend == "alpu":
-        nic = NicConfig.with_alpu(total_cells=args.alpu_cells)
-    elif args.backend == "list":
-        nic = NicConfig.baseline()
-    else:
-        nic = NicConfig.with_backend(args.backend)
-    bench = BENCHMARKS[args.benchmark]
-    params.update(
-        queue_length=args.queue_length,
-        iterations=args.iterations,
-        warmup=args.warmup,
-    )
-    fields = {field.name for field in dataclasses.fields(bench.params_cls)}
-    point = bench.params_cls(**{k: v for k, v in params.items() if k in fields})
-    return bench.runner(nic, point, telemetry=telemetry)
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis.attribution",
-        description="Per-message latency attribution for one benchmark point",
-    )
-    parser.add_argument(
-        "--benchmark",
-        choices=("preposted", "unexpected"),
-        default="preposted",
-        help="which Section V-A benchmark to run (default preposted)",
-    )
-    parser.add_argument(
-        "--backend",
-        default="list",
-        help="matching backend: list, hash, alpu, or any registered name",
-    )
-    parser.add_argument("--queue-length", type=int, default=50)
-    parser.add_argument(
-        "--fraction",
-        type=float,
-        default=1.0,
-        help="preposted traverse fraction (ignored for unexpected)",
-    )
-    parser.add_argument("--size", type=int, default=0, help="message bytes")
-    parser.add_argument("--iterations", type=int, default=8)
-    parser.add_argument("--warmup", type=int, default=2)
-    parser.add_argument(
-        "--alpu-cells", type=int, default=256, help="ALPU size for --backend alpu"
-    )
-    parser.add_argument(
-        "--input",
-        metavar="PATH",
-        help="analyze a lifecycle JSON dump instead of running the simulator",
-    )
-    parser.add_argument(
-        "--all-messages",
-        action="store_true",
-        help="include warmup/control messages, not just timed pings",
-    )
-    parser.add_argument(
-        "--json", action="store_true", help="emit the report as JSON"
-    )
-    parser.add_argument(
-        "--dump", metavar="PATH", help="also write the raw lifecycles as JSON"
-    )
-    parser.add_argument(
-        "--chrome",
-        metavar="PATH",
-        help="also write a Chrome trace (one track per message)",
-    )
-    args = parser.parse_args(argv)
-
-    records = ()
-    if args.input:
-        lifecycles = _load_lifecycles(args.input)
-        title = f"attribution of {args.input}"
-    else:
-        from repro.obs.telemetry import Telemetry
-
-        telemetry = Telemetry(tracing=True)
-        run_benchmark(
-            args, telemetry, traverse_fraction=args.fraction, message_size=args.size
-        )
-        records = telemetry.recorder.records
-        lifecycles = telemetry.lifecycles()
-        title = (
-            f"{args.benchmark} / {args.backend} backend, "
-            f"queue_length={args.queue_length}"
-        )
-    if args.dump:
-        with open(args.dump, "w", encoding="utf-8") as handle:
-            json.dump(
-                {"lifecycles": [lc.to_obj() for lc in lifecycles]},
-                handle,
-                indent=1,
-            )
-    if args.chrome:
-        write_chrome(args.chrome, records, lifecycles)
-    if args.all_messages:
-        report = attribute_run(lifecycles, label=None, timed_only=False)
-    else:
-        report = attribute_run(lifecycles)
-    if args.json:
-        print(json.dumps(report, indent=1))
-    else:
-        print(format_report(report, title=title))
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

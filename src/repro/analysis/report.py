@@ -1,51 +1,63 @@
-"""The unified run report: one artifact, three renderings.
+"""The unified run report: one artifact, one CLI, three renderings.
 
 :meth:`repro.obs.telemetry.Telemetry.report` captures everything one run
 observed -- metadata, metrics, the windowed timeline, health findings,
-raw lifecycles, simulator self-profile -- as a single versioned JSON
-document.  This module folds that artifact into human-facing renderings:
+raw lifecycles, simulator self-profile, the fabric snapshot -- as a
+single versioned JSON document.  :func:`fold` adds what analysis derives
+from it (the latency attribution and the per-link budgets), and
+:func:`sections` turns the folded document into report sections: a
+title, summary lines and tables of headers and rows, built once.  Each
+section then renders as
 
-* **text** -- a terminal report: verdict and findings up top, per-series
-  timeline sparklines, latency attribution (when lifecycles rode along),
-  simulator hotspots;
-* **json** -- the artifact enriched with the folded attribution, for
-  downstream tooling;
-* **html** -- a self-contained page (inline CSS/SVG, no external assets)
-  suitable for a CI artifact.
+* **text** (:func:`render_text`) -- a terminal report, tables drawn by
+  :func:`repro.analysis.tables.format_rows`;
+* **html** (:func:`render_html`) -- a self-contained page (inline
+  CSS/SVG, no external assets) suitable for a CI artifact;
+
+and :func:`render_json` emits the folded document itself.  Sparklines
+and the fabric heatmap are the only figures drawn per format.
 
 Run as a CLI::
 
-    python -m repro.analysis.report --input run.json --html run.html
+    python -m repro.analysis.report --benchmark preposted \
+        --preset alpu128 --queue-length 50 --html run.html --out run.json
+    python -m repro.analysis.report --benchmark halo --preset alpu128 \
+        --hotspot 0 --json
+    python -m repro.analysis.report --input run.json --chrome trace.json
+    python -m repro.analysis.report --input sweep_dump.json --row 3
 
-renders a saved artifact; without ``--input`` it runs one benchmark
-point with every collector on (like :mod:`repro.analysis.attribution`)
-and reports on that.  Attribution folding happens here, at render time:
-:mod:`repro.obs` stays import-free of :mod:`repro.analysis`.
+Without ``--input`` it runs one point of a :data:`repro.workloads.sweep.
+BENCHMARKS` workload on a :func:`~repro.workloads.runner.nic_preset` NIC
+with every collector on; a point flag left out takes the workload's own
+default.  ``--input`` reads a saved report, or one ``--row`` of a sweep
+dump, through :func:`load_report`.  Folding happens here, at render
+time: :mod:`repro.obs` stays import-free of :mod:`repro.analysis`.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import html as html_mod
 import json
+import math
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.analysis.attribution import (
-    AttributionError,
-    attribute_run,
-    format_report,
-    run_benchmark,
-)
+from repro.analysis.attribution import AttributionError, attribute_run, link_budgets
+from repro.analysis.tables import format_rows
+from repro.obs.chrome import write_chrome
 from repro.obs.health import has_finding, verdict_of
 from repro.obs.recorder import MessageLifecycle
-from repro.obs.telemetry import REPORT_VERSION
+from repro.obs.telemetry import REPORT_VERSION, Telemetry
 from repro.obs.timeline import Timeline
 
 #: sparkline glyphs, lowest to highest
 _SPARK_GLYPHS = "▁▂▃▄▅▆▇█"
 #: sparkline width (windows are resampled down to this many buckets)
 _SPARK_WIDTH = 48
+#: the busiest-routes table shows at most this many pairs
+_ROUTE_LIMIT = 24
 
 
 class ReportError(ValueError):
@@ -69,7 +81,8 @@ def load_report(path: str) -> Dict[str, object]:
       a ``rows`` list.  v1 and v2 rows hold their parameters and result
       columns as top-level keys, v2 rows add ``health``, and v3 rows nest
       them under ``params``/``extra``.  The row helpers below read only
-      ``metrics`` and ``health``, so they work on every vintage;
+      ``metrics`` and ``health``, so they work on every vintage, and
+      :func:`row_report` reads one row as a run report;
     * a **run report** (:meth:`repro.obs.telemetry.Telemetry.report`):
       a ``metrics`` section.  Sections newer than the document's version
       are filled in empty so every renderer handles older reports.
@@ -97,9 +110,17 @@ def load_report(path: str) -> Dict[str, object]:
         raise ReportError(
             f"{path} is not a telemetry dump (no 'rows' or 'metrics' key)"
         )
+    return _fill_sections(document, path)
+
+
+def _fill_sections(document: Dict[str, object], source: str) -> Dict[str, object]:
+    """Fill in the sections a run report may lack; check its profile."""
     document.setdefault("meta", {})
     document.setdefault("timeline", None)
-    document.setdefault("health", {"verdict": "healthy", "findings": []})
+    document["health"] = document.get("health") or {
+        "verdict": "healthy",
+        "findings": [],
+    }
     document.setdefault("lifecycles", None)
     document.setdefault("profile", None)
     document.setdefault("fabric", None)
@@ -108,9 +129,31 @@ def load_report(path: str) -> Dict[str, object]:
         isinstance(profile, dict) and all(f in profile for f in _PROFILE_FIELDS)
     ):
         raise ReportError(
-            f"{path}: a profile section needs {', '.join(_PROFILE_FIELDS)}"
+            f"{source}: a profile section needs {', '.join(_PROFILE_FIELDS)}"
         )
     return document
+
+
+def row_report(dump: Dict[str, object], index: int) -> Dict[str, object]:
+    """Row ``index`` of a loaded sweep dump, as a run report.
+
+    The row's ``metrics``, ``health``, ``fabric`` and ``attribution``
+    become the report's sections, and its preset and parameters its
+    ``meta``; a row keeps no timeline, lifecycles or profile.
+    """
+    row = dump["rows"][index]
+    params = row.get("params")
+    meta = {"row": index, "preset": row.get("preset")}
+    meta.update(params if isinstance(params, dict) else {})
+    document = {
+        "version": dump["version"],
+        "meta": meta,
+        "metrics": row.get("metrics") or {},
+        "health": row.get("health"),
+        "fabric": row.get("fabric"),
+        "attribution": row.get("attribution"),
+    }
+    return _fill_sections(document, f"row {index}")
 
 
 # ------------------------------------------------------------ sweep rows
@@ -193,26 +236,327 @@ def mean_sampled_depth(
     return stats["mean"]
 
 
-def fold(document: Dict[str, object]) -> Dict[str, object]:
-    """The artifact plus the render-time attribution fold.
+def queue_high_water(document: Dict[str, object]) -> List[Tuple[str, int]]:
+    """Per-queue high-water marks from the metrics snapshot.
 
-    Adds an ``attribution`` key: the :func:`~repro.analysis.attribution.
-    attribute_run` report when complete lifecycles rode along, else
-    ``None``.  Leaves the input untouched.
+    Every NIC queue registers a ``<nic>.<queue>/depth`` level whose
+    ``high_water`` is the deepest the queue got; surfacing the marks
+    answers the first capacity question a deep-queue run raises -- "how
+    deep did the unexpected queue actually get?" -- without digging
+    through the raw JSON.
+    """
+    metrics = document.get("metrics") or {}
+    return sorted(
+        (name[: -len("/depth")], int(value["high_water"]))
+        for name, value in metrics.items()
+        if name.endswith("/depth") and isinstance(value, dict)
+    )
+
+
+def fold(document: Dict[str, object]) -> Dict[str, object]:
+    """The artifact plus the render-time folds of its lifecycles.
+
+    Adds ``attribution`` (the :func:`~repro.analysis.attribution.
+    attribute_run` report, None when no complete message rode along) and
+    ``link_budgets`` (:func:`~repro.analysis.attribution.link_budgets`).
+    A document without lifecycles keeps the attribution it carries, as a
+    sweep row does.  Leaves the input untouched.
     """
     enriched = dict(document)
-    enriched["attribution"] = None
+    enriched.setdefault("attribution", None)
+    enriched["link_budgets"] = None
     lifecycles_obj = document.get("lifecycles")
     if lifecycles_obj:
         lifecycles = [MessageLifecycle.from_obj(o) for o in lifecycles_obj]
+        enriched["link_budgets"] = link_budgets(lifecycles)
         try:
             enriched["attribution"] = attribute_run(lifecycles)
         except AttributionError:
-            pass  # no complete messages: the section just stays empty
+            # no complete messages: the section just stays empty
+            enriched["attribution"] = None
     return enriched
 
 
-# -------------------------------------------------------------- sparklines
+# -------------------------------------------------------------- sections
+@dataclasses.dataclass(frozen=True)
+class Trajectory:
+    """A table cell drawn as a sparkline: glyphs in text, SVG in HTML."""
+
+    values: Tuple[float, ...]
+
+
+class Table(NamedTuple):
+    """Headers and rows of cells; a table without rows is not drawn."""
+
+    caption: str
+    headers: Tuple[str, ...]
+    rows: List[Sequence[object]]
+
+
+class Section(NamedTuple):
+    """One report section, built once and rendered by every format."""
+
+    title: str
+    lines: List[str]
+    tables: Sequence[Table] = ()
+    #: a fabric snapshot to draw as a node heatmap after the lines
+    heatmap: Optional[Dict[str, object]] = None
+
+
+def _health_section(document: Dict[str, object]) -> Section:
+    health = document.get("health") or {"verdict": "healthy", "findings": []}
+    findings = health.get("findings", [])
+    verdict = health.get("verdict", verdict_of(findings))
+    rows = [
+        (
+            finding["severity"],
+            finding["code"],
+            finding["series"],
+            (
+                f"{finding['start_ps'] / 1e6:g}-{finding['end_ps'] / 1e6:g} us"
+                if finding.get("end_ps")
+                else "end of run"
+            ),
+            finding["message"],
+        )
+        for finding in findings
+    ]
+    return Section(
+        f"Health: {verdict} ({len(findings)} finding(s))",
+        [] if findings else ["No watchdog fired."],
+        [Table("", ("severity", "code", "series", "window", "message"), rows)],
+    )
+
+
+def _timeline_section(document: Dict[str, object]) -> Optional[Section]:
+    timeline_obj = document.get("timeline")
+    if not timeline_obj:
+        return None
+    timeline = Timeline.from_obj(timeline_obj)
+    rows = []
+    for name in timeline.names():
+        series = timeline.get(name)
+        stat = series.default_stat
+        values = [value for _, value in series.points(stat)]
+        if values:
+            rows.append(
+                (
+                    name,
+                    Trajectory(tuple(values)),
+                    stat,
+                    f"{min(values):g}",
+                    f"{max(values):g}",
+                    f"{values[-1]:g}",
+                    f"{len(series)} x {series.window_ps / 1e6:g} us",
+                )
+            )
+    if not rows:
+        return None
+    headers = ("series", "trajectory", "stat", "min", "max", "last", "windows")
+    return Section(f"Timeline ({len(rows)} series)", [], [Table("", headers, rows)])
+
+
+def hottest_links(fabric: Dict[str, object]) -> List[Dict[str, object]]:
+    """The fabric's channels, busiest first by utilization (ties: by name)."""
+    return sorted(
+        fabric["links"],
+        key=lambda link: (-link["utilization"], link["name"]),
+    )
+
+
+def _fabric_section(document: Dict[str, object]) -> Optional[Section]:
+    """Totals, then the per-link, busiest-route and link-budget tables."""
+    fabric = document.get("fabric")
+    if not fabric:
+        return None
+    topology = fabric["topology"]
+    lines = [
+        f"{topology['description']}: "
+        f"{fabric['packets_injected']} packets injected, "
+        f"{fabric['packets_delivered']} delivered, "
+        f"{fabric['hops_forwarded']} forwarded, "
+        f"{fabric['wire_bytes']} wire bytes, "
+        f"{fabric['in_flight']} in flight"
+    ]
+    faults = sorted(
+        (kind, count) for kind, count in fabric["fault_totals"].items() if count
+    )
+    if faults:
+        lines.append("faults: " + ", ".join(f"{k} {n}" for k, n in faults))
+    links = hottest_links(fabric)
+    if not links:
+        lines.append("no inter-node channels (single-node fabric)")
+        return Section("Fabric", lines)
+    if links[0]["utilization"] > 0:
+        hottest = links[0]
+        lines.append(
+            f"hottest link: {hottest['name']} "
+            f"(utilization {hottest['utilization']:.1%}, "
+            f"wait {hottest['wait_ps']} ps, "
+            f"peak queue {hottest['peak_queue']})"
+        )
+    tables = [
+        Table(
+            "per-link traffic",
+            ("link", "util", "msgs", "bytes", "busy ps", "wait ps", "peak q",
+             "faults"),
+            [
+                (
+                    link["name"],
+                    f"{link['utilization']:.1%}",
+                    link["messages"],
+                    link["bytes"],
+                    link["busy_ps"],
+                    link["wait_ps"],
+                    link["peak_queue"],
+                    sum((link.get("faults") or {}).values()),
+                )
+                for link in links
+            ],
+        )
+    ]
+    pairs = sorted(
+        fabric["pairs"],
+        key=lambda pair: (-pair["packets"], pair["src"], pair["dst"]),
+    )
+    if pairs:
+        shown = pairs[:_ROUTE_LIMIT]
+        tables.append(
+            Table(
+                f"busiest routes ({len(shown)} of {len(pairs)} pairs)",
+                ("route", "packets", "hops", "path"),
+                [
+                    (
+                        f"{pair['src']} -> {pair['dst']}",
+                        pair["packets"],
+                        pair["hops"],
+                        " -> ".join(map(str, [pair["src"], *pair["route"]])),
+                    )
+                    for pair in shown
+                ],
+            )
+        )
+    budgets = document.get("link_budgets")
+    if budgets:
+        keys = ("packets", "bytes", "wait_ps", "serialize_ps", "transit_ps",
+                "fault_delay_ps")
+        names = sorted(budgets, key=lambda name: (-budgets[name]["wait_ps"], name))
+        rows = [(name, *(budgets[name][key] for key in keys)) for name in names]
+        rows.append(
+            ("total", *(sum(entry[key] for entry in budgets.values()) for key in keys))
+        )
+        tables.append(
+            Table(
+                "per-link attribution (from per-hop lifecycle marks)",
+                ("link", "pkts", "bytes", "wait ps", "serialize ps",
+                 "transit ps", "fault delay ps"),
+                rows,
+            )
+        )
+    return Section("Fabric", lines, tables, fabric if topology.get("dims") else None)
+
+
+def _attribution_section(attribution: Dict[str, object]) -> Section:
+    agg = attribution["aggregate"]
+    e2e = agg["end_to_end"]
+
+    def stats(entry, share):
+        return (
+            f"{entry['mean_ns']:.1f}",
+            f"{entry['p50_ns']:.1f}",
+            f"{entry['p90_ns']:.1f}",
+            f"{entry['max_ns']:.1f}",
+            f"{share:.1%}",
+        )
+
+    rows = [
+        (stage, *stats(entry, entry["share"]))
+        for stage, entry in agg["stages"].items()
+    ]
+    rows.append(("total", *stats(e2e, 1.0)))
+    return Section(
+        "Latency attribution",
+        [
+            f"{agg['count']} messages, end-to-end mean {e2e['mean_ns']:.1f} ns"
+            f" / p90 {e2e['p90_ns']:.1f} ns (dominant stage: "
+            f"{agg['dominant_stage']}); stages sum exactly to end-to-end, "
+            "per message"
+        ],
+        [
+            Table(
+                "",
+                ("stage", "mean ns", "p50 ns", "p90 ns", "max ns", "share"),
+                rows,
+            )
+        ],
+    )
+
+
+def _profile_section(document: Dict[str, object]) -> Optional[Section]:
+    profile = document.get("profile")
+    if not profile:
+        return None
+    top = profile.get("top_handlers", {})
+    return Section(
+        "Simulator self-profile",
+        [
+            f"{profile['events']} events in {profile['handler_seconds']:g} s "
+            f"handler time ({profile['events_per_sec']:g} events/sec)"
+        ],
+        [
+            Table(
+                "",
+                ("handler", "events", "seconds"),
+                [
+                    (label, entry["events"], f"{entry['seconds']:.6f}")
+                    for label, entry in top.items()
+                ],
+            )
+        ],
+    )
+
+
+def sections(document: Dict[str, object]) -> List[Section]:
+    """The report's sections, in order, off a (folded or raw) artifact."""
+    document = _folded(document)
+    out = [
+        _health_section(document),
+        _timeline_section(document),
+        _fabric_section(document),
+        _attribution_section(document["attribution"])
+        if document["attribution"]
+        else None,
+        _profile_section(document),
+    ]
+    marks = queue_high_water(document)
+    if marks:
+        out.append(
+            Section(
+                f"Queue high-water marks ({len(marks)} queues)",
+                [],
+                [Table("", ("queue", "max depth"), marks)],
+            )
+        )
+    metrics = document.get("metrics") or {}
+    out.append(
+        Section(
+            "Metrics",
+            [f"{len(metrics)} snapshot entries (full values in the JSON artifact)"],
+        )
+    )
+    return [section for section in out if section is not None]
+
+
+def _folded(document: Dict[str, object]) -> Dict[str, object]:
+    return document if "link_budgets" in document else fold(document)
+
+
+def _meta_line(document: Dict[str, object]) -> str:
+    meta = document.get("meta") or {}
+    return ", ".join(f"{key}={value}" for key, value in sorted(meta.items()))
+
+
+# ------------------------------------------------------------- figures
 def _resample(values: Sequence[float], width: int) -> List[float]:
     """Bucket-maximum resample down to at most ``width`` values."""
     if len(values) <= width:
@@ -239,44 +583,28 @@ def sparkline(values: Sequence[float], width: int = _SPARK_WIDTH) -> str:
     )
 
 
-def _series_rows(document: Dict[str, object]) -> List[Dict[str, object]]:
-    """Per-series summary rows off the artifact's timeline section."""
-    timeline_obj = document.get("timeline")
-    if not timeline_obj:
-        return []
-    timeline = Timeline.from_obj(timeline_obj)
-    rows = []
-    for name in timeline.names():
-        series = timeline.get(name)
-        stat = series.default_stat
-        values = [value for _, value in series.points(stat)]
-        if not values:
-            continue
-        rows.append(
-            {
-                "name": name,
-                "mode": series.mode,
-                "stat": stat,
-                "windows": len(series),
-                "window_us": series.window_ps / 1e6,
-                "span_us": series.span_ps() / 1e6,
-                "min": min(values),
-                "max": max(values),
-                "last": values[-1],
-                "values": values,
-            }
-        )
-    return rows
+def _spark_svg(values: Sequence[float], width=160, height=28) -> str:
+    """An inline-SVG sparkline polyline (self-contained, no scripts)."""
+    values = _resample(values, _SPARK_WIDTH)
+    if not values:
+        return ""
+    low, high = min(values), max(values)
+    span = (high - low) or 1.0
+    step = width / max(len(values) - 1, 1)
+    points = " ".join(
+        f"{i * step:.1f},{height - 2 - (v - low) / span * (height - 4):.1f}"
+        for i, v in enumerate(values)
+    )
+    return (
+        f'<svg class="spark" width="{width}" height="{height}">'
+        f'<polyline fill="none" stroke="#3182ce" stroke-width="1.5" '
+        f'points="{points}"/></svg>'
+    )
 
 
-# ---------------------------------------------------------- fabric render
-def _node_coords(node: int, dims: Sequence[int]) -> Tuple[int, ...]:
-    """Grid coordinates of ``node`` (dim 0 fastest, as in Topology)."""
-    out = []
-    for extent in dims:
-        out.append(node % extent)
-        node //= extent
-    return tuple(out)
+def _grid_shape(dims: Sequence[int]) -> Tuple[int, int, int]:
+    """``(extent_x, extent_y, planes)``: dims past the second are planes."""
+    return dims[0], dims[1] if len(dims) > 1 else 1, math.prod(dims[2:])
 
 
 def node_heat(fabric: Dict[str, object]) -> Dict[int, float]:
@@ -295,16 +623,6 @@ def node_heat(fabric: Dict[str, object]) -> Dict[int, float]:
     return heat
 
 
-def hottest_links(
-    fabric: Dict[str, object], count: int = 8
-) -> List[Dict[str, object]]:
-    """The ``count`` busiest channels by utilization (ties: by name)."""
-    return sorted(
-        fabric["links"],
-        key=lambda link: (-link["utilization"], link["name"]),
-    )[:count]
-
-
 def _heat_glyph(value: float, top: float) -> str:
     if top <= 0:
         return _SPARK_GLYPHS[0]
@@ -321,76 +639,23 @@ def _heat_color(value: float, top: float) -> str:
     return f"#{red:02x}{green:02x}{blue:02x}"
 
 
-def _fabric_text_lines(fabric: Dict[str, object]) -> List[str]:
-    """The terminal fabric section: totals, hottest links, glyph grid."""
-    topology = fabric["topology"]
-    lines = [
-        f"fabric: {topology['description']}",
-        (
-            f"  {fabric['packets_injected']} packets injected, "
-            f"{fabric['packets_delivered']} delivered, "
-            f"{fabric['hops_forwarded']} forwarded, "
-            f"{fabric['wire_bytes']} wire bytes"
-        ),
-    ]
-    if any(fabric["fault_totals"].values()):
-        lines.append(
-            "  faults: "
-            + ", ".join(
-                f"{kind} {count}"
-                for kind, count in sorted(fabric["fault_totals"].items())
-                if count
+def _heatmap_text(fabric: Dict[str, object]) -> List[str]:
+    """The node heatmap as a glyph grid, one block per plane."""
+    heat = node_heat(fabric)
+    peak = max(heat.values())
+    extent_x, extent_y, planes = _grid_shape(fabric["topology"]["dims"])
+    lines = [f"node heatmap (glyph = hottest incident link, peak {peak:.1%}):"]
+    for plane in range(planes):
+        if planes > 1:
+            lines.append(f"  z={plane}")
+        for y in range(extent_y):
+            lines.append(
+                "  "
+                + " ".join(
+                    _heat_glyph(heat[x + extent_x * (y + extent_y * plane)], peak)
+                    for x in range(extent_x)
+                )
             )
-        )
-    links = fabric["links"]
-    if not links:
-        return lines
-    top = hottest_links(fabric)
-    hottest = top[0]
-    if hottest["utilization"] > 0:
-        lines.append(
-            f"  hottest link: {hottest['name']} "
-            f"(utilization {hottest['utilization']:.1%}, "
-            f"wait {hottest['wait_ps']} ps, "
-            f"peak queue {hottest['peak_queue']})"
-        )
-    name_width = max(len(link["name"]) for link in top)
-    header = (
-        f"  {'link':<{name_width}} {'util':>6} {'msgs':>6} "
-        f"{'bytes':>9} {'wait ps':>10} {'peak q':>6} {'faults':>6}"
-    )
-    lines.append(header)
-    lines.append("  " + "-" * (len(header) - 2))
-    for link in top:
-        faults = sum((link.get("faults") or {}).values())
-        lines.append(
-            f"  {link['name']:<{name_width}} {link['utilization']:>6.1%} "
-            f"{link['messages']:>6} {link['bytes']:>9} "
-            f"{link['wait_ps']:>10} {link['peak_queue']:>6} "
-            f"{faults:>6}"
-        )
-    dims = topology.get("dims")
-    if dims:
-        heat = node_heat(fabric)
-        peak = max(heat.values())
-        extent_x = dims[0]
-        extent_y = dims[1] if len(dims) > 1 else 1
-        planes = 1
-        for extent in dims[2:]:
-            planes *= extent
-        lines.append(
-            f"  node heatmap (glyph = hottest incident link, "
-            f"peak {peak:.1%}):"
-        )
-        for plane in range(planes):
-            if planes > 1:
-                lines.append(f"    z={plane}")
-            for y in range(extent_y):
-                row = []
-                for x in range(extent_x):
-                    node = x + extent_x * (y + extent_y * plane)
-                    row.append(_heat_glyph(heat[node], peak))
-                lines.append("    " + " ".join(row))
     return lines
 
 
@@ -398,7 +663,7 @@ _FABRIC_SVG_CELL = 72
 _FABRIC_SVG_PAD = 40
 
 
-def _fabric_svg(fabric: Dict[str, object]) -> str:
+def _heatmap_svg(fabric: Dict[str, object]) -> str:
     """An inline-SVG topology heatmap (grid presets only).
 
     Planes of the (up to 3-D) grid render side by side; intra-plane
@@ -408,25 +673,13 @@ def _fabric_svg(fabric: Dict[str, object]) -> str:
     tables cannot disagree.
     """
     topology = fabric["topology"]
-    dims = topology.get("dims")
-    if not dims:
-        return ""
-    extent_x = dims[0]
-    extent_y = dims[1] if len(dims) > 1 else 1
-    planes = 1
-    for extent in dims[2:]:
-        planes *= extent
+    extent_x, extent_y, planes = _grid_shape(topology["dims"])
     cell, pad = _FABRIC_SVG_CELL, _FABRIC_SVG_PAD
 
     def position(node: int) -> Tuple[float, float]:
-        coords = _node_coords(node, dims)
-        x = coords[0]
-        y = coords[1] if len(coords) > 1 else 0
-        plane = 0
-        stride = 1
-        for c, extent in zip(coords[2:], dims[2:]):
-            plane += c * stride
-            stride *= extent
+        # dim 0 fastest, as in Topology; dims past the second are planes
+        x, y = node % extent_x, node // extent_x % extent_y
+        plane = node // (extent_x * extent_y)
         return (
             pad + (x + plane * (extent_x + 1)) * cell,
             pad + y * cell,
@@ -482,191 +735,95 @@ def _fabric_svg(fabric: Dict[str, object]) -> str:
     return "".join(parts)
 
 
-def _fabric_html_parts(fabric: Dict[str, object]) -> List[str]:
-    """The HTML fabric section: totals, SVG heatmap, per-link table."""
-    esc = html_mod.escape
-    topology = fabric["topology"]
-    parts = [
-        "<h2>Fabric</h2>",
-        f"<p>{esc(topology['description'])}: "
-        f"{fabric['packets_injected']} packets injected, "
-        f"{fabric['packets_delivered']} delivered, "
-        f"{fabric['hops_forwarded']} forwarded, "
-        f"{fabric['wire_bytes']} wire bytes.</p>",
+# ------------------------------------------------------------- renderers
+def _text_table(table: Table) -> str:
+    rows = [
+        [sparkline(cell.values) if isinstance(cell, Trajectory) else cell
+         for cell in row]
+        for row in table.rows
     ]
-    if any(fabric["fault_totals"].values()):
-        parts.append(
-            "<p>faults: "
-            + ", ".join(
-                f"{esc(kind)} {count}"
-                for kind, count in sorted(fabric["fault_totals"].items())
-                if count
-            )
-            + "</p>"
-        )
-    links = fabric["links"]
-    if not links:
-        return parts
-    svg = _fabric_svg(fabric)
-    if svg:
-        parts.append(svg)
-    top = hottest_links(fabric)
-    if top[0]["utilization"] > 0:
-        parts.append(
-            f"<p>hottest link <span class='mono'>{esc(top[0]['name'])}"
-            f"</span> at {top[0]['utilization']:.1%} utilization.</p>"
-        )
-    parts.append(
-        "<table><thead><tr><th>link</th><th>util</th><th>msgs</th>"
-        "<th>bytes</th><th>wait ps</th><th>peak queue</th><th>faults</th>"
-        "</tr></thead><tbody>"
-    )
-    for link in top:
-        faults = sum((link.get("faults") or {}).values())
-        parts.append(
-            f"<tr><td class='mono'>{esc(link['name'])}</td>"
-            f"<td>{link['utilization']:.1%}</td>"
-            f"<td>{link['messages']}</td><td>{link['bytes']}</td>"
-            f"<td>{link['wait_ps']}</td><td>{link['peak_queue']}</td>"
-            f"<td>{faults}</td></tr>"
-        )
-    parts.append("</tbody></table>")
-    return parts
+    return format_rows(table.headers, rows)
 
 
-# ------------------------------------------------------------ text render
-def queue_high_water(document: Dict[str, object]) -> List[Tuple[str, int]]:
-    """Per-queue high-water marks from the metrics snapshot.
+def _text_section(section: Section) -> str:
+    lines = [section.title, "-" * len(section.title)]
+    lines.extend(section.lines)
+    if section.heatmap is not None:
+        lines.extend(_heatmap_text(section.heatmap))
+    for table in section.tables:
+        if table.rows:
+            if table.caption:
+                lines.extend(["", table.caption])
+            lines.append(_text_table(table))
+    return "\n".join(lines)
 
-    Every NIC queue registers a ``<nic>.<queue>/max_depth`` collector;
-    surfacing the marks answers the first capacity question a deep-queue
-    run raises -- "how deep did the unexpected queue actually get?" --
-    without digging through the raw JSON.
-    """
-    metrics = document.get("metrics") or {}
-    marks = []
-    for name, value in metrics.items():
-        if name.endswith("/max_depth") and isinstance(value, (int, float)):
-            marks.append((name[: -len("/max_depth")], int(value)))
-    return sorted(marks)
+
+def format_report(attribution: Dict[str, object]) -> str:
+    """An :func:`~repro.analysis.attribution.attribute_run` report as the
+    report's text "Latency attribution" section."""
+    return _text_section(_attribution_section(attribution))
 
 
 def render_text(document: Dict[str, object]) -> str:
     """The terminal rendering of one (folded or raw) artifact."""
-    document = (
-        document if "attribution" in document else fold(document)
-    )
-    meta = document.get("meta") or {}
-    health = document.get("health") or {"verdict": "healthy", "findings": []}
-    findings = health.get("findings", [])
-    lines: List[str] = []
+    document = _folded(document)
     title = "run report"
-    if meta:
-        title += " -- " + ", ".join(f"{k}={v}" for k, v in sorted(meta.items()))
-    lines.append(title)
-    lines.append("=" * min(len(title), 78))
-    verdict = health.get("verdict", verdict_of(findings))
-    lines.append(f"health: {verdict} ({len(findings)} finding(s))")
-    for finding in findings:
-        lines.append(
-            f"  [{finding['severity']:>8}] {finding['code']}: "
-            f"{finding['message']}"
-        )
-    rows = _series_rows(document)
-    if rows:
-        lines.append("")
-        lines.append(f"timeline ({len(rows)} series)")
-        name_width = max(len(row["name"]) for row in rows)
-        for row in rows:
-            lines.append(
-                f"  {row['name']:<{name_width}} "
-                f"{sparkline(row['values']):<{_SPARK_WIDTH}} "
-                f"{row['stat']}: min {row['min']:g} max {row['max']:g} "
-                f"last {row['last']:g} "
-                f"({row['windows']} x {row['window_us']:g} us)"
-            )
-    fabric = document.get("fabric")
-    if fabric:
-        lines.append("")
-        lines.extend(_fabric_text_lines(fabric))
-    attribution = document.get("attribution")
-    if attribution:
-        lines.append("")
-        lines.append(format_report(attribution, title="latency attribution"))
-    profile = document.get("profile")
-    if profile:
-        lines.append("")
-        lines.append(
-            f"simulator: {profile['events']} events in "
-            f"{profile['handler_seconds']:g} s handler time "
-            f"({profile['events_per_sec']:g} events/sec)"
-        )
-        for label, entry in profile.get("top_handlers", {}).items():
-            lines.append(
-                f"  {label:<40} {entry['events']:>8} events "
-                f"{entry['seconds']:>10.6f} s"
-            )
-    marks = queue_high_water(document)
-    if marks:
-        lines.append("")
-        lines.append(f"queue high-water marks ({len(marks)} queues)")
-        name_width = max(len(name) for name, _ in marks)
-        for name, value in marks:
-            lines.append(f"  {name:<{name_width}} max depth {value}")
-    metrics = document.get("metrics") or {}
-    lines.append("")
-    lines.append(f"metrics snapshot: {len(metrics)} entries (see JSON)")
-    return "\n".join(lines)
+    if document.get("meta"):
+        title += " -- " + _meta_line(document)
+    parts = [title + "\n" + "=" * min(len(title), 78)]
+    parts.extend(_text_section(section) for section in sections(document))
+    return "\n\n".join(parts)
 
 
-# ------------------------------------------------------------ html render
-_SEVERITY_COLORS = {"info": "#2b6cb0", "warning": "#b7791f", "critical": "#c53030"}
-_VERDICT_COLORS = {"healthy": "#2f855a", **_SEVERITY_COLORS}
+_VERDICT_COLORS = {
+    "healthy": "#2f855a",
+    "info": "#2b6cb0",
+    "warning": "#b7791f",
+    "critical": "#c53030",
+}
 
 _HTML_STYLE = """
 body { font: 14px/1.5 system-ui, sans-serif; margin: 2em auto; max-width: 70em;
        color: #1a202c; padding: 0 1em; }
 h1 { font-size: 1.4em; } h2 { font-size: 1.1em; margin-top: 2em; }
-table { border-collapse: collapse; width: 100%; }
+table { border-collapse: collapse; width: 100%; margin-bottom: 1em; }
+caption { text-align: left; font-weight: 600; padding: .3em 0; }
 th, td { text-align: left; padding: .3em .6em; border-bottom: 1px solid #e2e8f0;
          font-variant-numeric: tabular-nums; }
 th { background: #f7fafc; }
+td:first-child, .mono { font-family: ui-monospace, monospace; font-size: .95em; }
 .verdict { display: inline-block; padding: .1em .6em; border-radius: 1em;
            color: #fff; font-weight: 600; }
-.mono { font-family: ui-monospace, monospace; font-size: .95em; }
 svg.spark { vertical-align: middle; }
 """
 
 
-def _spark_svg(values: Sequence[float], width=160, height=28) -> str:
-    """An inline-SVG sparkline polyline (self-contained, no scripts)."""
-    values = _resample(values, _SPARK_WIDTH)
-    if not values:
-        return ""
-    low, high = min(values), max(values)
-    span = (high - low) or 1.0
-    step = width / max(len(values) - 1, 1)
-    points = " ".join(
-        f"{i * step:.1f},{height - 2 - (v - low) / span * (height - 4):.1f}"
-        for i, v in enumerate(values)
+def _html_table(table: Table) -> str:
+    esc = html_mod.escape
+
+    def cell(value) -> str:
+        if isinstance(value, Trajectory):
+            return _spark_svg(value.values)
+        return esc(str(value))
+
+    caption = f"<caption>{esc(table.caption)}</caption>" if table.caption else ""
+    head = "".join(f"<th>{esc(header)}</th>" for header in table.headers)
+    body = "".join(
+        "<tr>" + "".join(f"<td>{cell(value)}</td>" for value in row) + "</tr>"
+        for row in table.rows
     )
     return (
-        f'<svg class="spark" width="{width}" height="{height}">'
-        f'<polyline fill="none" stroke="#3182ce" stroke-width="1.5" '
-        f'points="{points}"/></svg>'
+        f"<table>{caption}<thead><tr>{head}</tr></thead>"
+        f"<tbody>{body}</tbody></table>"
     )
 
 
 def render_html(document: Dict[str, object]) -> str:
     """A self-contained HTML page for one (folded or raw) artifact."""
-    document = (
-        document if "attribution" in document else fold(document)
-    )
+    document = _folded(document)
     esc = html_mod.escape
-    meta = document.get("meta") or {}
-    health = document.get("health") or {"verdict": "healthy", "findings": []}
-    findings = health.get("findings", [])
-    verdict = health.get("verdict", verdict_of(findings))
+    health = document.get("health") or {}
+    verdict = health.get("verdict", verdict_of(health.get("findings", [])))
     color = _VERDICT_COLORS.get(verdict, "#4a5568")
     parts: List[str] = [
         "<!doctype html><html><head><meta charset='utf-8'>",
@@ -676,211 +833,140 @@ def render_html(document: Dict[str, object]) -> str:
         f"<span class='verdict' style='background:{color}'>{esc(verdict)}"
         "</span></h1>",
     ]
-    if meta:
-        parts.append("<table><tbody>")
-        for key in sorted(meta):
-            parts.append(
-                f"<tr><th>{esc(str(key))}</th>"
-                f"<td class='mono'>{esc(str(meta[key]))}</td></tr>"
-            )
-        parts.append("</tbody></table>")
-
-    parts.append(f"<h2>Health findings ({len(findings)})</h2>")
-    if findings:
-        parts.append(
-            "<table><thead><tr><th>severity</th><th>code</th><th>series</th>"
-            "<th>window</th><th>message</th></tr></thead><tbody>"
-        )
-        for finding in findings:
-            sev = finding["severity"]
-            sev_color = _SEVERITY_COLORS.get(sev, "#4a5568")
-            window = (
-                f"{finding['start_ps'] / 1e6:g}-{finding['end_ps'] / 1e6:g} us"
-                if finding.get("end_ps")
-                else "end of run"
-            )
-            parts.append(
-                f"<tr><td style='color:{sev_color};font-weight:600'>"
-                f"{esc(sev)}</td>"
-                f"<td class='mono'>{esc(finding['code'])}</td>"
-                f"<td class='mono'>{esc(finding['series'])}</td>"
-                f"<td>{esc(window)}</td>"
-                f"<td>{esc(finding['message'])}</td></tr>"
-            )
-        parts.append("</tbody></table>")
-    else:
-        parts.append("<p>No watchdog fired.</p>")
-
-    rows = _series_rows(document)
-    if rows:
-        parts.append(f"<h2>Timeline ({len(rows)} series)</h2>")
-        parts.append(
-            "<table><thead><tr><th>series</th><th>trajectory</th>"
-            "<th>stat</th><th>min</th><th>max</th><th>last</th>"
-            "<th>windows</th></tr></thead><tbody>"
-        )
-        for row in rows:
-            parts.append(
-                f"<tr><td class='mono'>{esc(row['name'])}</td>"
-                f"<td>{_spark_svg(row['values'])}</td>"
-                f"<td>{esc(row['stat'])}</td>"
-                f"<td>{row['min']:g}</td><td>{row['max']:g}</td>"
-                f"<td>{row['last']:g}</td>"
-                f"<td>{row['windows']} &times; {row['window_us']:g} us</td>"
-                "</tr>"
-            )
-        parts.append("</tbody></table>")
-
-    fabric = document.get("fabric")
-    if fabric:
-        parts.extend(_fabric_html_parts(fabric))
-
-    attribution = document.get("attribution")
-    if attribution:
-        agg = attribution["aggregate"]
-        parts.append("<h2>Latency attribution</h2>")
-        parts.append(
-            f"<p>{agg['count']} messages, end-to-end mean "
-            f"{agg['end_to_end']['mean_ns']:.1f} ns / p90 "
-            f"{agg['end_to_end']['p90_ns']:.1f} ns; dominant stage "
-            f"<span class='mono'>{esc(agg['dominant_stage'])}</span>.</p>"
-        )
-        parts.append(
-            "<table><thead><tr><th>stage</th><th>mean ns</th><th>p50 ns</th>"
-            "<th>p90 ns</th><th>max ns</th><th>share</th></tr></thead><tbody>"
-        )
-        for stage, entry in agg["stages"].items():
-            parts.append(
-                f"<tr><td class='mono'>{esc(stage)}</td>"
-                f"<td>{entry['mean_ns']:.1f}</td><td>{entry['p50_ns']:.1f}</td>"
-                f"<td>{entry['p90_ns']:.1f}</td><td>{entry['max_ns']:.1f}</td>"
-                f"<td>{entry['share']:.1%}</td></tr>"
-            )
-        parts.append("</tbody></table>")
-
-    profile = document.get("profile")
-    if profile:
-        parts.append("<h2>Simulator self-profile</h2>")
-        parts.append(
-            f"<p>{profile['events']} events in "
-            f"{profile['handler_seconds']:g} s of handler time "
-            f"({profile['events_per_sec']:g} events/sec).</p>"
-        )
-        top = profile.get("top_handlers", {})
-        if top:
-            parts.append(
-                "<table><thead><tr><th>handler</th><th>events</th>"
-                "<th>seconds</th></tr></thead><tbody>"
-            )
-            for label, entry in top.items():
-                parts.append(
-                    f"<tr><td class='mono'>{esc(label)}</td>"
-                    f"<td>{entry['events']}</td>"
-                    f"<td>{entry['seconds']:.6f}</td></tr>"
-                )
-            parts.append("</tbody></table>")
-
-    marks = queue_high_water(document)
-    if marks:
-        parts.append(f"<h2>Queue high-water marks ({len(marks)})</h2>")
-        parts.append(
-            "<table><thead><tr><th>queue</th><th>max depth</th>"
-            "</tr></thead><tbody>"
-        )
-        for name, value in marks:
-            parts.append(
-                f"<tr><td class='mono'>{esc(name)}</td>"
-                f"<td>{value}</td></tr>"
-            )
-        parts.append("</tbody></table>")
-
-    metrics = document.get("metrics") or {}
-    parts.append(
-        f"<h2>Metrics</h2><p>{len(metrics)} snapshot entries "
-        "(full values in the JSON artifact).</p>"
-    )
+    if document.get("meta"):
+        parts.append(f"<p class='mono'>{esc(_meta_line(document))}</p>")
+    for section in sections(document):
+        parts.append(f"<h2>{esc(section.title)}</h2>")
+        parts.extend(f"<p>{esc(line)}</p>" for line in section.lines)
+        if section.heatmap is not None:
+            parts.append(_heatmap_svg(section.heatmap))
+        parts.extend(_html_table(table) for table in section.tables if table.rows)
     parts.append("</body></html>")
     return "\n".join(parts)
 
 
 def render_json(document: Dict[str, object]) -> str:
     """The folded artifact as indented JSON."""
-    document = (
-        document if "attribution" in document else fold(document)
-    )
-    return json.dumps(document, indent=1, sort_keys=True)
+    return json.dumps(_folded(document), indent=1, sort_keys=True)
 
 
 # --------------------------------------------------------------- the CLI
-def _run_benchmark(args) -> Dict[str, object]:
-    """One benchmark point with every collector on; returns the report."""
-    from repro.obs.telemetry import Telemetry
+def _run_point(args: argparse.Namespace):
+    """One benchmark point with every collector on: ``(telemetry, report)``.
 
-    telemetry = Telemetry(
-        tracing=True, timeline=True, health=True, profile=True
+    Only the point flags the user passed reach the params class (a name
+    it lacks is ignored: ``--fraction`` means nothing to ``halo``), so
+    every other field keeps the workload's own default.
+    """
+    from repro.workloads.sweep import BENCHMARKS, nic_preset
+
+    bench = BENCHMARKS[args.benchmark]
+    fields = {field.name for field in dataclasses.fields(bench.params_cls)}
+    point = bench.params_cls(
+        **{name: value for name, value in vars(args).items() if name in fields}
     )
-    result = run_benchmark(args, telemetry)
-    return telemetry.report(
+    telemetry = Telemetry(
+        tracing=True, timeline=True, health=True, fabric=True, profile=True
+    )
+    result = bench.runner(nic_preset(args.preset), point, telemetry=telemetry)
+    return telemetry, telemetry.report(
         benchmark=args.benchmark,
-        backend=args.backend,
-        queue_length=args.queue_length,
-        iterations=args.iterations,
+        preset=args.preset,
+        **dataclasses.asdict(point),
         mean_latency_ns=round(result.mean_ns, 3),
     )
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    # the workloads load the whole simulator: import them only to run
+    from repro.workloads.runner import PRESETS
+
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis.report",
-        description="Render a unified run report (text/JSON/HTML)",
+        description="Run one benchmark point, or read a saved report, and "
+        "render the unified run report (text, JSON, HTML)",
     )
     parser.add_argument(
         "--input",
         metavar="PATH",
-        help="a saved Telemetry.report() JSON artifact; omit to run one "
-        "benchmark point with all collectors on",
+        help="a saved run report or sweep dump; omit to run one point "
+        "with every collector on",
     )
     parser.add_argument(
-        "--benchmark",
-        choices=("preposted", "unexpected"),
+        "--row", type=int, metavar="N", help="render row N of a sweep dump"
+    )
+    parser.add_argument(
+        "--benchmark", choices=("preposted", "unexpected", "halo"),
         default="preposted",
     )
-    parser.add_argument("--backend", default="list")
-    parser.add_argument("--queue-length", type=int, default=50)
-    parser.add_argument("--iterations", type=int, default=8)
-    parser.add_argument("--warmup", type=int, default=2)
     parser.add_argument(
-        "--alpu-cells", type=int, default=256, help="ALPU size for --backend alpu"
+        "--preset", choices=PRESETS + ("hash",), default="baseline",
+        help="receiver NIC (default baseline: the software list)",
+    )
+    # point flags: left out, they keep the params class's own default
+    point = dict(default=argparse.SUPPRESS)
+    parser.add_argument("--queue-length", type=int, **point)
+    parser.add_argument(
+        "--fraction", dest="traverse_fraction", type=float,
+        help="preposted traverse fraction", **point,
+    )
+    parser.add_argument(
+        "--size", dest="message_size", type=int, help="message bytes", **point
+    )
+    parser.add_argument("--iterations", type=int, **point)
+    parser.add_argument("--warmup", type=int, **point)
+    parser.add_argument("--ranks", type=int, help="halo ranks", **point)
+    parser.add_argument("--topology", help="halo topology preset", **point)
+    parser.add_argument(
+        "--hotspot", dest="hotspot_rank", type=int, metavar="RANK",
+        help="halo: inject incast contention toward this rank", **point,
     )
     parser.add_argument(
         "--json", action="store_true", help="print JSON instead of text"
     )
+    parser.add_argument("--html", metavar="PATH", help="also write the HTML page")
     parser.add_argument(
-        "--html", metavar="PATH", help="also write the HTML rendering"
+        "--out", metavar="PATH", help="also write the JSON report"
     )
     parser.add_argument(
-        "--out", metavar="PATH", help="also write the JSON artifact"
+        "--chrome", metavar="PATH",
+        help="also write a Chrome trace (one track per message)",
     )
     args = parser.parse_args(argv)
 
+    telemetry = None
     if args.input:
         document = load_report(args.input)
-        if "rows" in document:
-            raise ReportError(
-                f"{args.input} is a sweep dump: its rows are not one run; "
-                "load it with repro.analysis.load_report instead"
-            )
     else:
-        document = _run_benchmark(args)
+        telemetry, document = _run_point(args)
+    rows = document.get("rows")
+    if rows is None:
+        if args.row is not None:
+            parser.error("--row N picks a row of a sweep dump given as --input")
+    elif args.row is None:
+        raise ReportError(
+            f"{args.input} is a sweep dump: its rows are not one run; "
+            "pick one with --row N"
+        )
+    elif not 0 <= args.row < len(rows):
+        parser.error(
+            f"--row {args.row} out of range ({len(rows)} rows in {args.input})"
+        )
+    else:
+        document = row_report(document, args.row)
     folded = fold(document)
-    if args.html:
-        with open(args.html, "w", encoding="utf-8") as handle:
-            handle.write(render_html(folded))
-            handle.write("\n")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(render_json(folded))
-            handle.write("\n")
+    if args.chrome:
+        if telemetry is not None:
+            telemetry.write_chrome_trace(args.chrome)
+        else:
+            lifecycles = document["lifecycles"] or []
+            write_chrome(
+                args.chrome, (), [MessageLifecycle.from_obj(o) for o in lifecycles]
+            )
+    for path, render in ((args.html, render_html), (args.out, render_json)):
+        if path:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(render(folded) + "\n")
     print(render_json(folded) if args.json else render_text(folded))
     return 0
 

@@ -179,9 +179,6 @@ class Nic(Component):
                     f"{queue.name}/depth",
                     lambda q=queue: {"value": len(q), "high_water": q.max_length},
                 )
-                engine.metrics.register_collector(
-                    f"{queue.name}/max_depth", lambda q=queue: q.max_length
-                )
         #: buffer-occupancy admission control (None = everything admitted);
         #: consulted by the reliability layer's receive path
         self.admission: Optional[AdmissionControl] = (

@@ -13,7 +13,8 @@ that makes those quantities visible:
   instants and counter samples -- and the per-message lifecycles built
   from them, every MPI message an ordered list of stage transitions
   from post to completion, folded into stage-residency budgets by
-  :mod:`repro.analysis.attribution`;
+  :mod:`repro.analysis.attribution` and rendered, with every other
+  channel below, by the run report (:mod:`repro.analysis.report`);
 * :mod:`repro.obs.chrome` -- export of that stream to Chrome trace-event
   JSON (component tracks plus one track per message), loadable in
   Perfetto or ``chrome://tracing``;

@@ -4,7 +4,7 @@ Renders a :class:`~repro.obs.recorder.Recorder`'s records into the
 Chrome trace-event JSON format (the "JSON Array Format" with a
 ``traceEvents`` envelope), loadable in Perfetto (https://ui.perfetto.dev)
 or ``chrome://tracing``.  :func:`write_chrome` is the one writer: the
-telemetry bundle and the attribution CLI both go through it.
+telemetry bundle and the run report CLI both go through it.
 
 Every record is rendered once, on one of two kinds of track:
 

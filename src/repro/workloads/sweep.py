@@ -72,14 +72,14 @@ class SweepRow:
     #: ``{"verdict": str, "findings": [HealthFinding.to_obj(), ...]}``
     health: Optional[Dict[str, object]] = None
     #: fabric snapshot (sweeps with ``fabric=True`` only): per-link
-    #: traffic/contention tallies plus the route table, the input of
-    #: ``python -m repro.analysis.fabric --row N``
+    #: traffic/contention tallies plus the route table, rendered by
+    #: ``python -m repro.analysis.report --input DUMP --row N``
     fabric: Optional[Dict[str, object]] = None
 
 
 @dataclasses.dataclass(frozen=True)
 class _Benchmark:
-    """How one workload plugs into the sweep executor and the CLIs."""
+    """How one workload plugs into the sweep executor and the report CLI."""
 
     params_cls: type
     runner: Callable
@@ -88,7 +88,7 @@ class _Benchmark:
 
 
 #: the one name-to-workload table: :func:`run_point`, the pinned grid and
-#: the analysis CLIs all dispatch through it.  Every row's
+#: the run report CLI all dispatch through it.  Every row's
 #: ``latency_ns`` is its runner's ``median_ns``: message
 #: latency for preposted/unexpected/halo, the master's wildcard-receive
 #: sojourn for storm, rank 0's per-round completion for alltoall, and

@@ -8,7 +8,9 @@ The acceptance criteria of the attribution layer:
   depth for software backends but stays flat for the ALPU;
 * attribution-carrying sweeps are bit-identical between the serial and
   process-pool execution paths;
-* the ``python -m repro.analysis.attribution`` CLI works end to end.
+* the run-report CLI (``python -m repro.analysis.report``) renders the
+  attribution end to end, and its JSON report round-trips the message
+  tracks through ``--input``.
 """
 
 import json
@@ -26,11 +28,11 @@ from repro.analysis.attribution import (
     crossover_queue_length,
     dominant_stage,
     end_to_end_ps,
-    format_report,
     select,
     stage_budget,
     stage_series,
 )
+from repro.analysis.report import format_report
 from repro.obs import Telemetry
 from repro.obs.chrome import LIFECYCLE_PID
 from repro.obs.recorder import Recorder
@@ -150,7 +152,7 @@ class TestRendering:
     def test_format_report_contains_stages_and_total(self):
         _, pings = ping_lifecycles("baseline", queue_length=10)
         report = attribute_run(pings, label=None, timed_only=False)
-        text = format_report(report, title="t")
+        text = format_report(report)
         assert "match_search" in text and "total" in text and "share" in text
 
     def test_budget_rows_shape(self):
@@ -167,7 +169,7 @@ class TestCli:
 
     def run_cli(self, *args):
         return subprocess.run(
-            [sys.executable, "-m", "repro.analysis.attribution", *args],
+            [sys.executable, "-m", "repro.analysis.report", *args],
             capture_output=True,
             text=True,
             cwd=self.SRC,
@@ -175,7 +177,7 @@ class TestCli:
 
     def test_cli_text_report(self):
         proc = self.run_cli(
-            "--benchmark", "preposted", "--backend", "list",
+            "--benchmark", "preposted", "--preset", "baseline",
             "--queue-length", "12", "--iterations", "3", "--warmup", "1",
         )
         assert proc.returncode == 0, proc.stderr
@@ -183,29 +185,31 @@ class TestCli:
         assert "stages sum exactly" in proc.stdout
 
     def test_cli_json_dump_and_reload(self, tmp_path):
-        dump = tmp_path / "lifecycles.json"
+        dump = tmp_path / "report.json"
         chrome = tmp_path / "trace.json"
         proc = self.run_cli(
-            "--backend", "alpu", "--queue-length", "8",
+            "--preset", "alpu256", "--queue-length", "8",
             "--iterations", "3", "--warmup", "1", "--json",
-            "--dump", str(dump), "--chrome", str(chrome),
+            "--out", str(dump), "--chrome", str(chrome),
         )
         assert proc.returncode == 0, proc.stderr
         report = json.loads(proc.stdout)
-        for message in report["messages"]:
+        assert report["attribution"]["messages"]
+        for message in report["attribution"]["messages"]:
             assert sum(message["stages_ps"].values()) == message["end_to_end_ps"]
         trace = json.loads(chrome.read_text())
         # the one Chrome writer's envelope, with message tracks
         assert set(trace) == {"traceEvents", "displayTimeUnit"}
         assert trace["displayTimeUnit"] == "ns"
         assert any(e["pid"] == LIFECYCLE_PID for e in trace["traceEvents"])
-        # the dump round-trips through --input, --chrome included
+        # the report round-trips through --input, --chrome included
         chrome2 = tmp_path / "trace2.json"
         proc2 = self.run_cli("--input", str(dump), "--chrome", str(chrome2))
         assert proc2.returncode == 0, proc2.stderr
-        assert "end-to-end" in proc2.stdout
+        assert "stages sum exactly" in proc2.stdout
         reloaded = json.loads(chrome2.read_text())
         assert reloaded["displayTimeUnit"] == "ns"
-        # the dump holds only the message tracks: they match the live run's
+        # a saved report holds only the message tracks: they match the
+        # live run's
         messages = [e for e in trace["traceEvents"] if e["pid"] == LIFECYCLE_PID]
         assert reloaded["traceEvents"] == messages

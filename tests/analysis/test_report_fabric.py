@@ -1,4 +1,4 @@
-"""Run-report rendering of the fabric section (heatmap + per-link table).
+"""Run-report rendering of the fabric section (heatmap + tables).
 
 Renders real multi-rank halo runs -- a contended 16-rank torus3d incast
 and a 2-rank crossbar -- through every output format and checks that the
@@ -6,7 +6,9 @@ three renderings (JSON document, terminal text, HTML) agree on the
 fabric totals, that the heatmap names the hotspot, and that fabrics
 without a grid shape (crossbar) or without a snapshot at all (legacy
 reports) still render.  The incast report must also carry the link
-watchdogs' findings and per-hop wire segments that telescope.
+watchdogs' findings and per-hop wire segments that telescope.  The
+report CLI runs the same incast live, and renders one row of a
+``fabric=True`` sweep dump.
 """
 
 import html as html_mod
@@ -14,7 +16,7 @@ import json
 
 import pytest
 
-from repro.analysis.attribution import wire_segments
+from repro.analysis.attribution import link_budgets, wire_segments
 from repro.analysis.report import (
     ReportError,
     hottest_links,
@@ -22,12 +24,13 @@ from repro.analysis.report import (
     main,
     render_html,
     render_text,
+    sections,
 )
 from repro.obs.health import has_finding
 from repro.obs.recorder import MessageLifecycle
-from repro.obs.telemetry import Telemetry
+from repro.obs.telemetry import REPORT_VERSION, Telemetry
 from repro.workloads.halo import HaloParams, run_halo
-from repro.workloads.sweep import dump_telemetry, nic_preset
+from repro.workloads.sweep import SweepSpec, dump_telemetry, nic_preset, run_sweep
 
 
 def _run_report(**params):
@@ -110,8 +113,19 @@ class TestTextRendering:
 
     def test_crossbar_text_renders(self, crossbar_report):
         text = render_text(crossbar_report)
-        assert "fabric:" in text
+        assert "\nFabric\n" in text
         assert "node heatmap" not in text
+
+    def test_fabric_section_carries_its_four_parts(self, hotspot_report):
+        (fabric,) = [s for s in sections(hotspot_report) if s.title == "Fabric"]
+        assert "packets injected" in fabric.lines[0]
+        captions = [table.caption for table in fabric.tables]
+        assert captions[0] == "per-link traffic"
+        assert captions[1].startswith("busiest routes")
+        assert captions[2].startswith("per-link attribution")
+        links, _, budgets = fabric.tables
+        assert len(links.rows) == len(hotspot_report["fabric"]["links"])
+        assert budgets.rows[-1][0] == "total"
 
 
 class TestRenderingsAgree:
@@ -132,7 +146,7 @@ class TestRenderingsAgree:
 class TestLegacyDocuments:
     def test_report_without_fabric_renders_unchanged(self, crossbar_report):
         document = dict(crossbar_report, fabric=None)
-        assert "fabric:" not in render_text(document)
+        assert "\nFabric\n" not in render_text(document)
         assert "<h2>Fabric</h2>" not in render_html(document)
 
     def test_load_report_upgrades_older_documents(self, tmp_path):
@@ -172,6 +186,12 @@ class TestMalformedDocuments:
         with pytest.raises(ReportError, match="is a sweep dump"):
             main(["--input", str(path)])
 
+    def test_a_newer_sweep_dump_is_refused_even_with_a_row(self, tmp_path):
+        path = tmp_path / "future.json"
+        path.write_text(json.dumps({"version": REPORT_VERSION + 1, "rows": [{}]}))
+        with pytest.raises(ReportError, match="understands"):
+            main(["--input", str(path), "--row", "0"])
+
     def test_profile_without_handler_seconds_is_a_report_error(self, tmp_path):
         path = tmp_path / "bad.report.json"
         profile = {"events": 10, "events_per_sec": 100.0}
@@ -180,3 +200,46 @@ class TestMalformedDocuments:
         )
         with pytest.raises(ReportError, match="handler_seconds"):
             render_text(load_report(str(path)))
+
+
+class TestCli:
+    """The one report CLI on the incast and on a fabric sweep dump."""
+
+    def test_live_incast_matches_the_library_run(self, hotspot_report, capsys):
+        assert main(
+            ["--benchmark", "halo", "--preset", "alpu128", "--hotspot", "0",
+             "--json"]
+        ) == 0
+        document = json.loads(capsys.readouterr().out)
+        assert document["fabric"] == hotspot_report["fabric"]
+        lifecycles = [
+            MessageLifecycle.from_obj(obj) for obj in hotspot_report["lifecycles"]
+        ]
+        assert document["link_budgets"] == link_budgets(lifecycles)
+
+    @pytest.fixture(scope="class")
+    def sweep_dump(self, tmp_path_factory):
+        spec = SweepSpec.preposted(
+            ("baseline",), (4,), (1.0,), iterations=2, warmup=1, fabric=True
+        )
+        path = tmp_path_factory.mktemp("sweep") / "fabric.json"
+        dump_telemetry(run_sweep(spec), str(path))
+        return path
+
+    def test_renders_one_row_of_a_fabric_sweep_dump(self, sweep_dump, capsys):
+        assert main(["--input", str(sweep_dump), "--row", "0"]) == 0
+        text = capsys.readouterr().out
+        assert "row=0" in text and "preset=baseline" in text
+        assert "\nFabric\n" in text and "fabric.wire0->1" in text
+
+    def test_a_bad_row_exits_2(self, sweep_dump, tmp_path, capsys):
+        run = tmp_path / "run.json"
+        run.write_text(json.dumps({"metrics": {}}))
+        for argv, message in (
+            (["--input", str(sweep_dump), "--row", "1"], "--row 1 out of range (1 rows"),
+            (["--input", str(run), "--row", "0"], "picks a row of a sweep dump"),
+        ):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 2
+            assert message in capsys.readouterr().err

@@ -7,9 +7,9 @@ Two queue-churn regressions pinned here:
   those records with the tallies the components keep (once, two
   parallel streams disagreed by one on the unexpected-queue depth);
 * ``NicQueue.max_length`` was tracked but never surfaced -- it now
-  feeds the ``<nic>.<queue>/max_depth`` and ``<nic>.<queue>/depth``
-  snapshot collectors and the run-report "queue high-water marks"
-  section.  It is a lifetime mark: nothing re-arms it.
+  feeds the ``high_water`` of the ``<nic>.<queue>/depth`` snapshot
+  collector and the run-report "Queue high-water marks" section.  It
+  is a lifetime mark: nothing re-arms it.
 """
 
 import dataclasses
@@ -90,12 +90,11 @@ def test_record_stream_reconciles_with_the_tallies():
 def test_snapshot_surfaces_queue_high_water_marks():
     telemetry, _ = _run_with_telemetry()
     snapshot = telemetry.snapshot()
-    assert snapshot["nic1.unexpectedQ/max_depth"] >= 12
-    assert "nic1.postedRecvQ/max_depth" in snapshot
-    assert "nic0.sendQ/max_depth" in snapshot
-    # the depth level and the high-water mark read the same tally
-    for name in ("nic1.unexpectedQ", "nic1.postedRecvQ", "nic0.sendQ"):
-        assert snapshot[f"{name}/depth"]["high_water"] == snapshot[f"{name}/max_depth"]
+    assert snapshot["nic1.unexpectedQ/depth"]["high_water"] >= 12
+    assert "nic1.postedRecvQ/depth" in snapshot
+    assert "nic0.sendQ/depth" in snapshot
+    # the depth level is the one definition of the high-water mark
+    assert not [name for name in snapshot if name.endswith("/max_depth")]
 
 
 def test_report_renders_high_water_section():
@@ -106,5 +105,5 @@ def test_report_renders_high_water_section():
     assert marks["nic1.unexpectedQ"] >= 12
 
     text = render_text(document)
-    assert "queue high-water marks" in text
+    assert "Queue high-water marks" in text
     assert "nic1.unexpectedQ" in text

@@ -37,12 +37,12 @@ FAULTS = FaultConfig(
 
 #: run -> (key count, sha256 of the sorted JSON snapshot)
 PINS = {
-    "fig5-alpu256-q256": (136, "2e59ccbfa9c12e45dc43267610f9f20ef9a990a01915a7c8229010bc98c238bb"),
-    "fig6-list-q1024": (92, "60dc84aead2b3063c83048d0037584bccfac35fedb04acd36820f7f038748f73"),
-    "halo-torus27": (1981, "5159bc47ac5a5dfc5083b7ff8f72039a5585df843a7b73ee7c6b2ec0294b1170"),
-    "preposted-faulty": (126, "5d700aca73cb5ea208649203e8636e5d76885d4135ed5aa61c8743d076254372"),
-    "preposted-stalled-alpu": (136, "553357c39302b6eec5016d3684e02d13e59151ac1048a64201285e0558ec6e9f"),
-    "storm-nack": (305, "76011d20ee4a90dabba0372b1092d46034b25ee7c5f9600eb87e7b2db2d150da"),
+    "fig5-alpu256-q256": (130, "774c2df4ce13b8da213c1f30190cf5eebb583a58e4de5fae977187fd7e96f61b"),
+    "fig6-list-q1024": (86, "4971bf6881a10fac7dca3e91efbe2e03e1df845ec33bf7bbce1aa61eed28fbb5"),
+    "halo-torus27": (1900, "352884908711ff71a0f924152542b15f1fe6b77a4b263554696918df3788c479"),
+    "preposted-faulty": (120, "6b2762808f830ca25a51b347b4ad596a340c2a3bf70a4a13d65e9c26057bf7ed"),
+    "preposted-stalled-alpu": (130, "3cc42dea74fdaf28b86d1aeb5af6973d27ef4c00e189e88a292e48fe50994e44"),
+    "storm-nack": (290, "07d9b5246af9907812614c83f599881789d6d10566655077f1d99c0d7d531c66"),
 }
 
 

@@ -18,6 +18,7 @@ Run:  python examples/topology_halo.py          (a few seconds)
 
 import argparse
 
+from repro.analysis.report import run_report
 from repro.obs.telemetry import Telemetry
 from repro.workloads.halo import HaloParams, run_halo
 from repro.workloads import nic_preset
@@ -66,8 +67,8 @@ def main():
             ),
             telemetry=bundle,
         )
-        report = bundle.report(
-            benchmark="halo", topology=topology, ranks=args.ranks
+        report = run_report(
+            bundle, benchmark="halo", topology=topology, ranks=args.ranks
         )
         render(
             f"{result.topology}: median iteration {result.median_ns:.0f} ns "

@@ -14,13 +14,14 @@ latency, and into per-link budgets off the per-hop marks; it
 aggregates percentile breakdowns, and finds the dominant stage and
 software/ALPU search crossover.
 
-:mod:`repro.analysis.report` folds one run's whole telemetry artifact
-(metrics, timeline, health findings, fabric, lifecycles, self-profile)
-into report sections rendered as text, JSON or HTML -- the unified run
-report, and the one analysis CLI (``python -m repro.analysis.report``).
-Its :func:`load_report` is the one loader for every telemetry dump,
-sweep dumps included, and its row helpers filter a sweep dump's rows by
-metric or health.
+:mod:`repro.analysis.report` builds one run's report document at run
+end (metrics, timeline, health findings, fabric, the attribution and
+per-link budgets folded from the lifecycles, self-profile) and renders
+it as text, JSON or HTML -- the unified run report, and the one
+analysis CLI (``python -m repro.analysis.report``).  A sweep row carries
+the same document.  Its :func:`load_report` is the one loader for every
+telemetry dump, sweep dumps included, and its row helpers read a sweep
+dump's rows by metric or health.
 """
 
 from repro._lazy import attach
@@ -49,17 +50,15 @@ __getattr__, __dir__, __all__ = attach(
         ),
         "tables": ("format_rows", "format_curve"),
         "report": (
+            "REPORT_VERSION",
             "histogram_stats",
             "load_report",
             "mean_sampled_depth",
             "metric_across_rows",
             "metric_value",
             "healthy_rows",
-            "unhealthy_rows",
-            "row_findings",
             "row_verdict",
-            "rows_with_finding",
-            "fold",
+            "run_report",
             "format_report",
             "render_html",
             "render_json",

@@ -24,8 +24,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.obs.recorder import MessageLifecycle
 from repro.sim.units import ps_to_ns
 
-#: rendering order for known stages (unknown ones append in first-seen
-#: order); roughly the journey order of an eager message
+#: rendering order for known stages (see :func:`stage_order`); roughly
+#: the journey order of an eager message
 STAGE_ORDER: Tuple[str, ...] = (
     "api_post",
     "host_issue",
@@ -55,16 +55,15 @@ STAGE_ORDER: Tuple[str, ...] = (
 )
 
 
-#: the per-hop decomposition stages fabric observability adds inside a
-#: ``wire`` segment (see repro.network.fabric); with observability on
-#: the ``wire`` mark's own residency collapses to zero and these carry
-#: the decomposed budget
-HOP_STAGES: Tuple[str, ...] = (
-    "hop_fault_delay",
-    "hop_wait",
-    "hop_serialize",
-    "hop_transit",
-)
+def stage_order(stages: Iterable[str]) -> List[str]:
+    """``stages`` in :data:`STAGE_ORDER`, unknown ones after it by name.
+
+    The one stage order: the aggregate builds with it and the report
+    renders with it, so a saved report reads back in the same order.
+    """
+    present = set(stages)
+    known = [stage for stage in STAGE_ORDER if stage in present]
+    return known + sorted(present.difference(known))
 
 
 class AttributionError(ValueError):
@@ -158,72 +157,6 @@ def budget_rows(
 
 
 # ---------------------------------------------------------- fabric hops
-def wire_segments(lifecycle: MessageLifecycle) -> List[Dict[str, object]]:
-    """Per wire traversal: the segment span and its per-hop budget.
-
-    A *segment* runs from a ``wire`` mark to the first following mark
-    that is neither ``wire`` nor a hop stage.  Each segment reports
-
-    - ``span_ps``: wall time of the whole traversal (injection to exit),
-    - ``wire_ps``: the ``wire`` mark's own residency (zero with fabric
-      observability on -- the hops carry the budget),
-    - ``hops_ps``: summed residency of all hop marks inside the segment,
-    - ``hops``: per-hop-mark rows ``{stage, link, residency_ps}``.
-
-    The telescoping decomposition invariant is ``wire_ps + hops_ps ==
-    span_ps`` for every segment -- residencies are consecutive mark
-    deltas, so it holds by construction; asserted anyway (and property-
-    tested) so a reordered recorder cannot decompose quietly wrong.
-    """
-    if not lifecycle.complete:
-        raise AttributionError(
-            f"lifecycle mid={lifecycle.mid} is incomplete"
-        )
-    marks = lifecycle.marks
-    hop_stages = set(HOP_STAGES)
-    segments: List[Dict[str, object]] = []
-    i = 0
-    while i < len(marks) - 1:
-        if marks[i].stage != "wire":
-            i += 1
-            continue
-        start = marks[i].time_ps
-        wire_ps = marks[i + 1].time_ps - start
-        hops: List[Dict[str, object]] = []
-        hops_ps = 0
-        j = i + 1
-        while j < len(marks) - 1 and marks[j].stage in hop_stages:
-            residency = marks[j + 1].time_ps - marks[j].time_ps
-            detail = marks[j].detail or {}
-            hops.append(
-                {
-                    "stage": marks[j].stage,
-                    "link": detail.get("link"),
-                    "residency_ps": residency,
-                }
-            )
-            hops_ps += residency
-            j += 1
-        span_ps = marks[j].time_ps - start
-        if wire_ps + hops_ps != span_ps:  # pragma: no cover - telescoping
-            raise AttributionError(
-                f"wire segment of mid={lifecycle.mid} decomposes to "
-                f"{wire_ps} + {hops_ps} ps, span is {span_ps} ps"
-            )
-        segments.append(
-            {
-                "start_ps": start,
-                "end_ps": marks[j].time_ps,
-                "span_ps": span_ps,
-                "wire_ps": wire_ps,
-                "hops_ps": hops_ps,
-                "hops": hops,
-            }
-        )
-        i = j
-    return segments
-
-
 def link_budgets(
     lifecycles: Iterable[MessageLifecycle],
 ) -> Dict[str, Dict[str, int]]:
@@ -308,16 +241,9 @@ def aggregate(lifecycles: Sequence[MessageLifecycle]) -> Dict[str, object]:
         raise AttributionError("no lifecycles to aggregate")
     budgets = [stage_budget(lifecycle) for lifecycle in lifecycles]
     spans = [end_to_end_ps(lifecycle) for lifecycle in lifecycles]
-    stages: List[str] = []
-    for budget in budgets:
-        for stage in budget:
-            if stage not in stages:
-                stages.append(stage)
-    ordered = [s for s in STAGE_ORDER if s in stages]
-    ordered += [s for s in stages if s not in ordered]
     total_span = sum(spans)
     report_stages: Dict[str, Dict[str, float]] = {}
-    for stage in ordered:
+    for stage in stage_order(stage for budget in budgets for stage in budget):
         values = [budget.get(stage, 0) for budget in budgets]
         entry = _stats_ns(values)
         entry["share"] = (sum(values) / total_span) if total_span else 0.0

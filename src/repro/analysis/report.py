@@ -1,37 +1,44 @@
-"""The unified run report: one artifact, one CLI, three renderings.
+"""The unified run report: one document, one CLI, three renderings.
 
-:meth:`repro.obs.telemetry.Telemetry.report` captures everything one run
-observed -- metadata, metrics, the windowed timeline, health findings,
-raw lifecycles, simulator self-profile, the fabric snapshot -- as a
-single versioned JSON document.  :func:`fold` adds what analysis derives
-from it (the latency attribution and the per-link budgets), and
-:func:`sections` turns the folded document into report sections: a
-title, summary lines and tables of headers and rows, built once.  Each
-section then renders as
+:func:`run_report` builds the document of one finished run from its
+:class:`~repro.obs.telemetry.Telemetry` bundle, once, at run end:
+metadata, metrics, the windowed timeline, health findings, the fabric
+snapshot, the simulator self-profile, and what analysis folds from the
+message lifecycles -- the latency attribution and the per-link budgets.
+Every section is present, ``None`` when its collector was off; the raw
+lifecycles stay out (their one export is the live run's Chrome trace).
+A sweep row carries the same document
+(:func:`repro.workloads.sweep.run_point`).  :func:`sections` turns a
+document into report sections: a title, summary lines and tables of
+headers and rows, built once.  Each section then renders as
 
 * **text** (:func:`render_text`) -- a terminal report, tables drawn by
   :func:`repro.analysis.tables.format_rows`;
 * **html** (:func:`render_html`) -- a self-contained page (inline
   CSS/SVG, no external assets) suitable for a CI artifact;
 
-and :func:`render_json` emits the folded document itself.  Sparklines
-and the fabric heatmap are the only figures drawn per format.
+and :func:`render_json` emits the document itself.  Sparklines and the
+fabric heatmap are the only figures drawn per format.  Every order a
+rendering shows comes from the data (stage order, ranks, names), never
+from dict order, so a saved document re-renders byte-identical to the
+live run.
 
 Run as a CLI::
 
     python -m repro.analysis.report --benchmark preposted \
         --preset alpu128 --queue-length 50 --html run.html --out run.json
     python -m repro.analysis.report --benchmark halo --preset alpu128 \
-        --hotspot 0 --json
-    python -m repro.analysis.report --input run.json --chrome trace.json
+        --hotspot 0 --json --chrome trace.json
+    python -m repro.analysis.report --input run.json
     python -m repro.analysis.report --input sweep_dump.json --row 3
 
 Without ``--input`` it runs one point of a :data:`repro.workloads.sweep.
 BENCHMARKS` workload on a :func:`~repro.workloads.runner.nic_preset` NIC
 with every collector on; a point flag left out takes the workload's own
-default.  ``--input`` reads a saved report, or one ``--row`` of a sweep
-dump, through :func:`load_report`.  Folding happens here, at render
-time: :mod:`repro.obs` stays import-free of :mod:`repro.analysis`.
+default, and ``--chrome`` writes that run's trace.  ``--input`` reads a
+saved report, or one ``--row`` of a sweep dump, through
+:func:`load_report`.  :mod:`repro.obs` stays import-free of
+:mod:`repro.analysis`: the document is built here.
 """
 
 from __future__ import annotations
@@ -44,13 +51,32 @@ import math
 import sys
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.analysis.attribution import AttributionError, attribute_run, link_budgets
+from repro.analysis.attribution import (
+    AttributionError,
+    attribute_run,
+    link_budgets,
+    stage_order,
+)
 from repro.analysis.tables import format_rows
-from repro.obs.chrome import write_chrome
-from repro.obs.health import has_finding, verdict_of
-from repro.obs.recorder import MessageLifecycle
-from repro.obs.telemetry import REPORT_VERSION, Telemetry
+from repro.obs.health import verdict_of
+from repro.obs.telemetry import Telemetry
 from repro.obs.timeline import Timeline
+
+#: schema version of every run-report document and sweep dump; bump on
+#: shape changes -- :func:`load_report` reads only this version
+REPORT_VERSION = 4
+
+#: the sections every run-report document carries (``None`` when off)
+SECTIONS = (
+    "meta",
+    "metrics",
+    "timeline",
+    "health",
+    "fabric",
+    "attribution",
+    "link_budgets",
+    "profile",
+)
 
 #: sparkline glyphs, lowest to highest
 _SPARK_GLYPHS = "▁▂▃▄▅▆▇█"
@@ -68,62 +94,89 @@ class ReportError(ValueError):
 _PROFILE_FIELDS = ("events", "handler_seconds", "events_per_sec")
 
 
-# ------------------------------------------------------------ load / fold
+# ----------------------------------------------------------- build / load
+def run_report(telemetry: Telemetry, **meta: object) -> Dict[str, object]:
+    """The run-report document of one finished run (schema v4).
+
+    The message lifecycles are folded once, here: ``attribution`` is the
+    :func:`~repro.analysis.attribution.attribute_run` report (``None``
+    when no complete message rode along) and ``link_budgets`` the
+    :func:`~repro.analysis.attribution.link_budgets` of the per-hop
+    marks.  Every other section is its collector's end-of-run output.
+    A collector that was off leaves its section ``None``; with tracing
+    off both folds are ``None``.
+    """
+    attribution = budgets = None
+    if telemetry.recorder is not None:
+        lifecycles = telemetry.lifecycles()
+        budgets = link_budgets(lifecycles)
+        try:
+            attribution = attribute_run(lifecycles)
+        except AttributionError:
+            pass  # no complete message: the section stays empty
+    health = None
+    if telemetry.health is not None:
+        health = {
+            "verdict": telemetry.health_verdict(),
+            "findings": [f.to_obj() for f in telemetry.health_findings()],
+        }
+    timeline, profiler = telemetry.timeline, telemetry.profiler
+    return {
+        "version": REPORT_VERSION,
+        "meta": dict(meta),
+        "metrics": telemetry.snapshot() if telemetry.metrics is not None else None,
+        "timeline": timeline.to_obj() if timeline is not None else None,
+        "health": health,
+        "fabric": telemetry.fabric_snapshot(),
+        "attribution": attribution,
+        "link_budgets": budgets,
+        "profile": profiler.snapshot() if profiler is not None else None,
+    }
+
+
 def load_report(path: str) -> Dict[str, object]:
-    """Load a telemetry dump: a sweep dump or a run report.
+    """Load a saved document: a run report or a sweep dump.
 
     Both kinds share one envelope, checked once: a JSON object whose
-    integer ``version`` is at most :data:`REPORT_VERSION` (a document
-    without one predates the field and reads as v1).  The body is then
-    one of:
+    integer ``version`` is :data:`REPORT_VERSION`.  The body is then one
+    of:
 
+    * a **run report** (:func:`run_report`): every one of
+      :data:`SECTIONS`;
     * a **sweep dump** (:func:`repro.workloads.sweep.dump_telemetry`):
-      a ``rows`` list.  v1 and v2 rows hold their parameters and result
-      columns as top-level keys, v2 rows add ``health``, and v3 rows nest
-      them under ``params``/``extra``.  The row helpers below read only
-      ``metrics`` and ``health``, so they work on every vintage, and
-      :func:`row_report` reads one row as a run report;
-    * a **run report** (:meth:`repro.obs.telemetry.Telemetry.report`):
-      a ``metrics`` section.  Sections newer than the document's version
-      are filled in empty so every renderer handles older reports.
+      a ``rows`` list, each row its point's ``preset``, ``params``,
+      ``latency_ns`` and ``extra`` beside its run report under
+      ``report`` (``None`` when the sweep turned no collector on).
 
-    Anything else -- or anything newer -- raises :class:`ReportError`
-    rather than being misread.
+    Anything else -- an older or newer version included -- raises
+    :class:`ReportError` rather than being misread.
     """
     with open(path, "r", encoding="utf-8") as handle:
         document = json.load(handle)
     if not isinstance(document, dict):
         raise ReportError(f"{path} is not a telemetry dump (not a JSON object)")
-    version = document.setdefault("version", 1)
+    version = document.get("version")
     if type(version) is not int:
         raise ReportError(f"{path} has a non-integer version {version!r}")
-    if version > REPORT_VERSION:
+    if version != REPORT_VERSION:
         raise ReportError(
-            f"{path} is a v{version} dump; this tool understands "
-            f"up to v{REPORT_VERSION}"
+            f"{path} is a v{version} dump; this tool reads only "
+            f"v{REPORT_VERSION}"
         )
     if "rows" in document:
         if not isinstance(document["rows"], list):
             raise ReportError(f"{path}: a sweep dump's 'rows' must be a list")
         return document
-    if "metrics" not in document:
+    return _checked(document, path)
+
+
+def _checked(document: Dict[str, object], source: str) -> Dict[str, object]:
+    """``document``, once it carries every section and a sound profile."""
+    missing = [name for name in SECTIONS if name not in document]
+    if missing:
         raise ReportError(
-            f"{path} is not a telemetry dump (no 'rows' or 'metrics' key)"
+            f"{source} is not a run report (no {', '.join(missing)})"
         )
-    return _fill_sections(document, path)
-
-
-def _fill_sections(document: Dict[str, object], source: str) -> Dict[str, object]:
-    """Fill in the sections a run report may lack; check its profile."""
-    document.setdefault("meta", {})
-    document.setdefault("timeline", None)
-    document["health"] = document.get("health") or {
-        "verdict": "healthy",
-        "findings": [],
-    }
-    document.setdefault("lifecycles", None)
-    document.setdefault("profile", None)
-    document.setdefault("fabric", None)
     profile = document["profile"]
     if profile is not None and not (
         isinstance(profile, dict) and all(f in profile for f in _PROFILE_FIELDS)
@@ -134,63 +187,25 @@ def _fill_sections(document: Dict[str, object], source: str) -> Dict[str, object
     return document
 
 
-def row_report(dump: Dict[str, object], index: int) -> Dict[str, object]:
-    """Row ``index`` of a loaded sweep dump, as a run report.
-
-    The row's ``metrics``, ``health``, ``fabric`` and ``attribution``
-    become the report's sections, and its preset and parameters its
-    ``meta``; a row keeps no timeline, lifecycles or profile.
-    """
-    row = dump["rows"][index]
-    params = row.get("params")
-    meta = {"row": index, "preset": row.get("preset")}
-    meta.update(params if isinstance(params, dict) else {})
-    document = {
-        "version": dump["version"],
-        "meta": meta,
-        "metrics": row.get("metrics") or {},
-        "health": row.get("health"),
-        "fabric": row.get("fabric"),
-        "attribution": row.get("attribution"),
-    }
-    return _fill_sections(document, f"row {index}")
-
-
 # ------------------------------------------------------------ sweep rows
 # Snapshot value shapes (see :meth:`repro.obs.MetricsRegistry.snapshot`):
 # counts are numbers; levels are ``{"value", "high_water"}``;
 # histograms to ``{"count", "sum", "min", "max", "mean", "buckets"}``.
+def _row_section(row: Dict[str, object], name: str):
+    """One section of a sweep row's run report (None when none rode)."""
+    report = row.get("report")
+    return report[name] if report else None
+
+
 def row_verdict(row: Dict[str, object]) -> str:
     """The watchdog verdict of one row (``"healthy"`` when none rode)."""
-    health = row.get("health")
-    if not health:
-        return "healthy"
-    return health.get("verdict", "healthy")
-
-
-def row_findings(row: Dict[str, object]) -> List[Dict[str, object]]:
-    """The finding dicts of one row ([] when none rode)."""
-    health = row.get("health")
-    if not health:
-        return []
-    return list(health.get("findings", []))
+    health = _row_section(row, "health")
+    return health["verdict"] if health else "healthy"
 
 
 def healthy_rows(rows: List[Dict[str, object]]) -> List[Dict[str, object]]:
     """Rows whose watchdogs stayed silent."""
     return [row for row in rows if row_verdict(row) == "healthy"]
-
-
-def unhealthy_rows(rows: List[Dict[str, object]]) -> List[Dict[str, object]]:
-    """Rows with at least one finding, in row order."""
-    return [row for row in rows if row_verdict(row) != "healthy"]
-
-
-def rows_with_finding(
-    rows: List[Dict[str, object]], code: str
-) -> List[Dict[str, object]]:
-    """Rows carrying a finding with ``code`` (e.g. ``retransmit_storm``)."""
-    return [row for row in rows if has_finding(row_findings(row), code)]
 
 
 def metric_value(snapshot: Optional[Dict[str, object]], name: str):
@@ -211,7 +226,7 @@ def metric_value(snapshot: Optional[Dict[str, object]], name: str):
 
 def metric_across_rows(rows: List[Dict[str, object]], name: str) -> List[object]:
     """The same metric from every row's snapshot, in row order."""
-    return [metric_value(row.get("metrics"), name) for row in rows]
+    return [metric_value(_row_section(row, "metrics"), name) for row in rows]
 
 
 def histogram_stats(
@@ -251,30 +266,6 @@ def queue_high_water(document: Dict[str, object]) -> List[Tuple[str, int]]:
         for name, value in metrics.items()
         if name.endswith("/depth") and isinstance(value, dict)
     )
-
-
-def fold(document: Dict[str, object]) -> Dict[str, object]:
-    """The artifact plus the render-time folds of its lifecycles.
-
-    Adds ``attribution`` (the :func:`~repro.analysis.attribution.
-    attribute_run` report, None when no complete message rode along) and
-    ``link_budgets`` (:func:`~repro.analysis.attribution.link_budgets`).
-    A document without lifecycles keeps the attribution it carries, as a
-    sweep row does.  Leaves the input untouched.
-    """
-    enriched = dict(document)
-    enriched.setdefault("attribution", None)
-    enriched["link_budgets"] = None
-    lifecycles_obj = document.get("lifecycles")
-    if lifecycles_obj:
-        lifecycles = [MessageLifecycle.from_obj(o) for o in lifecycles_obj]
-        enriched["link_budgets"] = link_budgets(lifecycles)
-        try:
-            enriched["attribution"] = attribute_run(lifecycles)
-        except AttributionError:
-            # no complete messages: the section just stays empty
-            enriched["attribution"] = None
-    return enriched
 
 
 # -------------------------------------------------------------- sections
@@ -469,9 +460,10 @@ def _attribution_section(attribution: Dict[str, object]) -> Section:
             f"{share:.1%}",
         )
 
+    stages = agg["stages"]
     rows = [
-        (stage, *stats(entry, entry["share"]))
-        for stage, entry in agg["stages"].items()
+        (stage, *stats(stages[stage], stages[stage]["share"]))
+        for stage in stage_order(stages)
     ]
     rows.append(("total", *stats(e2e, 1.0)))
     return Section(
@@ -496,7 +488,11 @@ def _profile_section(document: Dict[str, object]) -> Optional[Section]:
     profile = document.get("profile")
     if not profile:
         return None
-    top = profile.get("top_handlers", {})
+    # ranked here: a saved document's handlers come back name-sorted
+    top = sorted(
+        profile.get("top_handlers", {}).items(),
+        key=lambda item: (-item[1]["seconds"], item[0]),
+    )
     return Section(
         "Simulator self-profile",
         [
@@ -509,7 +505,7 @@ def _profile_section(document: Dict[str, object]) -> Optional[Section]:
                 ("handler", "events", "seconds"),
                 [
                     (label, entry["events"], f"{entry['seconds']:.6f}")
-                    for label, entry in top.items()
+                    for label, entry in top
                 ],
             )
         ],
@@ -517,8 +513,7 @@ def _profile_section(document: Dict[str, object]) -> Optional[Section]:
 
 
 def sections(document: Dict[str, object]) -> List[Section]:
-    """The report's sections, in order, off a (folded or raw) artifact."""
-    document = _folded(document)
+    """The report's sections, in order, off a run-report document."""
     out = [
         _health_section(document),
         _timeline_section(document),
@@ -545,10 +540,6 @@ def sections(document: Dict[str, object]) -> List[Section]:
         )
     )
     return [section for section in out if section is not None]
-
-
-def _folded(document: Dict[str, object]) -> Dict[str, object]:
-    return document if "link_budgets" in document else fold(document)
 
 
 def _meta_line(document: Dict[str, object]) -> str:
@@ -765,8 +756,7 @@ def format_report(attribution: Dict[str, object]) -> str:
 
 
 def render_text(document: Dict[str, object]) -> str:
-    """The terminal rendering of one (folded or raw) artifact."""
-    document = _folded(document)
+    """The terminal rendering of one run-report document."""
     title = "run report"
     if document.get("meta"):
         title += " -- " + _meta_line(document)
@@ -819,8 +809,7 @@ def _html_table(table: Table) -> str:
 
 
 def render_html(document: Dict[str, object]) -> str:
-    """A self-contained HTML page for one (folded or raw) artifact."""
-    document = _folded(document)
+    """A self-contained HTML page for one run-report document."""
     esc = html_mod.escape
     health = document.get("health") or {}
     verdict = health.get("verdict", verdict_of(health.get("findings", [])))
@@ -846,17 +835,18 @@ def render_html(document: Dict[str, object]) -> str:
 
 
 def render_json(document: Dict[str, object]) -> str:
-    """The folded artifact as indented JSON."""
-    return json.dumps(_folded(document), indent=1, sort_keys=True)
+    """The run-report document as indented JSON."""
+    return json.dumps(document, indent=1, sort_keys=True)
 
 
 # --------------------------------------------------------------- the CLI
-def _run_point(args: argparse.Namespace):
-    """One benchmark point with every collector on: ``(telemetry, report)``.
+def _run_point(args: argparse.Namespace) -> Dict[str, object]:
+    """One benchmark point with every collector on, as its run report.
 
     Only the point flags the user passed reach the params class (a name
     it lacks is ignored: ``--fraction`` means nothing to ``halo``), so
-    every other field keeps the workload's own default.
+    every other field keeps the workload's own default.  ``--chrome``
+    writes the run's trace.
     """
     from repro.workloads.sweep import BENCHMARKS, nic_preset
 
@@ -869,7 +859,10 @@ def _run_point(args: argparse.Namespace):
         tracing=True, timeline=True, health=True, fabric=True, profile=True
     )
     result = bench.runner(nic_preset(args.preset), point, telemetry=telemetry)
-    return telemetry, telemetry.report(
+    if args.chrome:
+        telemetry.write_chrome_trace(args.chrome)
+    return run_report(
+        telemetry,
         benchmark=args.benchmark,
         preset=args.preset,
         **dataclasses.asdict(point),
@@ -930,15 +923,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--chrome", metavar="PATH",
-        help="also write a Chrome trace (one track per message)",
+        help="also write the run's Chrome trace (component tracks and "
+        "one track per message); live runs only",
     )
     args = parser.parse_args(argv)
 
-    telemetry = None
-    if args.input:
-        document = load_report(args.input)
-    else:
-        telemetry, document = _run_point(args)
+    if args.input and args.chrome:
+        parser.error("--chrome traces a live run: a saved report keeps no records")
+    document = load_report(args.input) if args.input else _run_point(args)
     rows = document.get("rows")
     if rows is None:
         if args.row is not None:
@@ -953,21 +945,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             f"--row {args.row} out of range ({len(rows)} rows in {args.input})"
         )
     else:
-        document = row_report(document, args.row)
-    folded = fold(document)
-    if args.chrome:
-        if telemetry is not None:
-            telemetry.write_chrome_trace(args.chrome)
-        else:
-            lifecycles = document["lifecycles"] or []
-            write_chrome(
-                args.chrome, (), [MessageLifecycle.from_obj(o) for o in lifecycles]
+        source = f"row {args.row} of {args.input}"
+        document = rows[args.row].get("report")
+        if document is None:
+            raise ReportError(
+                f"{source} carries no run report: its sweep turned no "
+                "collector on"
             )
+        _checked(document, source)
     for path, render in ((args.html, render_html), (args.out, render_json)):
         if path:
             with open(path, "w", encoding="utf-8") as handle:
-                handle.write(render(folded) + "\n")
-    print(render_json(folded) if args.json else render_text(folded))
+                handle.write(render(document) + "\n")
+    print(render_json(document) if args.json else render_text(document))
     return 0
 
 

@@ -73,7 +73,7 @@ __getattr__, __dir__, __all__ = attach(
         "selfprof": ("SimProfiler",),
         "metrics": ("Histogram", "MetricsRegistry", "NullRegistry", "NULL_REGISTRY"),
         "probe": ("SamplingProbe", "DEFAULT_INTERVAL_PS"),
-        "telemetry": ("REPORT_VERSION", "Telemetry", "TelemetryReuseError"),
+        "telemetry": ("Telemetry", "TelemetryReuseError"),
         "chrome": ("chrome_trace_events", "to_chrome", "write_chrome"),
     },
 )

@@ -124,44 +124,6 @@ class MessageLifecycle:
     def end_ps(self) -> int:
         return self.marks[-1].time_ps if self.marks else 0
 
-    def to_obj(self) -> Dict[str, object]:
-        """A JSON-serializable dict (the dump/CLI interchange shape)."""
-        return {
-            "mid": self.mid,
-            "kind": self.kind,
-            "rank": self.rank,
-            "req_id": self.req_id,
-            "label": self.label,
-            "meta": dict(self.meta),
-            "annotations": dict(self.annotations),
-            "marks": [
-                {
-                    "time_ps": mark.time_ps,
-                    "stage": mark.stage,
-                    "detail": dict(mark.detail) if mark.detail else None,
-                }
-                for mark in self.marks
-            ],
-        }
-
-    @staticmethod
-    def from_obj(obj: Dict[str, object]) -> "MessageLifecycle":
-        """Rebuild a lifecycle from :meth:`to_obj` output (the dump
-        carries no component or uid: those are stream-side facts)."""
-        return MessageLifecycle(
-            mid=obj["mid"],
-            kind=obj["kind"],
-            rank=obj["rank"],
-            req_id=obj["req_id"],
-            marks=[
-                Record(mark["time_ps"], "", mark["stage"], detail=mark.get("detail"))
-                for mark in obj.get("marks", ())
-            ],
-            label=obj.get("label"),
-            meta=dict(obj.get("meta") or {}),
-            annotations=dict(obj.get("annotations") or {}),
-        )
-
 
 class Recorder:
     """The stream (:attr:`records`) and its lifecycle view

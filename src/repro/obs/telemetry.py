@@ -19,32 +19,33 @@ collectors the components register into the bundle's registry.  With
 (plus the metrics snapshot) into structured findings at end of run.
 Both need ``metrics=True``: without a registry there is nothing to
 sample.  ``tracing`` is the stream's one switch: off, every record site
-costs one ``enabled`` test and the report carries no lifecycles.
+costs one ``enabled`` test and the run has no lifecycles to attribute.
+
+The bundle holds what the run observed; the run-report document is
+built from it once, at run end, by
+:func:`repro.analysis.report.run_report` (this package imports nothing
+from :mod:`repro.analysis`).  The raw records and lifecycles leave the
+process only as the Chrome trace, :meth:`Telemetry.write_chrome_trace`.
 
 A Telemetry object is **per run**: histograms and records accumulate
 while collectors read the components of the world built on it, so a
 second world built on the same bundle raises
 :class:`TelemetryReuseError`.  The sweep executor
-(:func:`repro.workloads.sweep.run_point`) creates one per point.
+(:func:`repro.workloads.sweep.run_point`) creates one per point, with
+only the collectors its spec asks for.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.obs.chrome import to_chrome, write_chrome
+from repro.obs.chrome import write_chrome
 from repro.obs.health import HealthFinding, HealthMonitor
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.probe import DEFAULT_INTERVAL_PS
 from repro.obs.recorder import Recorder
 from repro.obs.selfprof import SimProfiler
 from repro.obs.timeline import Timeline
-
-#: schema version of every telemetry dump, :meth:`Telemetry.report`
-#: documents and sweep dumps alike; bump on shape changes so
-#: :func:`repro.analysis.load_report` can dispatch
-REPORT_VERSION = 3
-
 
 class TelemetryReuseError(RuntimeError):
     """A second world was built on a bundle already bound to one."""
@@ -87,7 +88,7 @@ class Telemetry:
         #: fabric observability: the world passes this through as the
         #: fabric's ``observe_hops`` (per-hop records) and attaches the
         #: fabric's :meth:`~repro.network.fabric.Fabric.snapshot` so the
-        #: report carries a ``fabric`` section.  Per-hop records need
+        #: run report carries a ``fabric`` section.  Per-hop records need
         #: ``tracing=True`` to land anywhere.
         self.fabric_obs = fabric
         #: the bound world's fabric snapshot callable (None until bound)
@@ -129,11 +130,6 @@ class Telemetry:
             return (), ()
         return recorder.records, recorder.lifecycles
 
-    def chrome_trace(self) -> dict:
-        """The Chrome trace-event document: component tracks and one
-        track per message lifecycle."""
-        return to_chrome(*self._stream())
-
     def lifecycles(self) -> list:
         """The recorded lifecycles ([] when tracing is off)."""
         return list(self._stream()[1])
@@ -159,34 +155,3 @@ class Telemetry:
     def write_chrome_trace(self, path) -> dict:
         """Write the Chrome trace JSON (incl. message tracks) to ``path``."""
         return write_chrome(path, *self._stream())
-
-    def report(self, **meta) -> dict:
-        """The unified, JSON-serializable run report (schema v3).
-
-        Always carries ``version``, ``meta``, ``metrics``, ``health``
-        (findings + verdict; empty/healthy when the monitor is off).
-        ``timeline``, ``lifecycles``, ``profile`` and ``fabric`` appear
-        when their collectors are enabled, else ``None`` -- the renderer
-        in :mod:`repro.analysis.report` folds whatever is present.
-        """
-        return {
-            "version": REPORT_VERSION,
-            "meta": dict(meta),
-            "metrics": self.snapshot(),
-            "fabric": self.fabric_snapshot(),
-            "timeline": (
-                self.timeline.to_obj() if self.timeline is not None else None
-            ),
-            "health": {
-                "verdict": self.health_verdict(),
-                "findings": [f.to_obj() for f in self.health_findings()],
-            },
-            "lifecycles": (
-                [lc.to_obj() for lc in self.recorder.lifecycles]
-                if self.recorder is not None
-                else None
-            ),
-            "profile": (
-                self.profiler.snapshot() if self.profiler is not None else None
-            ),
-        }

@@ -4,8 +4,12 @@ One :class:`SweepSpec` names a benchmark, the receiver presets, and the
 parameter axes; :func:`run_sweep` expands the grid (preset-major, then
 axis-major -- the exact nesting order of the old hand-written loops) and
 runs every point, either serially or fanned out across worker processes.
-Every benchmark's points come back as the same :class:`SweepRow`, and
-:func:`dump_telemetry` writes a sweep's rows as one JSON report.
+Every benchmark's points come back as the same :class:`SweepRow`: the
+point's preset, parameters and result columns beside its run-report
+document (:func:`repro.analysis.report.run_report`, the same document a
+single run's report is), built from a :class:`~repro.obs.telemetry.
+Telemetry` that turns on only the collectors the spec asks for.
+:func:`dump_telemetry` writes a sweep's rows as one JSON dump.
 
 Every point is one self-contained simulation, so points are
 embarrassingly parallel *and* deterministic: the same spec produces
@@ -28,7 +32,7 @@ from repro.network.faults import FaultConfig
 from repro.nic.nic import NicConfig
 from repro.nic.qdisc import QdiscConfig
 from repro.nic.reliability import ReliabilityConfig
-from repro.obs.telemetry import REPORT_VERSION, Telemetry
+from repro.obs.telemetry import Telemetry
 from repro.workloads.alltoall import AlltoallParams, run_alltoall
 from repro.workloads.halo import HaloParams, run_halo
 from repro.workloads.multijob import MultijobParams, run_multijob
@@ -64,17 +68,11 @@ class SweepRow:
     latency_ns: float
     #: the benchmark's extra result columns (``{}`` when it has none)
     extra: Dict[str, object]
-    #: per-run metrics snapshot (sweeps with ``telemetry=True`` only)
-    metrics: Optional[Dict[str, object]] = None
-    #: per-stage latency attribution (sweeps with ``lifecycle=True`` only)
-    attribution: Optional[Dict[str, object]] = None
-    #: watchdog verdict+findings (``telemetry=True`` sweeps only):
-    #: ``{"verdict": str, "findings": [HealthFinding.to_obj(), ...]}``
-    health: Optional[Dict[str, object]] = None
-    #: fabric snapshot (sweeps with ``fabric=True`` only): per-link
-    #: traffic/contention tallies plus the route table, rendered by
+    #: the point's run-report document
+    #: (:func:`repro.analysis.report.run_report`; ``None`` when the spec
+    #: turns no collector on), rendered by
     #: ``python -m repro.analysis.report --input DUMP --row N``
-    fabric: Optional[Dict[str, object]] = None
+    report: Optional[Dict[str, object]] = None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -133,16 +131,16 @@ class SweepSpec:
     presets: Tuple[str, ...]
     axes: Tuple[Tuple[str, Tuple], ...]
     fixed: Tuple[Tuple[str, object], ...] = ()
+    #: the metrics snapshot, the windowed timeline and the default
+    #: watchdog battery: the report's ``metrics``, ``timeline`` and
+    #: ``health`` sections
     telemetry: bool = False
-    #: record the instrumentation stream (``Telemetry(tracing=True)``)
-    #: and attach its lifecycles' folded stage-budget report
-    #: (:func:`repro.analysis.attribution.attribute_run`) to each row's
-    #: ``attribution`` field
+    #: record the instrumentation stream (``Telemetry(tracing=True)``),
+    #: folded into the report's ``attribution`` and ``link_budgets``
     lifecycle: bool = False
     #: fabric observability: per-hop records (with
     #: ``lifecycle=True``), per-link queue/wait series (with
-    #: ``telemetry=True``), and the fabric snapshot on each row's
-    #: ``fabric`` field
+    #: ``telemetry=True``), and the report's ``fabric`` snapshot
     fabric: bool = False
     block_size: int = 16
     #: seeded fabric fault injection; setting it also enables the NIC
@@ -310,44 +308,29 @@ def run_point(
         overrides["reliability"] = ReliabilityConfig(enabled=True)
     if overrides:
         nic = dataclasses.replace(nic, **overrides)
-    bundle = (
-        # telemetry sweeps also carry the windowed timeline and the
-        # default watchdog battery, so every row gets a health verdict
-        Telemetry(
+    bundle = None
+    if spec.telemetry or spec.lifecycle or spec.fabric:
+        bundle = Telemetry(
+            metrics=spec.telemetry,
             tracing=spec.lifecycle,
             timeline=spec.telemetry,
             health=spec.telemetry,
             fabric=spec.fabric,
         )
-        if (spec.telemetry or spec.lifecycle or spec.fabric)
-        else None
-    )
     result = bench.runner(
         nic, bench.params_cls(**params), telemetry=bundle, faults=spec.faults
     )
-    # a lifecycle-only bundle still snapshots metrics; keep rows
-    # comparable by attaching them only when telemetry was asked for
-    metrics = bundle.snapshot() if spec.telemetry else None
-    attribution = None
-    if spec.lifecycle:
-        from repro.analysis.attribution import attribute_run
+    report = None
+    if bundle is not None:
+        from repro.analysis.report import run_report
 
-        attribution = attribute_run(bundle.lifecycles())
-    health = None
-    if spec.telemetry:
-        health = {
-            "verdict": bundle.health_verdict(),
-            "findings": [f.to_obj() for f in bundle.health_findings()],
-        }
+        report = run_report(bundle, benchmark=spec.benchmark, preset=preset, **params)
     return SweepRow(
         preset=preset,
         params=params,
         latency_ns=result.median_ns,
         extra=bench.row_extra(result) if bench.row_extra is not None else {},
-        metrics=metrics,
-        attribution=attribution,
-        health=health,
-        fabric=bundle.fabric_snapshot() if spec.fabric else None,
+        report=report,
     )
 
 
@@ -391,13 +374,14 @@ def run_sweep(spec: SweepSpec, *, workers: Optional[int] = None) -> List[SweepRo
 
 
 def telemetry_report(rows: Iterable[SweepRow], **meta: object) -> Dict[str, object]:
-    """Bundle sweep rows (with their metrics snapshots) into one report.
+    """Bundle sweep rows (with their run reports) into one dump.
 
     The shape matches what :func:`repro.analysis.load_report` loads back:
-    ``{"version": 3, "meta": {...}, "rows": [{"preset", "params",
-    "latency_ns", "extra", "metrics", "attribution", "health",
-    "fabric"}, ...]}``.
+    ``{"version": 4, "meta": {...}, "rows": [{"preset", "params",
+    "latency_ns", "extra", "report"}, ...]}``.
     """
+    from repro.analysis.report import REPORT_VERSION
+
     return {
         "version": REPORT_VERSION,
         "meta": dict(meta),

@@ -9,8 +9,9 @@ The acceptance criteria of the attribution layer:
 * attribution-carrying sweeps are bit-identical between the serial and
   process-pool execution paths;
 * the run-report CLI (``python -m repro.analysis.report``) renders the
-  attribution end to end, and its JSON report round-trips the message
-  tracks through ``--input``.
+  attribution end to end, writes the live run's message tracks with
+  ``--chrome``, and re-renders its saved JSON report through
+  ``--input``.
 """
 
 import json
@@ -127,11 +128,12 @@ class TestSweepIntegration:
             ("baseline",), (8,), (1.0,), lifecycle=True, **FAST
         )
         (row,) = run_sweep(spec)
-        assert row.attribution is not None
-        agg = row.attribution["aggregate"]
+        attribution = row.report["attribution"]
+        assert attribution is not None
+        agg = attribution["aggregate"]
         assert agg["count"] == FAST["iterations"]
         assert agg["end_to_end"]["p50_ns"] == row.latency_ns
-        for message in row.attribution["messages"]:
+        for message in attribution["messages"]:
             assert sum(message["stages_ps"].values()) == message["end_to_end_ps"]
 
     def test_serial_and_parallel_attribution_bit_identical(self):
@@ -145,7 +147,7 @@ class TestSweepIntegration:
     def test_lifecycle_off_leaves_rows_unchanged(self):
         spec = SweepSpec.preposted(("baseline",), (8,), (1.0,), **FAST)
         (row,) = run_sweep(spec)
-        assert row.attribution is None and row.metrics is None
+        assert row.report is None
 
 
 class TestRendering:
@@ -202,14 +204,12 @@ class TestCli:
         assert set(trace) == {"traceEvents", "displayTimeUnit"}
         assert trace["displayTimeUnit"] == "ns"
         assert any(e["pid"] == LIFECYCLE_PID for e in trace["traceEvents"])
-        # the report round-trips through --input, --chrome included
-        chrome2 = tmp_path / "trace2.json"
-        proc2 = self.run_cli("--input", str(dump), "--chrome", str(chrome2))
+        # the saved report re-renders through --input; it keeps the
+        # folds, not the lifecycles, so --chrome is a live-run option
+        proc2 = self.run_cli("--input", str(dump))
         assert proc2.returncode == 0, proc2.stderr
         assert "stages sum exactly" in proc2.stdout
-        reloaded = json.loads(chrome2.read_text())
-        assert reloaded["displayTimeUnit"] == "ns"
-        # a saved report holds only the message tracks: they match the
-        # live run's
-        messages = [e for e in trace["traceEvents"] if e["pid"] == LIFECYCLE_PID]
-        assert reloaded["traceEvents"] == messages
+        assert "lifecycles" not in json.loads(dump.read_text())
+        proc3 = self.run_cli("--input", str(dump), "--chrome", str(chrome))
+        assert proc3.returncode == 2
+        assert "--chrome traces a live run" in proc3.stderr

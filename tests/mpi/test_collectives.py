@@ -9,6 +9,7 @@ import dataclasses
 
 import pytest
 
+from repro.analysis.report import run_report
 from repro.mpi.api import MpiError
 from repro.mpi.world import MpiWorld, WorldConfig
 from repro.network.fabric import FabricConfig
@@ -148,7 +149,7 @@ def telemetry_document(num_ranks, preset, faults=None):
         num_ranks, preset, telemetry=bundle, faults=faults, nic=nic
     )
     results = run_collectives(world, num_ranks)
-    document = bundle.report(benchmark="collectives", preset=preset)
+    document = run_report(bundle, benchmark="collectives", preset=preset)
     return results, document
 
 

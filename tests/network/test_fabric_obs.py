@@ -16,12 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.attribution import (
-    HOP_STAGES,
-    link_budgets,
-    stage_budget,
-    wire_segments,
-)
+from repro.analysis.attribution import link_budgets, stage_budget
 from repro.network.fabric import Fabric, FabricConfig
 from repro.network.faults import FaultConfig, FaultModel
 from repro.network.packet import Packet, PacketKind
@@ -29,6 +24,7 @@ from repro.network.topology import TopologyConfig
 from repro.obs.recorder import Recorder
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.engine import Engine
+from tests.network.segments import HOP_STAGES, wire_segments
 
 WIRE_LATENCY_PS = 200_000
 

@@ -16,7 +16,7 @@ import dataclasses
 
 import repro.workloads.preposted as preposted
 import repro.workloads.storm as storm
-from repro.analysis.report import queue_high_water, render_text
+from repro.analysis.report import queue_high_water, render_text, run_report
 from repro.nic.nic import NicConfig
 from repro.nic.reliability import ReliabilityConfig
 from repro.obs import Telemetry
@@ -99,7 +99,7 @@ def test_snapshot_surfaces_queue_high_water_marks():
 
 def test_report_renders_high_water_section():
     telemetry, _ = _run_with_telemetry()
-    document = telemetry.report(benchmark="unexpected")
+    document = run_report(telemetry, benchmark="unexpected")
 
     marks = dict(queue_high_water(document))
     assert marks["nic1.unexpectedQ"] >= 12

@@ -108,7 +108,9 @@ class TestRealDocument:
             PingPongParams(message_size=0, iterations=4, warmup=1),
             telemetry=telemetry,
         )
-        return telemetry, telemetry.chrome_trace()
+        return telemetry, to_chrome(
+            telemetry.recorder.records, telemetry.lifecycles()
+        )
 
     def test_each_record_renders_exactly_once(self, run):
         telemetry, doc = run

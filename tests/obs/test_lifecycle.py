@@ -100,17 +100,6 @@ class TestRecorderUnit:
         }
         assert recorder.pop_search_notes() == {}
 
-    def test_dump_round_trip(self):
-        recorder = Recorder()
-        recorder.open_request("send", 0, 1, "host0", 5, detail={"tag": 3})
-        recorder.label_request(0, 1, "ping", timed=True)
-        recorder.bind_uid(0, 1, 42)
-        recorder.record("fabric", "wire", 42, time_ps=9)
-        dumped = [lc.to_obj() for lc in recorder.lifecycles]
-        rebuilt = [MessageLifecycle.from_obj(o) for o in dumped]
-        assert [lc.to_obj() for lc in rebuilt] == dumped
-        assert rebuilt[0].label == "ping" and rebuilt[0].meta == {"timed": True}
-
     def test_chrome_events_pair_spans(self):
         recorder = Recorder()
         recorder.open_request("send", 0, 1, "host0", 0)

@@ -22,15 +22,25 @@ from repro.analysis import (
     metric_value,
     row_verdict,
 )
-from repro.analysis.report import ReportError
+from repro.analysis.report import (
+    REPORT_VERSION,
+    SECTIONS,
+    ReportError,
+    run_report,
+)
 from repro.mpi.world import MpiWorld
-from repro.obs import REPORT_VERSION, Telemetry, TelemetryReuseError
+from repro.obs import Telemetry, TelemetryReuseError
+from repro.obs.chrome import to_chrome
 from repro.workloads.pingpong import PingPongParams, run_pingpong
 from repro.workloads.preposted import PrepostedParams, run_preposted
 from repro.workloads import SweepSpec, dump_telemetry, nic_preset, run_sweep
 from repro.workloads.unexpected import UnexpectedParams, run_unexpected
 
 FAST = dict(iterations=4, warmup=1)
+
+
+def chrome_document(telemetry):
+    return to_chrome(telemetry.recorder.records, telemetry.lifecycles())
 
 
 def run_traced_pingpong():
@@ -53,7 +63,7 @@ class TestDeterminism:
         _, t2 = run_traced_pingpong()
         # uids are numbered per world, so the records agree uids and all
         assert t1.recorder.records == t2.recorder.records
-        assert t1.chrome_trace() == t2.chrome_trace()
+        assert chrome_document(t1) == chrome_document(t2)
 
 
 class TestZeroPerturbation:
@@ -98,10 +108,13 @@ class TestTraceCoverage:
             nic_preset("alpu256"), PingPongParams(**FAST), telemetry=telemetry
         )
         assert telemetry.snapshot()["nic1.alpu.posted/match_successes"] > 0
-        assert telemetry.chrome_trace()["traceEvents"] == []
-        # tracing is the stream's one switch: off, no lifecycles either
+        assert telemetry.recorder is None
+        # tracing is the stream's one switch: off, no lifecycles either,
+        # so the report folds no attribution
         assert telemetry.lifecycles() == []
-        assert telemetry.report()["lifecycles"] is None
+        document = run_report(telemetry)
+        assert document["attribution"] is None
+        assert document["link_budgets"] is None
 
     def test_lifecycle_keyword_is_gone(self):
         with pytest.raises(TypeError):
@@ -137,18 +150,31 @@ class TestSweepIntegration:
         )
 
     def test_figure5_row_reports_alpu_and_queue_metrics(self, rows):
-        snapshot = rows[0].metrics
+        snapshot = rows[0].report["metrics"]
         # the issue's acceptance criterion: nonzero ALPU match count and
         # posted-queue depth samples on a Figure-5 sweep row
         assert snapshot["nic1.alpu.posted/match_successes"] > 0
         assert snapshot["nic1.postedRecvQ/depth_samples"]["count"] > 0
         assert snapshot["fabric/packets"] > 0
 
-    def test_telemetry_off_rows_have_no_metrics(self):
+    def test_telemetry_off_rows_have_no_report(self):
         rows = run_sweep(
             SweepSpec.preposted(["baseline"], [4], [1.0], iterations=2, warmup=1)
         )
-        assert rows[0].metrics is None
+        assert rows[0].report is None
+
+    def test_rows_carry_only_the_collectors_asked_for(self, rows):
+        (row,) = rows
+        assert set(row.report) == {"version", *SECTIONS}
+        # telemetry=True: metrics, timeline and health; no stream, no
+        # fabric, no profile
+        assert row.report["health"]["verdict"] == "healthy"
+        assert row.report["timeline"]["series"]
+        for section in ("attribution", "link_budgets", "fabric", "profile"):
+            assert row.report[section] is None
+        assert row.report["meta"] == {
+            "benchmark": "preposted", "preset": "alpu256", **row.params
+        }
 
     def test_report_round_trip_and_analysis_helpers(self, rows, tmp_path):
         path = tmp_path / "report.json"
@@ -160,85 +186,70 @@ class TestSweepIntegration:
             report["rows"], "nic1.alpu.posted/match_successes"
         )
         assert successes > 0
-        depth = mean_sampled_depth(
-            report["rows"][0]["metrics"], "nic1.postedRecvQ"
-        )
+        metrics = report["rows"][0]["report"]["metrics"]
+        depth = mean_sampled_depth(metrics, "nic1.postedRecvQ")
         assert depth > 0
         # counters flatten, histograms read back via their mean
-        assert metric_value(report["rows"][0]["metrics"], "missing") is None
+        assert metric_value(metrics, "missing") is None
 
-    def test_load_report_reads_every_dump_version(self, rows, tmp_path):
-        """v1 (unversioned, no health) and v2 rows keep their parameters
-        as top-level keys; v3 nests them under ``params``/``extra``.  All
-        three load, the metric/health helpers read them alike, and a
-        newer dump is refused."""
-        legacy_row = {
-            "preset": "alpu256",
-            "queue_length": 16,
-            "traverse_fraction": 1.0,
-            "message_size": 0,
-            "latency_ns": rows[0].latency_ns,
-            "metrics": rows[0].metrics,
-        }
-        v1 = tmp_path / "v1.json"
-        v1.write_text(json.dumps({"meta": {}, "rows": [legacy_row]}))
-        v2 = tmp_path / "v2.json"
-        v2.write_text(json.dumps({
-            "version": 2,
-            "meta": {},
-            "rows": [{**legacy_row, "attribution": None, "health": rows[0].health}],
-        }))
-        v3 = tmp_path / "v3.json"
-        dump_telemetry(rows, str(v3))
+    @pytest.mark.parametrize("version", [None, 2, 3, REPORT_VERSION + 1])
+    @pytest.mark.parametrize("body", ["rows", "run"])
+    def test_load_report_reads_only_the_current_version(
+        self, rows, tmp_path, version, body
+    ):
+        """Unversioned (v1), v2, v3 and newer dumps are refused; the
+        current one loads and the row helpers read its rows."""
+        path = tmp_path / "dump.json"
+        dump_telemetry(rows, str(path))
         name = "nic1.alpu.posted/match_successes"
-        for path, version in ((v1, 1), (v2, 2), (v3, REPORT_VERSION)):
-            report = load_report(str(path))
-            assert report["version"] == version
-            assert metric_across_rows(report["rows"], name) == [
-                rows[0].metrics[name]
-            ]
-            assert row_verdict(report["rows"][0]) == "healthy"
-            assert healthy_rows(report["rows"]) == report["rows"]
-        (row,) = load_report(str(v3))["rows"]
-        assert row["params"]["queue_length"] == 16 and row["extra"] == {}
-        v4 = tmp_path / "v4.json"
-        v4.write_text(json.dumps({"version": REPORT_VERSION + 1, "rows": []}))
-        with pytest.raises(ReportError, match="understands up to v3"):
-            load_report(str(v4))
+        current = load_report(str(path))
+        assert current["version"] == REPORT_VERSION
+        assert metric_across_rows(current["rows"], name) == [
+            rows[0].report["metrics"][name]
+        ]
+        document = current if body == "rows" else rows[0].report
+        stale = dict(document, version=version)
+        if version is None:
+            del stale["version"]
+        path.write_text(json.dumps(stale))
+        with pytest.raises(ReportError, match="non-integer version|reads only v4"):
+            load_report(str(path))
 
     def test_sweep_dumps_and_run_reports_share_one_loader(self, rows, tmp_path):
         dump = tmp_path / "sweep.json"
         dump_telemetry(rows, str(dump))
         run = tmp_path / "run.json"
         _, telemetry = run_traced_pingpong()
-        run.write_text(json.dumps(telemetry.report()))
-        sweep_dump, run_report = load_report(str(dump)), load_report(str(run))
-        assert sweep_dump["version"] == run_report["version"] == REPORT_VERSION
+        run.write_text(json.dumps(run_report(telemetry)))
+        sweep_dump, run_doc = load_report(str(dump)), load_report(str(run))
+        assert sweep_dump["version"] == run_doc["version"] == REPORT_VERSION
         assert len(sweep_dump["rows"]) == len(rows)
-        assert run_report["metrics"] == telemetry.snapshot()
+        assert run_doc["metrics"] == telemetry.snapshot()
+        # a row carries the same document a run report is
+        assert set(sweep_dump["rows"][0]["report"]) == set(run_doc)
 
-    def test_row_helpers_read_a_run_report_like_a_row(self, tmp_path):
-        # both dump kinds carry ``metrics`` and ``health`` in one form
-        run = tmp_path / "run.json"
-        _, telemetry = run_traced_pingpong()
-        run.write_text(json.dumps(telemetry.report()))
-        report = load_report(str(run))
-        name = "nic1.alpu.posted/match_successes"
-        assert telemetry.snapshot()[name] > 0
-        assert metric_across_rows([report], name) == [telemetry.snapshot()[name]]
-        assert row_verdict(report) == report["health"]["verdict"]
-        assert healthy_rows([report]) == (
-            [report] if report["health"]["verdict"] == "healthy" else []
+    def test_row_helpers_read_each_rows_report(self, rows, tmp_path):
+        path = tmp_path / "sweep.json"
+        dump_telemetry(rows, str(path))
+        loaded = load_report(str(path))["rows"]
+        (row,) = loaded
+        assert row_verdict(row) == row["report"]["health"]["verdict"]
+        assert healthy_rows(loaded) == (
+            loaded if row_verdict(row) == "healthy" else []
         )
+        # a row without a report reads as healthy, with no metrics
+        bare = dict(row, report=None)
+        assert row_verdict(bare) == "healthy"
+        assert metric_across_rows([bare], "engine/events") == [None]
 
     @pytest.mark.parametrize(
         "document, message",
         [
-            ({"nope": 1}, "not a telemetry dump"),
+            ({"version": REPORT_VERSION, "nope": 1}, "not a run report"),
             ([], "not a telemetry dump"),
             ({"version": "3", "rows": []}, "non-integer version"),
             ({"version": None, "rows": []}, "non-integer version"),
-            ({"version": 3, "rows": 5}, "'rows' must be a list"),
+            ({"version": REPORT_VERSION, "rows": 5}, "'rows' must be a list"),
             ({"version": "3", "metrics": {}}, "non-integer version"),
             ({"version": None, "metrics": {}}, "non-integer version"),
         ],
@@ -290,22 +301,22 @@ class TestFabricSection:
         telemetry = Telemetry(fabric=True)
         telemetry.bind_world(lambda: {"packets_injected": 7})
         assert telemetry.fabric_snapshot() == {"packets_injected": 7}
-        assert telemetry.report()["fabric"] == {"packets_injected": 7}
+        assert run_report(telemetry)["fabric"] == {"packets_injected": 7}
 
     def test_fabric_off_or_unattached_reports_none(self):
         # off: even a bound source stays silent
         off = Telemetry(fabric=False)
         off.bind_world(lambda: {"packets_injected": 7})
         assert off.fabric_snapshot() is None
-        assert off.report()["fabric"] is None
+        assert run_report(off)["fabric"] is None
         # on but no world bound
-        assert Telemetry(fabric=True).report()["fabric"] is None
+        assert run_report(Telemetry(fabric=True))["fabric"] is None
 
     def test_end_to_end_snapshot_rides_a_real_run(self):
         telemetry = Telemetry(fabric=True)
         run_pingpong(
             nic_preset("alpu128"), PingPongParams(**FAST), telemetry=telemetry
         )
-        fabric = telemetry.report()["fabric"]
+        fabric = run_report(telemetry)["fabric"]
         assert fabric["packets_injected"] > 0
         assert fabric["packets_injected"] == fabric["packets_delivered"]

@@ -15,7 +15,7 @@ def _retransmits(rows) -> int:
     """Total reliability-layer retransmissions across a sweep's rows."""
     total = 0
     for row in rows:
-        for key, value in (row.metrics or {}).items():
+        for key, value in row.report["metrics"].items():
             if key.endswith(".rel/retransmits"):
                 total += int(value)
     return total
@@ -64,8 +64,9 @@ def test_zero_fault_rows_carry_a_clean_health_verdict():
         0.0, presets=("baseline",), queue_lengths=(4,), iterations=6, warmup=1
     )
     (row,) = run_sweep(spec)
-    assert row.health == {"verdict": "healthy", "findings": []}
-    assert verdict_of(row.health["findings"]) == "healthy"
+    health = row.report["health"]
+    assert health == {"verdict": "healthy", "findings": []}
+    assert verdict_of(health["findings"]) == "healthy"
 
 
 def test_storm_loss_rate_raises_retransmit_storm_deterministically():
@@ -73,21 +74,22 @@ def test_storm_loss_rate_raises_retransmit_storm_deterministically():
         presets=("baseline",), queue_lengths=(8,), iterations=40, warmup=2
     )
     (row,) = run_sweep(faulty_spec(STORM_LOSS_RATE, **point))
-    assert row.health is not None
-    assert row.health["verdict"] == "warning"
-    assert has_finding(row.health["findings"], "retransmit_storm")
+    health = row.report["health"]
+    assert health is not None
+    assert health["verdict"] == "warning"
+    assert has_finding(health["findings"], "retransmit_storm")
     # findings are JSON-shaped dicts with the full evidence span
     finding = next(
-        f for f in row.health["findings"] if f["code"] == "retransmit_storm"
+        f for f in health["findings"] if f["code"] == "retransmit_storm"
     )
     assert finding["value"] >= finding["threshold"]
     assert finding["end_ps"] > finding["start_ps"]
     # deterministic under the pinned seed: a rerun reports the same health
     (again,) = run_sweep(faulty_spec(STORM_LOSS_RATE, **point))
-    assert again.health == row.health
+    assert again.report["health"] == health
 
 
-def test_telemetry_off_means_no_health_field():
+def test_telemetry_off_means_no_report():
     spec = faulty_spec(
         0.0,
         presets=("baseline",),
@@ -97,4 +99,4 @@ def test_telemetry_off_means_no_health_field():
         telemetry=False,
     )
     (row,) = run_sweep(spec)
-    assert row.health is None
+    assert row.report is None

@@ -99,8 +99,9 @@ def test_fabric_sweep_rows_carry_snapshots():
         ("alpu128",), (8,), ("torus3d",), iterations=2, warmup=1, fabric=True
     ) == spec  # the factory passes the flag through
     (row,) = run_sweep(spec)
-    assert row.fabric["packets_injected"] == row.fabric["packets_delivered"]
-    assert row.fabric["topology"]["preset"] == row.params["topology"] == "torus3d"
+    fabric = row.report["fabric"]
+    assert fabric["packets_injected"] == fabric["packets_delivered"]
+    assert fabric["topology"]["preset"] == row.params["topology"] == "torus3d"
     (bare,) = run_sweep(bare_spec)
-    assert bare.fabric is None
+    assert bare.report is None
     assert bare.latency_ns == row.latency_ns  # zero perturbation

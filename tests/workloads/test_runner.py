@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.analysis.report import REPORT_VERSION
 from repro.workloads import (
     PRESETS,
     SweepSpec,
@@ -61,10 +62,11 @@ def test_dump_telemetry_creates_parent_directories(tmp_path):
     path = tmp_path / "results" / "2026-08" / "fig6.json"
     dump_telemetry(rows, str(path), benchmark="unexpected")
     report = json.loads(path.read_text())
-    assert report["version"] == 3
+    assert report["version"] == REPORT_VERSION
     assert report["meta"] == {"benchmark": "unexpected"}
     (row,) = report["rows"]
     assert row["params"] == {
         "queue_length": 0, "message_size": 0, "iterations": 3, "warmup": 1
     }
     assert row["extra"] == {}
+    assert row["report"] is None
